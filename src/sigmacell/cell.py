@@ -38,6 +38,7 @@ __all__ = [
     "assemble_energy",
     "assemble_energy_parts",
     "assemble_gradient",
+    "pinned_objective",
     "minimize_cell",
     "estimate_g",
     "estimate_sigma",
@@ -190,9 +191,27 @@ def assemble_energy(grid: CellGrid, pot: Potential, state: CellState) -> float:
 
 def assemble_gradient(grid: CellGrid, pot: Potential, state: CellState) -> np.ndarray:
     """Exact discrete-energy gradient; zero on the Dirichlet boundary."""
-    g = _model(grid, pot).gradient(state.u)
+    _, g = _model(grid, pot).gradient(state.u)
     g[grid.box.boundary_mask()] = 0.0
     return g
+
+
+def pinned_objective(model: EnergyModel, pinned: np.ndarray):
+    """f_g(x) -> (energy, gradient) on the flat node vector x, for lbfgs_descent.
+
+    The gradient is zero on the `pinned` nodes (a boolean node mask), so
+    a descent that steps along combinations of gradients never moves them.
+    """
+    shape = model.grid.shape + (model.pot.d,)
+    flat = np.flatnonzero(np.broadcast_to(pinned[..., None], shape))
+
+    def f_g(x: np.ndarray):
+        parts, g = model.gradient(x.reshape(shape))
+        g = g.reshape(-1)
+        g[flat] = 0.0
+        return parts.total, g
+
+    return f_g
 
 
 def minimize_cell(
@@ -217,26 +236,18 @@ def minimize_cell(
             raise ValueError("warm start does not match the grid")
         u0 = init.u.copy()
         u0[bmask] = data[bmask]  # keep the warm start admissible
-    d = u0.shape[-1]
-    free = ~bmask
-
-    def f_g(x: np.ndarray):
-        u0[free] = x.reshape(-1, d)
-        parts = model.energy_parts(u0)
-        g = model.gradient(u0)
-        return parts.total, g[free].ravel()
-
+    f_g = pinned_objective(model, bmask)
     tol = opts.resolved_tolerance(pot)
     res = lbfgs_descent(
         f_g,
-        u0[free].ravel(),
+        u0.ravel(),
         sup_tol=tol,
         max_iterations=opts.resolved_max_iterations(grid.box.shape),
         memory=opts.memory,
         record_trace=opts.record_trace,
     )
-    u0[free] = res.x.reshape(-1, d)
-    parts = model.energy_parts(u0)
+    u = res.x.reshape(u0.shape)
+    parts = model.energy_parts(u)
     area = grid.T ** (grid.dim - 1)
     result = CellResult(
         g=parts.total / area,
@@ -248,7 +259,7 @@ def minimize_cell(
         converged=res.converged,
         trace=res.trace,
     )
-    return result, CellState(grid, u0)
+    return result, CellState(grid, u)
 
 
 def _prolong(u: np.ndarray, periodic) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .cell import SOLVE_CSV_COLUMNS, SolverOptions, estimate_sigma, minimize_cell, CellGrid
+from .cell import SOLVE_CSV_COLUMNS, CellGrid, SolverOptions, estimate_sigma, minimize_cell, solve_csv_row
 from .config import Config, ConfigError, parse_config
 from .gamma import GAP_CSV_COLUMNS, DomainSpec, gamma_gap
 from .lattice import check_periodicity, rotation_from_direction
@@ -133,14 +133,12 @@ def run_sigma(cfg: Config, run: _Run) -> int:
     else:
         estimates = [_sigma_task(t) for t in tasks]
 
-    rows = []
-    for est in estimates:
-        for ref in est.refinements:
-            for result, h in ((ref.coarse, 2 * ref.h), (ref.fine, ref.h)):
-                rows.append([_fmt(float(c)) for c in est.nu] + [
-                    _fmt(ref.T), _fmt(h), _fmt(result.g), _fmt(result.potential_part),
-                    _fmt(result.gradient_part), result.iterations, _fmt(result.residual),
-                ])
+    rows = [
+        solve_csv_row(est.nu, ref.T, h, result)
+        for est in estimates
+        for ref in est.refinements
+        for result, h in ((ref.coarse, 2 * ref.h), (ref.fine, ref.h))
+    ]
     header = [f"nu{i + 1}" for i in range(dim)] + list(SOLVE_CSV_COLUMNS)
     if "csv" in cfg.formats:
         run.write_csv("solves.csv", header, rows)

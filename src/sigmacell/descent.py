@@ -45,6 +45,17 @@ def lbfgs_descent(
     rho_list: list = []
     iterations = 0
 
+    def line_search(p, gp):
+        """(x_new, f_new, g_new) at the first step 1, 1/2, 1/4, ... along p with an Armijo decrease, or None."""
+        step = 1.0
+        for _ in range(max_backtracks):
+            x_new = x + step * p
+            f_new, g_new = f_g(x_new)
+            if np.isfinite(f_new) and f_new <= f + armijo * step * gp:
+                return x_new, f_new, g_new
+            step *= 0.5
+        return None
+
     sup = float(np.abs(g).max()) if g.size else 0.0
     while sup > sup_tol and iterations < max_iterations:
         # two-loop recursion
@@ -68,30 +79,14 @@ def lbfgs_descent(
         if gp == 0.0:
             break
 
-        step = 1.0
-        accepted = False
-        for _ in range(max_backtracks):
-            x_new = x + step * p
-            f_new, g_new = f_g(x_new)
-            if np.isfinite(f_new) and f_new <= f + armijo * step * gp:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        found = line_search(p, gp)
+        if found is None and not np.array_equal(p, -g):
             # try plain steepest descent once before giving up
-            if p is not None and not np.array_equal(p, -g):
-                p = -g
-                gp = float(g @ p)
-                step = 1.0
-                for _ in range(max_backtracks):
-                    x_new = x + step * p
-                    f_new, g_new = f_g(x_new)
-                    if np.isfinite(f_new) and f_new <= f + armijo * step * gp:
-                        accepted = True
-                        break
-                    step *= 0.5
-        if not accepted:
+            p = -g
+            found = line_search(p, float(g @ p))
+        if found is None:
             break
+        x_new, f_new, g_new = found
 
         s = x_new - x
         y = g_new - g

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .cell import CellState, SolverOptions
+from .cell import CellState, SolverOptions, pinned_objective
 from .descent import lbfgs_descent
 from .grids import BoxGrid, EnergyModel, node_quadrature_weights
 from .potential import Potential
@@ -208,47 +208,38 @@ def minimize_diffuse(
         if u0.shape != grid.shape + (pot.d,):
             raise ValueError("init does not match the grid")
     u0[mask] = data[mask]
-    free = ~mask
     d = pot.d
+    energy_gradient = pinned_objective(model, mask)
 
     if mass_target is not None:
         target = np.asarray(mass_target, dtype=float).reshape(d)
         _mass_target_valid(domain, pot, target)
-        wq = node_quadrature_weights(grid)
+        wq = node_quadrature_weights(grid).reshape(-1)
         seg = pot.wells.b - pot.wells.a
         e_hat = seg / np.linalg.norm(seg)
-        w_free = wq[free]
-        w_sum = float(w_free.sum())
-        mass_fixed = (wq[mask][..., None] * data[mask]).sum(axis=0) if mask.any() else np.zeros(d)
+        free = ~mask.reshape(-1)
+        w_sum = float(wq[free].sum())
+        shift = np.outer(free, e_hat).ravel()  # the restoring direction, zero on pinned nodes
+        w_shift = np.outer(np.where(free, wq, 0.0), e_hat).ravel()
 
         def restore(x):
             # add the constant (along the well segment) fixing the integral
-            xx = x.reshape(-1, d)
-            mass = mass_fixed + (w_free[:, None] * xx).sum(axis=0)
+            mass = (wq[:, None] * x.reshape(-1, d)).sum(axis=0)
             drift = float((target - mass) @ e_hat)
-            return (xx + (drift / w_sum) * e_hat).ravel()
+            return x + (drift / w_sum) * shift
 
         def f_g(x):
-            x = restore(x)
-            u0[free] = x.reshape(-1, d)
-            parts = model.energy_parts(u0)
-            g = model.gradient(u0)[free].reshape(-1, d)
+            f, g = energy_gradient(restore(x))
             # exact gradient of E(restore(.)): the restoring shift is affine
-            comp = float((g @ e_hat).sum()) / w_sum
-            g = g - comp * np.outer(w_free, e_hat)
-            return parts.total, g.ravel()
+            comp = float((g.reshape(-1, d) @ e_hat).sum()) / w_sum
+            g -= comp * w_shift
+            return f, g
 
-        x0 = restore(u0[free].ravel())
+        x0 = restore(u0.ravel())
     else:
         restore = None
-
-        def f_g(x):
-            u0[free] = x.reshape(-1, d)
-            parts = model.energy_parts(u0)
-            g = model.gradient(u0)
-            return parts.total, g[free].ravel()
-
-        x0 = u0[free].ravel()
+        f_g = energy_gradient
+        x0 = u0.ravel()
 
     res = lbfgs_descent(
         f_g,
@@ -259,7 +250,7 @@ def minimize_diffuse(
         record_trace=opts.record_trace,
     )
     x_final = restore(res.x) if restore is not None else res.x
-    u0[free] = x_final.reshape(-1, d)
+    u0 = x_final.reshape(u0.shape)
     fieldv = PhaseField(domain, eps, h, u0.copy())
     parts = model.energy_parts(u0)
     return fieldv, parts, res

@@ -4,21 +4,22 @@ A field lives on the nodes of a uniform grid; the energy
 
     sum_cells  h^N [ wW * f(y(x_c)) * W0(u_c) + wG * |grad u_c|^2 ]
 
-is assembled with the field value at each cell center taken as the
-corner average and the gradient as first-order edge differences averaged
-to the center.  The spatial weight f is evaluated once per model at the
-(mapped) cell centers and cached; the map carries either a rotation
-(cell problems) or a 1/eps dilation (diffuse-interface energies).
+takes the field value at each cell center as the corner average and the
+gradient as first-order edge differences averaged to the center.  The
+spatial weight f is evaluated once per model at the (mapped) cell
+centers and cached; the map carries either a rotation (cell problems) or
+a 1/eps dilation (diffuse-interface energies).
 
-The gradient returned is the exact derivative of this discrete sum with
-respect to the node values.  Axes may be periodic: the node array then
-omits the duplicate endpoint and assembly wraps around.
+One forward sweep, an axis at a time, gives the energy: its partial sums
+serve the center value and every partial derivative.  Its transpose,
+applied once to the cell derivatives, gives the exact gradient, and
+applied to the cell volumes, the node quadrature weights.  Periodic axes
+omit the duplicate endpoint node; each axis step wraps around.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,6 +96,64 @@ class BoxGrid:
         return mask
 
 
+def _along(op, a: np.ndarray, ax: int, periodic: bool) -> np.ndarray:
+    """op(a[i + 1], a[i]) for every cell i along axis ax; a periodic axis wraps to a[0]."""
+    head = (slice(None),) * ax
+    lo, hi = a[head + (slice(None, -1),)], a[head + (slice(1, None),)]
+    if not periodic:
+        return op(hi, lo)
+    out = np.empty_like(a)
+    op(hi, lo, out=out[head + (slice(None, -1),)])
+    op(a[head + (slice(0, 1),)], a[head + (slice(-1, None),)], out=out[head + (slice(-1, None),)])
+    return out
+
+
+def _along_adjoint(up: np.ndarray, down: np.ndarray, ax: int, periodic: bool) -> np.ndarray:
+    """Node i collects up[i - 1] from the cell below it and down[i] from the cell above it."""
+    head = (slice(None),) * ax
+    shape = list(up.shape)
+    shape[ax] += 0 if periodic else 1
+    out = np.empty(shape)
+    np.add(up[head + (slice(None, -1),)], down[head + (slice(1, None),)], out=out[head + (slice(1, up.shape[ax]),)])
+    if periodic:
+        np.add(up[head + (slice(-1, None),)], down[head + (slice(0, 1),)], out=out[head + (slice(0, 1),)])
+    else:
+        out[head + (0,)] = down[head + (0,)]
+        out[head + (-1,)] = up[head + (-1,)]
+    return out
+
+
+def _sweep(grid: BoxGrid, u: np.ndarray):
+    """Per cell, the sum of its 2^N corner values and per axis the sum signed by that axis's offset.
+
+    Each level's sums give the next sums and that axis's differences; a
+    level is dropped as soon as the next is built, to bound peak memory.
+    """
+    s, diffs = u, []
+    for ax, per in enumerate(grid.periodic):
+        for k, t in enumerate(diffs):
+            diffs[k] = _along(np.add, t, ax, per)
+        diffs.append(_along(np.subtract, s, ax, per))
+        s = _along(np.add, s, ax, per)
+    return s, diffs
+
+
+def _sweep_adjoint(grid: BoxGrid, r: np.ndarray, diffs=()) -> np.ndarray:
+    """Transpose of `_sweep` (of its corner sums alone without `diffs`): a fresh contiguous node array."""
+    diffs = list(diffs)
+    for ax in reversed(range(grid.dim)):
+        per = grid.periodic[ax]
+        if diffs:
+            rd = diffs.pop()
+            up, down = r + rd, np.subtract(r, rd, out=rd)
+        else:
+            up = down = r
+        r = _along_adjoint(up, down, ax, per)
+        for k, t in enumerate(diffs):
+            diffs[k] = _along_adjoint(t, t, ax, per)
+    return r
+
+
 @dataclass(frozen=True)
 class EnergyParts:
     total: float
@@ -121,101 +180,41 @@ class EnergyModel:
         if y_map is not None:
             centers = y_map(centers)
         self._factor = np.asarray(pot.spatial_factor(centers), dtype=float)
-        self._offsets = list(product((0, 1), repeat=grid.dim))
+        n, hN = grid.dim, grid.h**grid.dim
+        self._mean = 1.0 / (1 << n)  # corner sum -> center value
+        slope = 1.0 / ((1 << (n - 1)) * grid.h)  # signed corner sum -> averaged edge difference
+        self._pot_scale, self._grad_scale = self.wW * hN, self.wG * hN * slope * slope
+        self._dp_factor = (self._pot_scale * self._mean) * self._factor[..., None]
 
-    def _extend(self, u: np.ndarray) -> np.ndarray:
-        for ax, p in enumerate(self.grid.periodic):
-            if p:
-                sl = [slice(None)] * u.ndim
-                sl[ax] = slice(0, 1)
-                u = np.concatenate([u, u[tuple(sl)]], axis=ax)
-        return u
-
-    def _corner(self, u_ext: np.ndarray, off) -> np.ndarray:
-        sl = tuple(slice(1, None) if o else slice(0, -1) for o in off)
-        return u_ext[sl]
-
-    def _center_values(self, u: np.ndarray):
-        u_ext = self._extend(u)
-        corners = [self._corner(u_ext, off) for off in self._offsets]
-        n = self.grid.dim
-        ubar = sum(corners) / (1 << n)
-        dus = []
-        for ax in range(n):
-            acc = None
-            for off, c in zip(self._offsets, corners):
-                term = c if off[ax] else -c
-                acc = term if acc is None else acc + term
-            dus.append(acc / ((1 << (n - 1)) * self.grid.h))
-        return ubar, dus
+    def _cells(self, u: np.ndarray):
+        """Energy parts, center values and signed corner sums (center gradients / slope) of u."""
+        u = np.asarray(u, dtype=float)
+        if not np.isfinite(u).all():
+            raise ValueError("field contains non-finite values")
+        ubar, dus = _sweep(self.grid, u)
+        ubar *= self._mean
+        e_pot = self._pot_scale * float((self._factor * self.pot.base(ubar)).sum())
+        e_grad = self._grad_scale * float(sum((du * du).sum() for du in dus))
+        return EnergyParts(e_pot + e_grad, e_pot, e_grad), ubar, dus
 
     def energy_parts(self, u: np.ndarray) -> EnergyParts:
-        u = np.asarray(u, dtype=float)
-        if not np.isfinite(u).all():
-            raise ValueError("field contains non-finite values")
-        n = self.grid.dim
-        hN = self.grid.h**n
-        ubar, dus = self._center_values(u)
-        pot_density = self._factor * self.pot.base(ubar)
-        grad2 = sum((du * du).sum(axis=-1) for du in dus)
-        e_pot = self.wW * hN * float(pot_density.sum())
-        e_grad = self.wG * hN * float(grad2.sum())
-        return EnergyParts(e_pot + e_grad, e_pot, e_grad)
+        return self._cells(u)[0]
 
-    def energy(self, u: np.ndarray) -> float:
-        return self.energy_parts(u).total
+    def gradient(self, u: np.ndarray):
+        """(EnergyParts, exact gradient) of the discrete energy, both from one sweep.
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if not np.isfinite(u).all():
-            raise ValueError("field contains non-finite values")
-        n = self.grid.dim
-        h = self.grid.h
-        hN = h**n
-        ubar, dus = self._center_values(u)
-        q = (self.wW * hN / (1 << n)) * self._factor[..., None] * self.pot.base.dp(ubar)
-        gs = [(self.wG * h ** (n - 1) / (1 << max(n - 2, 0)) * (2.0 if n == 1 else 1.0)) * du for du in dus]
-        # scatter to corners of the extended array, then fold periodic wrap
-        ext_shape = tuple(s + (1 if p else 0) for s, p in zip(u.shape[:-1], self.grid.periodic))
-        g_ext = np.zeros(ext_shape + (u.shape[-1],), dtype=float)
-        for off in self._offsets:
-            contrib = q
-            for ax in range(n):
-                contrib = contrib + (gs[ax] if off[ax] else -gs[ax])
-            sl = tuple(slice(1, None) if o else slice(0, -1) for o in off)
-            g_ext[sl] += contrib
-        for ax in reversed(range(n)):
-            if self.grid.periodic[ax]:
-                first = [slice(None)] * g_ext.ndim
-                last = [slice(None)] * g_ext.ndim
-                first[ax] = slice(0, 1)
-                last[ax] = slice(-1, None)
-                g_ext[tuple(first)] += g_ext[tuple(last)]
-                keep = [slice(None)] * g_ext.ndim
-                keep[ax] = slice(0, -1)
-                g_ext = g_ext[tuple(keep)]
-        return g_ext
+        The gradient is a fresh contiguous node array.
+        """
+        parts, ubar, dus = self._cells(u)
+        r = self.pot.base.dp(ubar)
+        r *= self._dp_factor
+        for du in dus:
+            du *= 2.0 * self._grad_scale
+        g = _sweep_adjoint(self.grid, r, dus)
+        return parts, g
 
 
 def node_quadrature_weights(grid: BoxGrid) -> np.ndarray:
     """Weights w with sum_cells h^N u_c = sum_nodes w * u (midpoint rule)."""
     n = grid.dim
-    w = np.ones(grid.cells)
-    # scatter h^N / 2^n per corner, same layout as the energy scatter
-    coef = grid.h**n / (1 << n)
-    ext_shape = tuple(s + (1 if p else 0) for s, p in zip(grid.shape, grid.periodic))
-    out = np.zeros(ext_shape)
-    for off in product((0, 1), repeat=n):
-        sl = tuple(slice(1, None) if o else slice(0, -1) for o in off)
-        out[sl] += coef * w
-    for ax in reversed(range(n)):
-        if grid.periodic[ax]:
-            first = [slice(None)] * out.ndim
-            last = [slice(None)] * out.ndim
-            first[ax] = slice(0, 1)
-            last[ax] = slice(-1, None)
-            out[tuple(first)] += out[tuple(last)]
-            keep = [slice(None)] * out.ndim
-            keep[ax] = slice(0, -1)
-            out = out[tuple(keep)]
-    return out
+    return _sweep_adjoint(grid, np.full(grid.cells, grid.h**n / (1 << n)))

@@ -66,20 +66,22 @@ def test_non_finite_state_rejected(prof):
 
 
 @pytest.mark.parametrize(
-    "dim,T,n,pot",
+    "dim,T,n,pot,tangential",
     [
-        (2, 2.0, 16, QUARTIC),
-        (2, 2.0, 16, striped(0.5)),
-        (3, 2.0, 8, QUARTIC),
+        pytest.param(2, 2.0, 16, QUARTIC, "dirichlet", id="2-2.0-16-pot0"),
+        pytest.param(2, 2.0, 16, striped(0.5), "dirichlet", id="2-2.0-16-pot1"),
+        pytest.param(3, 2.0, 8, QUARTIC, "dirichlet", id="3-2.0-8-pot2"),
+        pytest.param(3, 2.0, 8, striped(0.5), "periodic", id="3-2.0-8-periodic"),
+        pytest.param(2, 2.0, 16, homogeneous_quartic(d=2), "dirichlet", id="2-2.0-16-vector"),
     ],
 )
-def test_gradient_matches_finite_differences(dim, T, n, pot, prof, prof3):
+def test_gradient_matches_finite_differences(dim, T, n, pot, tangential):
     # central finite differences on random states, relative error <= 1e-6
     rng = np.random.default_rng(100 * dim + n)
     h = T / (n - 1)
-    grid = CellGrid(dim, T, h, tangential="dirichlet")
+    grid = CellGrid(dim, T, h, tangential=tangential)
     for trial in range(4):
-        u = rng.uniform(-1.3, 1.3, size=grid.box.shape + (1,))
+        u = rng.uniform(-1.3, 1.3, size=grid.box.shape + (pot.d,))
         state = CellState(grid, u)
         g = assemble_gradient(grid, pot, state)
         free = ~grid.box.boundary_mask()
@@ -88,16 +90,17 @@ def test_gradient_matches_finite_differences(dim, T, n, pot, prof, prof3):
         step = 1e-6
         worst = 0.0
         gsup = np.abs(g).max()
-        for node in sel:
+        for k, node in enumerate(sel):
+            entry = tuple(node) + (k % pot.d,)
             up = u.copy()
             um = u.copy()
-            up[tuple(node) + (0,)] += step
-            um[tuple(node) + (0,)] -= step
+            up[entry] += step
+            um[entry] -= step
             fd = (
                 assemble_energy(grid, pot, CellState(grid, up))
                 - assemble_energy(grid, pot, CellState(grid, um))
             ) / (2 * step)
-            worst = max(worst, abs(fd - g[tuple(node) + (0,)]) / gsup)
+            worst = max(worst, abs(fd - g[entry]) / gsup)
         assert worst <= 1e-6
 
 
@@ -218,6 +221,17 @@ def test_minimize_cell_3d_smoke(prof3):
     assert res.converged
     assert res.g > 0
     assert state.u.shape == grid.box.shape + (1,)
+
+
+def test_minimize_cell_keeps_pinned_nodes_3d(prof3):
+    # periodic tangential faces: only the two normal faces are pinned
+    grid = CellGrid(3, 2.0, 2 / 8)
+    rng = np.random.default_rng(5)
+    init = CellState(grid, rng.uniform(-1.2, 1.2, grid.box.shape + (1,)))
+    res, state = minimize_cell(grid, QUARTIC, prof3, init=init)
+    bmask = grid.box.boundary_mask()
+    assert res.iterations > 0
+    assert state.u[bmask].tobytes() == boundary_values(grid, prof3)[bmask].tobytes()
 
 
 def test_grid_validation():

@@ -4,6 +4,7 @@ import pytest
 from sigmacell.cell import CellGrid, CellState, assemble_energy, boundary_values, minimize_cell
 from sigmacell.gamma import (
     DomainSpec,
+    _boundary_data,
     PhaseField,
     RecoveryParams,
     build_recovery,
@@ -89,6 +90,18 @@ def test_mass_constraint_exact(prof):
     wq = node_quadrature_weights(dom.grid(1 / 32))
     mass = (wq[..., None] * fieldv.u).sum(axis=(0, 1))
     assert abs(mass - target).max() <= 1e-10
+
+
+@pytest.mark.parametrize("mass_target", [None, np.array([0.1])])
+def test_minimize_diffuse_keeps_pinned_nodes(prof, mass_target):
+    dom = _all_step_domain()  # every node on the boundary is pinned
+    eps, h = 0.25, 1 / 16
+    grid = dom.grid(h)
+    init = np.random.default_rng(9).uniform(-1.2, 1.2, grid.shape + (1,))
+    fieldv, parts, res = minimize_diffuse(dom, QUARTIC, eps, h, prof, init=init, mass_target=mass_target)
+    mask, data = _boundary_data(dom, grid, QUARTIC, prof, eps)
+    assert res.iterations > 0
+    assert fieldv.u[mask].tobytes() == data[mask].tobytes()
 
 
 def test_mass_target_validation(prof):
