@@ -16,7 +16,7 @@ estimate extrapolates a T-schedule with a conservative error bar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -295,7 +295,7 @@ def _prolong(u: np.ndarray, periodic) -> np.ndarray:
 
 @dataclass
 class GRefinement:
-    """One (nu, T) estimate from a two-mesh refinement pair."""
+    """One (nu, T) estimate: the fine solve at h and the coarse solve at 2h."""
 
     T: float
     h: float
@@ -304,9 +304,34 @@ class GRefinement:
     fine: CellResult
     coarse: CellResult
     state: CellState
+    phase_offset: float  # the offset whose probe seeded the hierarchy
 
 
 DEFAULT_PHASE_OFFSETS = (0.0, 0.25, 0.5, 0.75)
+
+# The spatial weight has unit period and the transition profile unit
+# width; the probe mesh keeps at least 4 nodes across each (a probe at
+# mesh 1/2 can settle in the wrong basin).
+PROBE_MESH_MAX = 1.0 / 4
+
+# Probe energies within this fraction of the solver tolerance are ties;
+# the lowest phase offset among tied probes wins.
+PROBE_TIE_FRACTION = 1e-2
+
+
+def _mesh_levels(fine: CellGrid) -> list:
+    """The meshes h, 2h, 4h, ... of one cell, finest first.
+
+    h and 2h always belong; the chain goes coarser only while the next
+    mesh is at most PROBE_MESH_MAX and divides the edge into a grid of
+    at least 8 nodes per axis.
+    """
+    levels = [fine, replace(fine, h=2 * fine.h)]
+    cells = levels[-1].n - 1
+    while 2 * levels[-1].h <= PROBE_MESH_MAX and cells % 2 == 0 and cells // 2 + 1 >= 8:
+        cells //= 2
+        levels.append(replace(fine, h=2 * levels[-1].h))
+    return levels
 
 
 def estimate_g(
@@ -320,34 +345,39 @@ def estimate_g(
     tangential: str = "periodic",
     phase_offsets=DEFAULT_PHASE_OFFSETS,
 ) -> GRefinement:
-    """Solve at meshes (2h, h); report the fine g and the mesh difference.
+    """Solve by nested iteration down to h; report the fine g and the (2h, h) mesh difference.
 
-    The coarse mesh is solved once per phase offset (the infimum is over
-    all admissible fields, and a transition layer centered on a weight
-    crest is a symmetric saddle descent cannot leave); the best coarse
-    solution, linearly interpolated, warm-starts the single fine solve.
+    The coarsest mesh of `_mesh_levels` is solved once per phase offset
+    (the infimum is over all admissible fields, and a transition layer
+    centered on a weight crest is a symmetric saddle descent cannot
+    leave).  The best probe, linearly interpolated, warm-starts the solve
+    on the next finer mesh, and so on down to h.
     """
     if T < 1.0:
         raise ValueError("cube edge must be at least the unit transition layer")
-    coarse_grid = CellGrid(dim, T, 2 * h, rotation, tangential)
-    fine_grid = CellGrid(dim, T, h, rotation, tangential)
-    offsets = tuple(phase_offsets) or (0.0,)
+    levels = _mesh_levels(CellGrid(dim, T, h, rotation, tangential))
+    probe_grid = levels[-1]
+    tie = PROBE_TIE_FRACTION * opts.resolved_tolerance(pot)
     best = None
-    for off in offsets:
-        res_c, state_c = minimize_cell(coarse_grid, pot, profile, opts, init=initial_state(coarse_grid, profile, off))
-        if best is None or res_c.g < best[0].g - 1e-15:
-            best = (res_c, state_c)
-    res_c, state_c = best
-    warm = CellState(fine_grid, _prolong(state_c.u, coarse_grid.box.periodic))
-    res_f, state_f = minimize_cell(fine_grid, pot, profile, opts, init=warm)
+    for off in sorted(phase_offsets) or [0.0]:
+        res, state = minimize_cell(probe_grid, pot, profile, opts, init=initial_state(probe_grid, profile, off))
+        if best is None or res.g < best[0].g - tie:
+            best = (res, state, off)
+    results = [None] * len(levels)
+    results[-1], state, offset = best
+    for k in reversed(range(len(levels) - 1)):
+        warm = CellState(levels[k], _prolong(state.u, levels[k + 1].box.periodic))
+        results[k], state = minimize_cell(levels[k], pot, profile, opts, init=warm)
+    fine, coarse = results[0], results[1]
     return GRefinement(
         T=T,
         h=h,
-        g=res_f.g,
-        discretization_error=abs(res_f.g - res_c.g),
-        fine=res_f,
-        coarse=res_c,
-        state=state_f,
+        g=fine.g,
+        discretization_error=abs(fine.g - coarse.g),
+        fine=fine,
+        coarse=coarse,
+        state=state,
+        phase_offset=offset,
     )
 
 

@@ -186,27 +186,34 @@ class EnergyModel:
         self._pot_scale, self._grad_scale = self.wW * hN, self.wG * hN * slope * slope
         self._dp_factor = (self._pot_scale * self._mean) * self._factor[..., None]
 
-    def _cells(self, u: np.ndarray):
-        """Energy parts, center values and signed corner sums (center gradients / slope) of u."""
+    def _centers(self, u: np.ndarray):
+        """Center values and signed corner sums (center gradients / slope) of u."""
         u = np.asarray(u, dtype=float)
         if not np.isfinite(u).all():
             raise ValueError("field contains non-finite values")
         ubar, dus = _sweep(self.grid, u)
         ubar *= self._mean
-        e_pot = self._pot_scale * float((self._factor * self.pot.base(ubar)).sum())
+        return ubar, dus
+
+    def _parts(self, w0: np.ndarray, dus) -> EnergyParts:
+        """Energy parts from the base potential W0 and the signed corner sums at the centers."""
+        e_pot = self._pot_scale * float((self._factor * w0).sum())
         e_grad = self._grad_scale * float(sum((du * du).sum() for du in dus))
-        return EnergyParts(e_pot + e_grad, e_pot, e_grad), ubar, dus
+        return EnergyParts(e_pot + e_grad, e_pot, e_grad)
 
     def energy_parts(self, u: np.ndarray) -> EnergyParts:
-        return self._cells(u)[0]
+        ubar, dus = self._centers(u)
+        return self._parts(self.pot.base(ubar), dus)
 
     def gradient(self, u: np.ndarray):
         """(EnergyParts, exact gradient) of the discrete energy, both from one sweep.
 
-        The gradient is a fresh contiguous node array.
+        W0 and W0' come from one pass over the center values.  The
+        gradient is a fresh contiguous node array.
         """
-        parts, ubar, dus = self._cells(u)
-        r = self.pot.base.dp(ubar)
+        ubar, dus = self._centers(u)
+        w0, r = self.pot.base.value_and_dp(ubar)
+        parts = self._parts(w0, dus)
         r *= self._dp_factor
         for du in dus:
             du *= 2.0 * self._grad_scale

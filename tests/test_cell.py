@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sigmacell import cell
 from sigmacell.cell import (
     CellGrid,
     CellState,
@@ -15,6 +18,7 @@ from sigmacell.cell import (
     estimate_sigma,
     initial_state,
     minimize_cell,
+    _prolong,
 )
 from sigmacell.lattice import RationalUnitVector, rotation_from_direction
 from sigmacell.oned import profile_energy_1d, transition_bvp_energy
@@ -178,6 +182,83 @@ def test_estimate_g_refinement_error_shrinks(prof):
     ref_coarse = estimate_g(None, 2.0, QUARTIC, prof, 1 / 8)
     ref_fine = estimate_g(None, 2.0, QUARTIC, prof, 1 / 16)
     assert ref_coarse.discretization_error >= 2.0 * ref_fine.discretization_error
+
+
+def test_estimate_g_hierarchy_matches_two_mesh_probes(prof):
+    # reference: cold probes at 2h, the best one prolonged to h and solved there
+    R = rotation_from_direction(RationalUnitVector((F(3, 5), F(4, 5))))
+    pot = striped(0.5)
+    coarse, fine = CellGrid(2, 4.0, 1 / 8, R), CellGrid(2, 4.0, 1 / 16, R)
+    probes = [minimize_cell(coarse, pot, prof, init=initial_state(coarse, prof, off)) for off in (0.0, 0.25, 0.5, 0.75)]
+    _, state_c = min(probes, key=lambda probe: probe[0].g)
+    warm = CellState(fine, _prolong(state_c.u, coarse.box.periodic))
+    ref, _ = minimize_cell(fine, pot, prof, init=warm)
+    est = estimate_g(R, 4.0, pot, prof, 1 / 16)
+    assert est.fine.converged and est.coarse.converged
+    assert est.g == pytest.approx(ref.g, rel=1e-8)
+
+
+def test_estimate_g_probe_winner_is_order_independent(prof):
+    # on the quartic every offset reaches the same minimum: the lowest offset wins the tie
+    forward = estimate_g(None, 2.0, QUARTIC, prof, 1 / 16)
+    backward = estimate_g(None, 2.0, QUARTIC, prof, 1 / 16, phase_offsets=(0.75, 0.5, 0.25, 0.0))
+    assert np.float64(forward.g).tobytes() == np.float64(backward.g).tobytes()
+    assert forward.phase_offset == backward.phase_offset == 0.0
+
+
+@pytest.mark.parametrize(
+    "T, h, meshes",
+    [
+        (2.0, 1 / 8, [1 / 4] * 4 + [1 / 8]),  # 2h is already the coarsest probe mesh
+        (1.0, 1 / 32, [1 / 8] * 4 + [1 / 16, 1 / 32]),  # 1/4 would leave 5 nodes per axis
+        (2.0, 1 / 32, [1 / 4] * 4 + [1 / 8, 1 / 16, 1 / 32]),
+    ],
+)
+def test_estimate_g_probe_mesh(prof, monkeypatch, T, h, meshes):
+    seen = []
+
+    def recording(grid, *args, **kwargs):
+        seen.append(grid.h)
+        return minimize_cell(grid, *args, **kwargs)
+
+    monkeypatch.setattr(cell, "minimize_cell", recording)
+    est = estimate_g(None, T, QUARTIC, prof, h)
+    assert seen == meshes
+    assert est.coarse.g != est.fine.g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.integers(2, 6), min_size=2, max_size=3),
+    flags=st.lists(st.booleans(), min_size=3, max_size=3),
+    d=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prolong_properties(shape, flags, d, seed):
+    periodic = tuple(flags[: len(shape)])
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-2.0, 2.0, tuple(shape) + (d,))
+    fine = _prolong(u, periodic)
+    assert fine.shape == tuple(2 * n if p else 2 * n - 1 for n, p in zip(shape, periodic)) + (d,)
+    # even-indexed nodes copy the coarse nodes
+    assert fine[(slice(None, None, 2),) * len(shape)].tobytes() == u.tobytes()
+    # a field affine along the non-periodic axes (constant along the periodic ones) is reproduced
+    coef = rng.uniform(-1.0, 1.0, len(shape) + 1)
+
+    def affine(n_axes, step):
+        x = np.indices(n_axes, dtype=float) * step
+        val = coef[0] + sum(c * xi for c, xi, p in zip(coef[1:], x, periodic) if not p)
+        return np.broadcast_to(val[..., None], tuple(n_axes) + (d,))
+
+    np.testing.assert_allclose(_prolong(affine(shape, 1.0), periodic), affine(fine.shape[:-1], 0.5), rtol=0, atol=1e-13)
+    # on a periodic axis the last fine node averages the last and the first coarse node
+    for ax, p in enumerate(periodic):
+        if not p:
+            continue
+        sel = [slice(None, None, 2)] * len(shape)
+        sel[ax] = -1
+        first, last = np.take(u, 0, axis=ax), np.take(u, -1, axis=ax)
+        assert fine[tuple(sel)].tobytes() == (0.5 * (last + first)).tobytes()
 
 
 def test_estimate_g_rejects_small_cubes(prof):

@@ -62,6 +62,20 @@ def test_dp_matches_finite_differences(pot):
         assert (np.abs(fd - grad[..., k]) / denom).max() <= 1e-6
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_quartic_value_and_dp_match_separate_calls(d):
+    base = homogeneous_quartic(d).base
+    p = np.random.default_rng(3).uniform(-2, 2, size=(7, 9, d))
+    w0, dw0 = base.value_and_dp(p)
+    assert w0.tobytes() == base(p).tobytes()
+    assert dw0.tobytes() == base.dp(p).tobytes()
+    # the formulas written out term by term
+    da, db = p - base.wells.a, p - base.wells.b
+    sa, sb = (da * da).sum(axis=-1), (db * db).sum(axis=-1)
+    assert w0.tobytes() == (sa * sb).tobytes()
+    assert dw0.tobytes() == (2.0 * da * sb[..., None] + 2.0 * db * sa[..., None]).tobytes()
+
+
 @pytest.mark.parametrize("pot", ALL_KINDS, ids=lambda p: p.kind)
 def test_unit_cell_periodicity(pot):
     rng = np.random.default_rng(5)
