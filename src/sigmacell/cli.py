@@ -107,9 +107,8 @@ def _profile(cfg: Config, dim: int = 2) -> TransitionProfile:
 
 
 def _sigma_task(args):
-    cfg, nu, dim = args
+    cfg, nu, dim, profile = args
     rotation = rotation_from_direction(nu)
-    profile = _profile(cfg, dim)
     est = estimate_sigma(
         rotation,
         cfg.T_schedule,
@@ -126,7 +125,8 @@ def _sigma_task(args):
 
 def run_sigma(cfg: Config, run: _Run) -> int:
     dim = 2
-    tasks = [(cfg, nu, dim) for nu in cfg.directions]
+    profile = _profile(cfg, dim)
+    tasks = [(cfg, nu, dim, profile) for nu in cfg.directions]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             estimates = list(pool.map(_sigma_task, tasks))

@@ -256,6 +256,8 @@ def parse_config(path, dim: int = 2) -> Config:
     workers = int(_number(osec.get("workers", "1"), "[solver] workers"))
     seed = int(_number(osec.get("seed", "0"), "[solver] seed"))
     samples = int(_number(osec.get("samples", "1000"), "[solver] samples"))
+    if memory < 1:
+        raise ConfigError("[solver] memory: must be at least 1")
     if workers < 1:
         raise ConfigError("[solver] workers: must be at least 1")
 

@@ -4,10 +4,27 @@ Deterministic by construction: fixed evaluation order, no randomness,
 plain numpy reductions.  Every accepted step satisfies an Armijo
 decrease, so the energy trace is monotone non-increasing; termination is
 on the sup-norm of the gradient.
+
+The inverse Hessian estimate is the compact limited-memory BFGS
+representation of Byrd, Nocedal & Schnabel (1994):
+
+    H = gamma I + [S  gamma Y] M [S^T; gamma Y^T]
+
+with S, Y the last `memory` secant pairs and M built from the small
+matrices R^-1 (R the upper triangle of S^T Y), D = diag(s_i . y_i) and
+Y^T Y, updated incrementally as pairs come and go.  The pairs live in
+one preallocated array, which each iteration reads twice: one
+matrix-vector product gives S^T g and Y^T g, and one gives the search
+direction.  The new entries of S^T Y and Y^T Y are differences of
+successive S^T g and Y^T g, so no third pass is needed.
+
+Trial points are written into two reused buffers, so `f_g` must not keep
+a reference to its argument after it returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
@@ -37,72 +54,114 @@ def lbfgs_descent(
     record_trace: bool = True,
 ) -> DescentResult:
     """Minimize f from x0 until the gradient sup-norm drops below sup_tol."""
-    x = np.asarray(x0, dtype=float).copy()
+    if memory < 1:
+        raise ValueError(f"memory must be at least 1, got {memory}")
+    x = np.array(x0, dtype=float)
+    x_trial = np.empty_like(x)
+    p = np.empty_like(x)
+    # slot j holds s_j in row 2j and y_j in row 2j + 1 of `flat`; one slot
+    # more than `memory` takes each new pair, so a rejected pair never
+    # overwrites a kept one.  Slots never written cost no memory (calloc).
+    buf = np.zeros((memory + 1, 2, x.size))
+    flat = buf.reshape(2 * (memory + 1), x.size)
+    kept: list = []  # slots of the kept pairs, oldest first
+    spare = used = 0  # the slot the next pair goes to; slots written so far
+    # R^-1, Y^T Y and D indexed by slot.  Rows and columns of R^-1 are 0 on
+    # slots not kept, which leaves those slots out of the direction; the
+    # other two are read there only through those zeros.
+    r_inv = np.zeros((memory + 1, memory + 1))
+    yty = np.zeros((memory + 1, memory + 1))
+    d = np.zeros(memory + 1)
+    gamma = 1.0
+    pending = None  # (slot, s.y, y.y) of a pair added last iteration, awaiting its cross products
+    proj_old = np.zeros((0, 2))
+
     f, g = f_g(x)
     trace = [f] if record_trace else []
-    s_list: list = []
-    y_list: list = []
-    rho_list: list = []
     iterations = 0
 
-    def line_search(p, gp):
-        """(x_new, f_new, g_new) at the first step 1, 1/2, 1/4, ... along p with an Armijo decrease, or None."""
+    def line_search(gp):
+        """(f_new, g_new) at the first x_trial = x + step p, step 1, 1/2, 1/4, ..., with an Armijo decrease, or None."""
         step = 1.0
         for _ in range(max_backtracks):
-            x_new = x + step * p
-            f_new, g_new = f_g(x_new)
+            np.multiply(p, step, out=x_trial)
+            np.add(x_trial, x, out=x_trial)
+            f_new, g_new = f_g(x_trial)
             if np.isfinite(f_new) and f_new <= f + armijo * step * gp:
-                return x_new, f_new, g_new
+                return f_new, g_new
             step *= 0.5
         return None
 
-    sup = float(np.abs(g).max()) if g.size else 0.0
+    sup = float(max(g.max(), -g.min())) if g.size else 0.0
     while sup > sup_tol and iterations < max_iterations:
-        # two-loop recursion
-        q = g.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-            a = rho * float(s @ q)
-            alphas.append(a)
-            q -= a * y
-        if y_list:
-            gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
-            q *= gamma
-        for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
-            b = rho * float(y @ q)
-            q += (a - b) * s
-        p = -q
-        gp = float(g @ p)
-        if gp >= 0.0:
-            p = -g
+        steepest = not kept
+        if kept:
+            proj = (flat[: 2 * used] @ g).reshape(used, 2)  # (s_j . g, y_j . g) by slot
+            if pending is not None:
+                j, sy, yy = pending
+                n_old = len(proj_old)
+                # s_i . y_j and y_i . y_j by slot, as y_j is the change of g
+                cross = proj[:n_old] - proj_old
+                # the new column of R^-1 is -R^-1 (S^T y_j) / s_j . y_j
+                r_inv[:, j] = r_inv[:, :n_old] @ cross[:, 0] / -sy
+                r_inv[j, j] = 1.0 / sy
+                yty[:n_old, j] = yty[j, :n_old] = cross[:, 1]
+                yty[j, j] = yy
+                d[j] = sy
+                pending = None
+            proj_old = proj
+            sg, yg = proj.T
+            r = r_inv[:used, :used]
+            r1 = r @ sg
+            top = r.T @ (d[:used] * r1 + gamma * (yty[:used, :used] @ r1 - yg))
+            coef = np.empty((used, 2))
+            coef[:, 0] = -top
+            coef[:, 1] = gamma * r1
+            # p = -H g = -gamma g - S top + gamma Y r1
+            np.dot(coef.reshape(-1), flat[: 2 * used], out=p)
+            np.multiply(g, gamma, out=x_trial)
+            p -= x_trial
+            gp = float(g @ p)
+            steepest = gp >= 0.0
+        if steepest:
+            np.negative(g, out=p)
             gp = float(g @ p)
         if gp == 0.0:
             break
 
-        found = line_search(p, gp)
-        if found is None and not np.array_equal(p, -g):
+        found = line_search(gp)
+        if found is None and not steepest:
             # try plain steepest descent once before giving up
-            p = -g
-            found = line_search(p, float(g @ p))
+            np.negative(g, out=p)
+            found = line_search(float(g @ p))
         if found is None:
             break
-        x_new, f_new, g_new = found
+        f_new, g_new = found
 
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > memory:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
-        x, f, g = x_new, f_new, g_new
+        s, y = buf[spare]
+        np.subtract(x_trial, x, out=s)
+        np.subtract(g_new, g, out=y)
+        used = max(used, spare + 1)
+        sy, yy = float(s @ y), float(y @ y)
+        if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(yy):
+            kept.append(spare)
+            if len(kept) > memory:
+                # drop the oldest pair: the trailing block of an
+                # upper-triangular inverse is the inverse of the trailing block
+                spare = kept.pop(0)
+                r_inv[spare] = r_inv[:, spare] = 0.0
+            else:
+                spare += 1
+            pending = (kept[-1], sy, yy)
+            gamma = sy / yy
+        elif not math.isfinite(sy):
+            buf[spare] = 0.0  # enters the direction product with coefficient 0, and 0 * inf is NaN
+
+        x, x_trial = x_trial, x
+        f, g = f_new, g_new
         iterations += 1
         if record_trace:
             trace.append(f)
-        sup = float(np.abs(g).max()) if g.size else 0.0
+        sup = float(max(g.max(), -g.min())) if g.size else 0.0
 
     return DescentResult(x, f, sup, iterations, sup <= sup_tol, trace)

@@ -84,6 +84,13 @@ def test_uniform_directions(tmp_path):
     assert len(cfg.directions) == 8
 
 
+@pytest.mark.parametrize("memory", ["0", "-1"])
+def test_solver_memory_must_be_positive(tmp_path, memory):
+    path = write(tmp_path, MINIMAL.replace("seed = 7", f"seed = 7\nmemory = {memory}"))
+    with pytest.raises(ConfigError, match="memory: must be at least 1"):
+        parse_config(path)
+
+
 def test_cli_exit_code_on_config_error(tmp_path):
     path = write(tmp_path, MINIMAL.replace("[potential]", "[potental]"))
     assert main(["sigma", "--config", path]) == 2

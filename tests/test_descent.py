@@ -1,6 +1,154 @@
 import numpy as np
+import pytest
 
 from sigmacell.descent import lbfgs_descent
+
+
+def two_loop_descent(f_g, x0, sup_tol, max_iterations, memory=10, armijo=1e-4, max_backtracks=60):
+    """Reference L-BFGS: the two-loop recursion over lists of secant pairs.
+
+    Same step rule, steepest-descent retry and curvature rule as
+    `lbfgs_descent`; returns (x, trace, number of pairs rejected while the
+    history held pairs).
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    f, g = f_g(x)
+    trace = [f]
+    s_list, y_list, rho_list = [], [], []
+    rejected = 0
+
+    def line_search(p, gp):
+        step = 1.0
+        for _ in range(max_backtracks):
+            x_new = x + step * p
+            f_new, g_new = f_g(x_new)
+            if np.isfinite(f_new) and f_new <= f + armijo * step * gp:
+                return x_new, f_new, g_new
+            step *= 0.5
+        return None
+
+    while float(np.abs(g).max()) > sup_tol and len(trace) - 1 < max_iterations:
+        q = g.copy()
+        alphas = []
+        for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+            a = rho * float(s @ q)
+            alphas.append(a)
+            q -= a * y
+        if y_list:
+            q *= float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
+        for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+            b = rho * float(y @ q)
+            q += (a - b) * s
+        p = -q
+        gp = float(g @ p)
+        if gp >= 0.0:
+            p = -g
+            gp = float(g @ p)
+        if gp == 0.0:
+            break
+        found = line_search(p, gp)
+        if found is None and not np.array_equal(p, -g):
+            p = -g
+            found = line_search(p, float(g @ p))
+        if found is None:
+            break
+        x_new, f_new, g_new = found
+        s = x_new - x
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            s_list.append(s)
+            y_list.append(y)
+            rho_list.append(1.0 / sy)
+            if len(s_list) > memory:
+                s_list.pop(0)
+                y_list.pop(0)
+                rho_list.pop(0)
+        elif s_list:
+            rejected += 1
+        x, f, g = x_new, f_new, g_new
+        trace.append(f)
+    return x, trace, rejected
+
+
+def spd_quadratic(n, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * np.geomspace(1.0, 1e3, n)) @ q.T
+    b = rng.standard_normal(n)
+
+    def f_g(x):
+        ax = a @ x
+        return 0.5 * float(x @ ax) - float(b @ x), ax - b
+
+    return f_g, rng.standard_normal(n)
+
+
+def rosenbrock(x):
+    dx = x[1:] - x[:-1] ** 2
+    f = float(np.sum(100.0 * dx**2 + (1.0 - x[:-1]) ** 2))
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * x[:-1] * dx - 2.0 * (1.0 - x[:-1])
+    g[1:] += 200.0 * dx
+    return f, g
+
+
+def double_well(x):
+    # separable wells at +-1 with a weak chain coupling; started near the
+    # maximum at 0, steps cross concave ground, where s . y < 0
+    c = x[1:] - x[:-1]
+    f = float(np.sum((x**2 - 1.0) ** 2) / 4.0 + 0.05 * np.sum(c**2))
+    g = x**3 - x
+    g[:-1] -= 0.1 * c
+    g[1:] += 0.1 * c
+    return f, g
+
+
+def assert_matches_reference(f_g, x0, iterations, memory, rtol):
+    x_ref, trace_ref, rejected = two_loop_descent(f_g, x0, 0.0, iterations, memory=memory)
+    res = lbfgs_descent(f_g, x0, sup_tol=0.0, max_iterations=iterations, memory=memory)
+    assert res.iterations == len(trace_ref) - 1 == iterations
+    np.testing.assert_allclose(res.trace, trace_ref, rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(res.x, x_ref, rtol=rtol, atol=rtol * float(np.abs(x_ref).max()))
+    return rejected
+
+
+@pytest.mark.parametrize("memory", [1, 3, 5, 10])
+def test_matches_two_loop_on_spd_quadratic(memory):
+    # eigenvalues 1 to 1e3: 40 iterations wrap the history several times
+    f_g, x0 = spd_quadratic(200, seed=memory)
+    assert_matches_reference(f_g, x0, 40, memory, rtol=1e-8)
+
+
+def test_matches_two_loop_on_rosenbrock():
+    x0 = np.tile([-1.2, 1.0], 10)
+    assert_matches_reference(rosenbrock, x0, 60, 5, rtol=1e-6)
+
+
+@pytest.mark.parametrize("memory", [2, 10])
+def test_matches_two_loop_when_curvature_rule_rejects_pairs(memory):
+    x0 = 0.05 * np.sin(np.arange(30.0))
+    rejected = assert_matches_reference(double_well, x0, 15, memory, rtol=1e-8)
+    assert rejected >= 1
+
+
+def test_memory_must_be_positive():
+    f_g, x0 = spd_quadratic(5, seed=0)
+    for memory in (0, -1):
+        with pytest.raises(ValueError, match="memory"):
+            lbfgs_descent(f_g, x0, sup_tol=1e-8, max_iterations=5, memory=memory)
+
+
+def test_buffers_do_not_leak():
+    f_g, x0 = spd_quadratic(50, seed=7)
+    before = x0.copy()
+    a = lbfgs_descent(f_g, x0, sup_tol=1e-10, max_iterations=30, memory=3)
+    b = lbfgs_descent(f_g, x0, sup_tol=1e-10, max_iterations=30, memory=3)
+    assert x0.tobytes() == before.tobytes()
+    assert not np.shares_memory(a.x, x0)
+    assert not np.shares_memory(a.x, b.x)
+    assert a.x.tobytes() == b.x.tobytes()
+    assert a.trace == b.trace
 
 
 def test_steepest_descent_fallback_when_quasi_newton_search_fails():
