@@ -9,9 +9,7 @@ import numpy as np
 
 from sigmacell import (
     checkerboard,
-    eval_potential,
     homogeneous_quartic,
-    lower_envelope,
     piecewise_cells,
     smooth_modulated,
     striped,
@@ -29,13 +27,13 @@ pots = [
 y = np.array([0.1, 0.1])
 print("values at y=(0.1, 0.1), p=0 (the midpoint between the wells):")
 for pot in pots:
-    print(f"  {pot.kind:20s} W = {float(eval_potential(pot, y, [0.0])):.4f}"
-          f"   envelope scale = {lower_envelope(pot).scale:.2f}")
+    print(f"  {pot.kind:20s} W = {float(pot(y, [0.0])):.4f}"
+          f"   envelope scale = {pot.lower_envelope().scale:.2f}")
 
 print("\nwells vanish everywhere:")
 for pot in pots:
     ys = np.random.default_rng(0).uniform(-2, 2, size=(5, 2))
-    vals = eval_potential(pot, ys, np.broadcast_to(pot.wells.a, (5, 1)))
+    vals = pot(ys, np.broadcast_to(pot.wells.a, (5, 1)))
     print(f"  {pot.kind:20s} max |W(., a)| = {np.abs(vals).max():.1e}")
 
 print("\nstructural hypotheses (periodicity, zero set, envelope, growth):")

@@ -6,8 +6,7 @@ from .cell import (
     CellState,
     SigmaEstimate,
     SolverOptions,
-    assemble_energy,
-    assemble_gradient,
+    cell_model,
     estimate_g,
     estimate_sigma,
     minimize_cell,
@@ -17,7 +16,7 @@ from .gamma import (
     PhaseField,
     RecoveryParams,
     build_recovery,
-    diffuse_energy,
+    diffuse_model,
     gamma_gap,
     minimize_diffuse,
 )
@@ -36,16 +35,13 @@ from .potential import (
     Potential,
     WellPair,
     checkerboard,
-    eval_potential,
-    eval_potential_dp,
     homogeneous_quartic,
-    lower_envelope,
     piecewise_cells,
     smooth_modulated,
     striped,
     validate_hypotheses,
 )
-from .profile import Mollifier, TransitionProfile, boundary_field, mollified_step, step_field
+from .profile import Mollifier, TransitionProfile, step_field
 from .surface import (
     PolyFacet,
     PolyInterface,

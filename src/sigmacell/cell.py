@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .descent import lbfgs_descent
-from .grids import BoxGrid, EnergyModel
+from .grids import BoxGrid, EnergyModel, _along
 from .lattice import RationalRotation
 from .potential import Potential
 from .profile import TransitionProfile
@@ -35,9 +35,7 @@ __all__ = [
     "GRefinement",
     "SigmaEstimate",
     "boundary_values",
-    "assemble_energy",
-    "assemble_energy_parts",
-    "assemble_gradient",
+    "cell_model",
     "pinned_objective",
     "minimize_cell",
     "estimate_g",
@@ -142,7 +140,6 @@ class SolverOptions:
     tolerance: Optional[float] = None
     max_iterations: Optional[int] = None
     memory: int = 10
-    record_trace: bool = True
 
     def resolved_tolerance(self, pot: Potential) -> float:
         if self.tolerance is not None:
@@ -155,7 +152,8 @@ class SolverOptions:
         return 20 * int(np.prod(grid_shape))
 
 
-def _model(grid: CellGrid, pot: Potential) -> EnergyModel:
+def cell_model(grid: CellGrid, pot: Potential) -> EnergyModel:
+    """The discrete cell energy: midpoint quadrature on the reference cube, potential at y = R x."""
     return EnergyModel(grid.box, pot, y_map=grid.y_map)
 
 
@@ -178,22 +176,6 @@ def initial_state(grid: CellGrid, profile: TransitionProfile, offset: float = 0.
     data = boundary_values(grid, profile)
     u[bmask] = data[bmask]
     return CellState(grid, u)
-
-
-def assemble_energy_parts(grid: CellGrid, pot: Potential, state: CellState):
-    return _model(grid, pot).energy_parts(state.u)
-
-
-def assemble_energy(grid: CellGrid, pot: Potential, state: CellState) -> float:
-    """Midpoint-quadrature energy of the state over the reference cube."""
-    return assemble_energy_parts(grid, pot, state).total
-
-
-def assemble_gradient(grid: CellGrid, pot: Potential, state: CellState) -> np.ndarray:
-    """Exact discrete-energy gradient; zero on the Dirichlet boundary."""
-    _, g = _model(grid, pot).gradient(state.u)
-    g[grid.box.boundary_mask()] = 0.0
-    return g
 
 
 def pinned_objective(model: EnergyModel, pinned: np.ndarray):
@@ -226,7 +208,7 @@ def minimize_cell(
     Returns (CellResult, CellState); a non-converged run is reported, not
     raised, and carries the best state reached.
     """
-    model = _model(grid, pot)
+    model = cell_model(grid, pot)
     bmask = grid.box.boundary_mask()
     data = boundary_values(grid, profile)
     if init is None:
@@ -244,7 +226,6 @@ def minimize_cell(
         sup_tol=tol,
         max_iterations=opts.resolved_max_iterations(grid.box.shape),
         memory=opts.memory,
-        record_trace=opts.record_trace,
     )
     u = res.x.reshape(u0.shape)
     parts = model.energy_parts(u)
@@ -268,29 +249,14 @@ def _prolong(u: np.ndarray, periodic) -> np.ndarray:
     Non-periodic axes double nodes minus one; periodic axes double
     outright, interpolating the wrap interval.
     """
-    out = u
     for ax, per in enumerate(periodic):
-        n = out.shape[ax]
-        new_shape = list(out.shape)
-        new_shape[ax] = 2 * n if per else 2 * n - 1
-        fine = np.zeros(new_shape, dtype=out.dtype)
-        even = [slice(None)] * out.ndim
-        even[ax] = slice(0, None, 2)
-        fine[tuple(even)] = out
-        odd = [slice(None)] * out.ndim
-        odd[ax] = slice(1, None, 2)
-        left = [slice(None)] * out.ndim
-        right = [slice(None)] * out.ndim
-        if per:
-            left[ax] = slice(None)
-            right[ax] = slice(None)
-            fine[tuple(odd)] = 0.5 * (out[tuple(left)] + np.roll(out, -1, axis=ax)[tuple(right)])
-        else:
-            left[ax] = slice(0, -1)
-            right[ax] = slice(1, None)
-            fine[tuple(odd)] = 0.5 * (out[tuple(left)] + out[tuple(right)])
-        out = fine
-    return out
+        n = u.shape[ax]
+        head = (slice(None),) * ax
+        fine = np.empty(u.shape[:ax] + (2 * n if per else 2 * n - 1,) + u.shape[ax + 1 :], dtype=u.dtype)
+        fine[head + (slice(0, None, 2),)] = u
+        fine[head + (slice(1, None, 2),)] = 0.5 * _along(np.add, u, ax, per)
+        u = fine
+    return u
 
 
 @dataclass

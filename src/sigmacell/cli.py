@@ -98,7 +98,6 @@ def _solver_options(cfg: Config) -> SolverOptions:
         tolerance=cfg.tolerance,
         max_iterations=cfg.max_iterations,
         memory=cfg.memory,
-        record_trace=False,
     )
 
 

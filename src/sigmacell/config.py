@@ -180,7 +180,7 @@ def _build_directions(sec, dim: int) -> list:
     return out
 
 
-def parse_config(path, dim: int = 2) -> Config:
+def parse_config(path) -> Config:
     """Read and validate a config file; raises ConfigError on any defect."""
     parser = configparser.ConfigParser(interpolation=None)
     try:

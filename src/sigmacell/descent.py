@@ -51,7 +51,6 @@ def lbfgs_descent(
     memory: int = 10,
     armijo: float = 1e-4,
     max_backtracks: int = 60,
-    record_trace: bool = True,
 ) -> DescentResult:
     """Minimize f from x0 until the gradient sup-norm drops below sup_tol."""
     if memory < 1:
@@ -77,7 +76,7 @@ def lbfgs_descent(
     proj_old = np.zeros((0, 2))
 
     f, g = f_g(x)
-    trace = [f] if record_trace else []
+    trace = [f]
     iterations = 0
 
     def line_search(gp):
@@ -160,8 +159,7 @@ def lbfgs_descent(
         x, x_trial = x_trial, x
         f, g = f_new, g_new
         iterations += 1
-        if record_trace:
-            trace.append(f)
+        trace.append(f)
         sup = float(max(g.max(), -g.min())) if g.size else 0.0
 
     return DescentResult(x, f, sup, iterations, sup <= sup_tol, trace)

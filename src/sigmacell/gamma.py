@@ -22,7 +22,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from .cell import CellState, SolverOptions, pinned_objective
 from .descent import lbfgs_descent
-from .grids import BoxGrid, EnergyModel, node_quadrature_weights
+from .grids import BoxGrid, EnergyModel, closed_nodes, node_quadrature_weights
 from .potential import Potential
 from .profile import TransitionProfile
 
@@ -31,8 +31,7 @@ __all__ = [
     "DomainSpec",
     "PhaseField",
     "RecoveryParams",
-    "diffuse_energy",
-    "diffuse_energy_parts",
+    "diffuse_model",
     "minimize_diffuse",
     "build_recovery",
     "gamma_gap",
@@ -143,7 +142,10 @@ def _boundary_data(domain: DomainSpec, grid: BoxGrid, pot: Potential, profile: T
     return mask, data
 
 
-def _model(domain: DomainSpec, grid: BoxGrid, pot: Potential, eps: float) -> EnergyModel:
+def diffuse_model(grid: BoxGrid, pot: Potential, eps: float) -> EnergyModel:
+    """Midpoint quadrature of (1/eps) W(x/eps, u) + eps |grad u|^2 on the grid."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     return EnergyModel(
         grid,
         pot,
@@ -151,18 +153,6 @@ def _model(domain: DomainSpec, grid: BoxGrid, pot: Potential, eps: float) -> Ene
         weight_potential=1.0 / eps,
         weight_gradient=eps,
     )
-
-
-def diffuse_energy_parts(domain: DomainSpec, pot: Potential, fieldv: PhaseField):
-    if fieldv.eps <= 0:
-        raise ValueError("eps must be positive")
-    grid = fieldv.grid()
-    return _model(domain, grid, pot, fieldv.eps).energy_parts(fieldv.u)
-
-
-def diffuse_energy(domain: DomainSpec, pot: Potential, fieldv: PhaseField) -> float:
-    """Midpoint quadrature of (1/eps) W(x/eps, u) + eps |grad u|^2."""
-    return diffuse_energy_parts(domain, pot, fieldv).total
 
 
 def _mass_target_valid(domain: DomainSpec, pot: Potential, target: np.ndarray) -> None:
@@ -194,10 +184,8 @@ def minimize_diffuse(
     tangent, and the iterate's quadrature integral is restored exactly
     after every step.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     grid = domain.grid(h)
-    model = _model(domain, grid, pot, eps)
+    model = diffuse_model(grid, pot, eps)
     mask, data = _boundary_data(domain, grid, pot, profile, eps)
     if init is None:
         pts = grid.node_points()
@@ -247,7 +235,6 @@ def minimize_diffuse(
         sup_tol=opts.resolved_tolerance(pot),
         max_iterations=opts.resolved_max_iterations(grid.shape),
         memory=opts.memory,
-        record_trace=opts.record_trace,
     )
     x_final = restore(res.x) if restore is not None else res.x
     u0 = x_final.reshape(u0.shape)
@@ -309,16 +296,8 @@ def build_recovery(params: RecoveryParams, domain: DomainSpec, h: float, pot: Po
         raise ValueError("recovery layer exceeds the domain along the normal")
 
     # closed node array of the cell solution for interpolation
-    u_cell = cell.u
-    cell_axes = []
-    for ax, per in enumerate(cg.box.periodic):
-        n = u_cell.shape[ax]
-        if per:
-            sl = [slice(None)] * u_cell.ndim
-            sl[ax] = slice(0, 1)
-            u_cell = np.concatenate([u_cell, u_cell[tuple(sl)]], axis=ax)
-            n += 1
-        cell_axes.append(-T / 2.0 + cg.h * np.arange(n))
+    u_cell = closed_nodes(cell.u, cg.box.periodic)
+    cell_axes = [-T / 2.0 + cg.h * np.arange(n) for n in u_cell.shape[:-1]]
     interp = RegularGridInterpolator(tuple(cell_axes), u_cell, method="linear", bounds_error=False, fill_value=None)
 
     pts = grid.node_points()
@@ -375,7 +354,7 @@ def gamma_gap(
         h = mesh_rule(float(eps))
         params = RecoveryParams(cell_state, float(eps), x0=(0.0,) * domain.dim)
         rec = build_recovery(params, domain, h, pot)
-        rec_energy = diffuse_energy(domain, pot, rec)
+        rec_energy = diffuse_model(rec.grid(), pot, rec.eps).energy_parts(rec.u).total
         fieldv, parts, res = minimize_diffuse(domain, pot, float(eps), h, profile, init=rec.u, opts=opts)
         rows.append(
             GapRow(

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["BoxGrid", "EnergyParts", "EnergyModel", "node_quadrature_weights"]
+__all__ = ["BoxGrid", "EnergyParts", "EnergyModel", "node_quadrature_weights", "closed_nodes"]
 
 
 @dataclass(frozen=True)
@@ -225,3 +225,8 @@ def node_quadrature_weights(grid: BoxGrid) -> np.ndarray:
     """Weights w with sum_cells h^N u_c = sum_nodes w * u (midpoint rule)."""
     n = grid.dim
     return _sweep_adjoint(grid, np.full(grid.cells, grid.h**n / (1 << n)))
+
+
+def closed_nodes(u: np.ndarray, periodic) -> np.ndarray:
+    """Node values (..., d) with the duplicate endpoint appended on periodic axes."""
+    return np.pad(u, [(0, int(p)) for p in periodic] + [(0, 0)], mode="wrap")

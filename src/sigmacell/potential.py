@@ -30,9 +30,6 @@ __all__ = [
     "checkerboard",
     "piecewise_cells",
     "smooth_modulated",
-    "eval_potential",
-    "eval_potential_dp",
-    "lower_envelope",
     "validate_hypotheses",
 ]
 
@@ -381,20 +378,6 @@ POTENTIAL_KINDS = {
     "piecewise-cells": piecewise_cells,
     "smooth-modulated": smooth_modulated,
 }
-
-
-def eval_potential(pot: Potential, y, p) -> np.ndarray:
-    """W(y, p), with y reduced modulo the unit cube internally."""
-    return pot(np.asarray(y, dtype=float), np.asarray(p, dtype=float))
-
-
-def eval_potential_dp(pot: Potential, y, p) -> np.ndarray:
-    """Phase-gradient dW/dp at (y, p)."""
-    return pot.dp(np.asarray(y, dtype=float), np.asarray(p, dtype=float))
-
-
-def lower_envelope(pot: Potential) -> LowerEnvelope:
-    return pot.lower_envelope()
 
 
 @dataclass

@@ -25,8 +25,6 @@ __all__ = [
     "Mollifier",
     "TransitionProfile",
     "step_field",
-    "mollified_step",
-    "boundary_field",
 ]
 
 _TABLE_POINTS = 4097  # 4096 intervals across the support
@@ -184,15 +182,3 @@ def step_field(nu, y, wells: WellPair) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     s = y @ nu
     return np.where((s > 0.0)[..., None], wells.b, wells.a)
-
-
-def mollified_step(profile: TransitionProfile, s) -> np.ndarray:
-    """Profile value at signed distance s from the interface."""
-    return profile(s)
-
-
-def boundary_field(profile: TransitionProfile, nu, y) -> np.ndarray:
-    """Cell boundary data: the scale-1 mollified step evaluated at y . nu."""
-    nu = np.asarray(nu, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return profile.at_scale(1.0)(y @ nu)

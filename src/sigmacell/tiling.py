@@ -26,10 +26,11 @@ from .cell import (
     CellGrid,
     CellState,
     SolverOptions,
-    assemble_energy_parts,
     boundary_values,
+    cell_model,
     minimize_cell,
 )
+from .grids import closed_nodes
 from .lattice import RationalRotation
 from .potential import Potential
 from .profile import TransitionProfile
@@ -122,17 +123,6 @@ def _validate_geometry(plan: TilingPlan) -> None:
                 raise ValueError(f"enlarged copies {i} and {j} overlap")
 
 
-def _closed_node_array(state: CellState) -> np.ndarray:
-    """Node values including the duplicate endpoint on periodic axes."""
-    u = state.u
-    for ax, per in enumerate(state.grid.box.periodic):
-        if per:
-            sl = [slice(None)] * u.ndim
-            sl[ax] = slice(0, 1)
-            u = np.concatenate([u, u[tuple(sl)]], axis=ax)
-    return u
-
-
 @dataclass
 class CompetitorField:
     state: CellState
@@ -173,7 +163,7 @@ def build_competitor(
     pts = s_grid.box.node_points()
     u = phi(pts[..., -1])
 
-    u_copy = _closed_node_array(u_T)
+    u_copy = closed_nodes(u_T.u, t_grid.box.periodic)
     n_copy = u_copy.shape[0]
     refs = plan.reference_centers()
     half_in = plan.T / 2.0
@@ -242,7 +232,7 @@ def subadditivity_gap(
     comp = build_competitor(u_T, plan, profile, s_grid)
     area_S = S ** (t_grid.dim - 1)
     area_T = T ** (t_grid.dim - 1)
-    e_S = assemble_energy_parts(s_grid, pot, comp.state).total / area_S
-    g_T = assemble_energy_parts(t_grid, pot, u_T).total / area_T
+    e_S = cell_model(s_grid, pot).energy_parts(comp.state.u).total / area_S
+    g_T = cell_model(t_grid, pot).energy_parts(u_T.u).total / area_T
     res, _ = minimize_cell(s_grid, pot, profile, opts, init=comp.state)
     return SubadditivityReport(T, S, m, e_S, res.g, g_T, e_S - g_T, res.converged)

@@ -10,19 +10,18 @@ from sigmacell.cell import (
     CellGrid,
     CellState,
     SolverOptions,
-    assemble_energy,
-    assemble_energy_parts,
-    assemble_gradient,
     boundary_values,
+    cell_model,
     estimate_g,
     estimate_sigma,
     initial_state,
     minimize_cell,
+    pinned_objective,
     _prolong,
 )
 from sigmacell.lattice import RationalUnitVector, rotation_from_direction
 from sigmacell.oned import profile_energy_1d, transition_bvp_energy
-from sigmacell.potential import homogeneous_quartic, lower_envelope, striped
+from sigmacell.potential import homogeneous_quartic, striped
 from sigmacell.profile import Mollifier, TransitionProfile
 
 F = Fraction
@@ -42,21 +41,22 @@ def prof3():
 def test_constant_well_field_has_zero_energy(prof):
     grid = CellGrid(2, 2.0, 1 / 8)
     u = np.broadcast_to(QUARTIC.wells.a, grid.box.shape + (1,)).copy()
-    assert assemble_energy(grid, QUARTIC, CellState(grid, u)) == 0.0
-    g = assemble_gradient(grid, QUARTIC, CellState(grid, u))
+    model = cell_model(grid, QUARTIC)
+    assert model.energy_parts(u).total == 0.0
+    _, g = pinned_objective(model, grid.box.boundary_mask())(u.ravel())
     assert np.abs(g).max() == 0.0
 
 
 def test_constant_midpoint_energy_is_cube_volume(prof):
     grid = CellGrid(2, 1.0, 1 / 16)
     u = np.zeros(grid.box.shape + (1,))
-    assert assemble_energy(grid, QUARTIC, CellState(grid, u)) == pytest.approx(1.0, rel=1e-12)
+    assert cell_model(grid, QUARTIC).energy_parts(u).total == pytest.approx(1.0, rel=1e-12)
 
 
 def test_profile_field_matches_1d_quadrature(prof):
     grid = CellGrid(2, 4.0, 1 / 16, tangential="dirichlet")
     st = CellState(grid, boundary_values(grid, prof))
-    e2d = assemble_energy(grid, QUARTIC, st)
+    e2d = cell_model(grid, QUARTIC).energy_parts(st.u).total
     e1d = profile_energy_1d(QUARTIC, prof, 4.0)
     assert e2d == pytest.approx(4.0 * e1d, rel=0.01)
 
@@ -66,7 +66,7 @@ def test_non_finite_state_rejected(prof):
     u = np.zeros(grid.box.shape + (1,))
     u[3, 3, 0] = np.nan
     with pytest.raises(ValueError):
-        assemble_energy(grid, QUARTIC, CellState(grid, u))
+        cell_model(grid, QUARTIC).energy_parts(u)
 
 
 @pytest.mark.parametrize(
@@ -84,10 +84,10 @@ def test_gradient_matches_finite_differences(dim, T, n, pot, tangential):
     rng = np.random.default_rng(100 * dim + n)
     h = T / (n - 1)
     grid = CellGrid(dim, T, h, tangential=tangential)
+    f_g = pinned_objective(cell_model(grid, pot), grid.box.boundary_mask())
     for trial in range(4):
         u = rng.uniform(-1.3, 1.3, size=grid.box.shape + (pot.d,))
-        state = CellState(grid, u)
-        g = assemble_gradient(grid, pot, state)
+        g = f_g(u.ravel())[1].reshape(u.shape)
         free = ~grid.box.boundary_mask()
         idx = np.argwhere(free)
         sel = idx[:: max(1, len(idx) // 40)]
@@ -100,10 +100,7 @@ def test_gradient_matches_finite_differences(dim, T, n, pot, tangential):
             um = u.copy()
             up[entry] += step
             um[entry] -= step
-            fd = (
-                assemble_energy(grid, pot, CellState(grid, up))
-                - assemble_energy(grid, pot, CellState(grid, um))
-            ) / (2 * step)
+            fd = (f_g(up.ravel())[0] - f_g(um.ravel())[0]) / (2 * step)
             worst = max(worst, abs(fd - g[entry]) / gsup)
         assert worst <= 1e-6
 
@@ -112,8 +109,8 @@ def test_gradient_periodic_tangential_matches_fd(prof):
     rng = np.random.default_rng(77)
     grid = CellGrid(2, 2.0, 1 / 8)  # periodic tangential axis
     u = rng.uniform(-1.2, 1.2, size=grid.box.shape + (1,))
-    state = CellState(grid, u)
-    g = assemble_gradient(grid, QUARTIC, state)
+    f_g = pinned_objective(cell_model(grid, QUARTIC), grid.box.boundary_mask())
+    g = f_g(u.ravel())[1].reshape(u.shape)
     free = ~grid.box.boundary_mask()
     idx = np.argwhere(free)[::7]
     step = 1e-6
@@ -123,10 +120,7 @@ def test_gradient_periodic_tangential_matches_fd(prof):
         um = u.copy()
         up[tuple(node) + (0,)] += step
         um[tuple(node) + (0,)] -= step
-        fd = (
-            assemble_energy(grid, QUARTIC, CellState(grid, up))
-            - assemble_energy(grid, QUARTIC, CellState(grid, um))
-        ) / (2 * step)
+        fd = (f_g(up.ravel())[0] - f_g(um.ravel())[0]) / (2 * step)
         assert abs(fd - g[tuple(node) + (0,)]) / gsup <= 1e-6
 
 
@@ -139,8 +133,7 @@ def test_minimize_quartic_matches_reference_interval(prof):
 
 
 def test_minimize_monotone_descent(prof):
-    opts = SolverOptions(record_trace=True)
-    res, _ = minimize_cell(CellGrid(2, 2.0, 1 / 16), QUARTIC, prof, opts)
+    res, _ = minimize_cell(CellGrid(2, 2.0, 1 / 16), QUARTIC, prof)
     trace = np.array(res.trace)
     assert (np.diff(trace) <= 1e-12).all()
 
@@ -148,7 +141,7 @@ def test_minimize_monotone_descent(prof):
 def test_minimize_upper_bound_is_initialization(prof):
     grid = CellGrid(2, 2.0, 1 / 16)
     init = initial_state(grid, prof)
-    e0 = assemble_energy(grid, QUARTIC, init) / 2.0
+    e0 = cell_model(grid, QUARTIC).energy_parts(init.u).total / 2.0
     res, _ = minimize_cell(grid, QUARTIC, prof)
     assert res.g <= e0 + 1e-12
 
@@ -156,7 +149,7 @@ def test_minimize_upper_bound_is_initialization(prof):
 def test_loose_tolerance_returns_initial_energy(prof):
     grid = CellGrid(2, 2.0, 1 / 16)
     init = initial_state(grid, prof)
-    e0 = assemble_energy(grid, QUARTIC, init) / 2.0
+    e0 = cell_model(grid, QUARTIC).energy_parts(init.u).total / 2.0
     res, _ = minimize_cell(grid, QUARTIC, prof, SolverOptions(tolerance=1e6))
     assert res.iterations == 0
     assert res.g == pytest.approx(e0, rel=1e-14)
@@ -164,7 +157,7 @@ def test_loose_tolerance_returns_initial_energy(prof):
 
 def test_envelope_lower_bound(prof):
     pot = striped(0.5)
-    env = lower_envelope(pot).as_potential()
+    env = pot.lower_envelope().as_potential()
     grid = CellGrid(2, 4.0, 1 / 16)
     res_w, _ = minimize_cell(grid, pot, prof)
     res_e, _ = minimize_cell(grid, env, prof)
@@ -338,5 +331,5 @@ def test_nonconvergence_is_reported_not_raised(prof):
 def test_energy_parts_sum(prof):
     grid = CellGrid(2, 2.0, 1 / 8)
     st = initial_state(grid, prof)
-    parts = assemble_energy_parts(grid, QUARTIC, st)
+    parts = cell_model(grid, QUARTIC).energy_parts(st.u)
     assert parts.total == pytest.approx(parts.potential + parts.gradient, rel=1e-14)

@@ -1,0 +1,27 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import sigmacell
+
+# __main__ runs the CLI when imported
+MODULES = sorted(m.name for m in pkgutil.iter_modules(sigmacell.__path__) if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    module = importlib.import_module(f"sigmacell.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_package_imports_exist():
+    tree = ast.parse(Path(sigmacell.__file__).read_text(encoding="utf-8"))
+    imports = [(node.module, alias) for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imports
+    for module, alias in imports:
+        assert hasattr(importlib.import_module(f"sigmacell.{module}"), alias.name), f"{module}.{alias.name}"
+        assert hasattr(sigmacell, alias.asname or alias.name), alias.name

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from sigmacell.cell import CellGrid, CellState, assemble_energy, boundary_values, minimize_cell
+from sigmacell.cell import CellGrid, CellState, boundary_values, cell_model, minimize_cell
 from sigmacell.gamma import (
     DomainSpec,
     _boundary_data,
     PhaseField,
     RecoveryParams,
     build_recovery,
-    diffuse_energy,
+    diffuse_model,
     gamma_gap,
     minimize_diffuse,
 )
@@ -45,20 +45,21 @@ def test_matches_cell_energy_at_unit_scale(prof):
     st = CellState(grid, boundary_values(grid, prof))
     dom = _all_step_domain()
     field = PhaseField(dom, 1.0, 1 / 16, st.u)
-    assert abs(diffuse_energy(dom, QUARTIC, field) - assemble_energy(grid, QUARTIC, st)) <= 1e-12
+    e_diffuse = diffuse_model(field.grid(), QUARTIC, field.eps).energy_parts(field.u).total
+    assert abs(e_diffuse - cell_model(grid, QUARTIC).energy_parts(st.u).total) <= 1e-12
 
 
 def test_pure_phase_has_zero_energy(strip):
     grid = strip.grid(1 / 16)
     u = np.broadcast_to(QUARTIC.wells.a, grid.shape + (1,)).copy()
     dom = DomainSpec(strip.lo, strip.hi, (("periodic", "periodic"), ("dirichlet-a", "dirichlet-a")), strip.nu)
-    assert diffuse_energy(dom, QUARTIC, PhaseField(dom, 0.25, 1 / 16, u)) == 0.0
+    assert diffuse_model(dom.grid(1 / 16), QUARTIC, 0.25).energy_parts(u).total == 0.0
 
 
 def test_constant_midpoint_value():
     dom = _all_step_domain()
     u = np.zeros((17, 17, 1))
-    assert diffuse_energy(dom, QUARTIC, PhaseField(dom, 0.5, 1 / 16, u)) == pytest.approx(2.0)
+    assert diffuse_model(dom.grid(1 / 16), QUARTIC, 0.5).energy_parts(u).total == pytest.approx(2.0)
 
 
 def test_trivial_minimize_zero_iterations(prof):
@@ -133,8 +134,8 @@ def test_recovery_tangential_periodicity(prof, strip, cell_state):
 def test_recovery_energy_matches_cell_density(prof, strip, cell_state):
     for eps in (1 / 8, 1 / 16):
         rec = build_recovery(RecoveryParams(cell_state, eps, (0.0, 0.0)), strip, eps / 8, QUARTIC)
-        e = diffuse_energy(strip, QUARTIC, rec)
-        g_cell = assemble_energy(cell_state.grid, QUARTIC, cell_state) / 4.0
+        e = diffuse_model(rec.grid(), QUARTIC, eps).energy_parts(rec.u).total
+        g_cell = cell_model(cell_state.grid, QUARTIC).energy_parts(cell_state.u).total / 4.0
         assert e == pytest.approx(g_cell * strip.interface_area(), rel=0.02)
 
 

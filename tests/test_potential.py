@@ -7,10 +7,7 @@ from sigmacell.potential import (
     QuarticBase,
     WellPair,
     checkerboard,
-    eval_potential,
-    eval_potential_dp,
     homogeneous_quartic,
-    lower_envelope,
     piecewise_cells,
     smooth_modulated,
     striped,
@@ -28,23 +25,23 @@ ALL_KINDS = [
 
 def test_quartic_point_values():
     pot = homogeneous_quartic()
-    assert eval_potential(pot, [0.3, 0.7], [0.0]) == pytest.approx(1.0)
-    assert eval_potential(pot, [0.3, 0.7], [1.0]) == 0.0
-    assert eval_potential(pot, [0.3, 0.7], [-1.0]) == 0.0
+    assert pot([0.3, 0.7], [0.0]) == pytest.approx(1.0)
+    assert pot([0.3, 0.7], [1.0]) == 0.0
+    assert pot([0.3, 0.7], [-1.0]) == 0.0
 
 
 def test_checkerboard_contrast_cell():
     pot = checkerboard(2.0)
-    assert eval_potential(pot, [0.1, 0.1], [0.0]) == pytest.approx(2.0)
-    assert eval_potential(pot, [0.6, 0.1], [0.0]) == pytest.approx(1.0)
-    assert eval_potential(pot, [0.6, 0.6], [0.0]) == pytest.approx(2.0)
+    assert pot([0.1, 0.1], [0.0]) == pytest.approx(2.0)
+    assert pot([0.6, 0.1], [0.0]) == pytest.approx(1.0)
+    assert pot([0.6, 0.6], [0.0]) == pytest.approx(2.0)
 
 
 def test_dp_analytic_value():
     pot = homogeneous_quartic()
-    assert eval_potential_dp(pot, [0.0, 0.0], [0.5])[0] == pytest.approx(-1.5)
-    assert eval_potential_dp(pot, [0.0, 0.0], [0.0])[0] == 0.0
-    assert eval_potential_dp(pot, [0.0, 0.0], [1.0])[0] == 0.0
+    assert pot.dp([0.0, 0.0], [0.5])[0] == pytest.approx(-1.5)
+    assert pot.dp([0.0, 0.0], [0.0])[0] == 0.0
+    assert pot.dp([0.0, 0.0], [1.0])[0] == 0.0
 
 
 @pytest.mark.parametrize("pot", ALL_KINDS, ids=lambda p: p.kind)
@@ -53,11 +50,11 @@ def test_dp_matches_finite_differences(pot):
     y = rng.uniform(-2, 2, size=(200, 2))
     p = rng.uniform(-2, 2, size=(200, pot.d))
     step = 1e-5
-    grad = eval_potential_dp(pot, y, p)
+    grad = pot.dp(y, p)
     for k in range(pot.d):
         dp = np.zeros(pot.d)
         dp[k] = step
-        fd = (eval_potential(pot, y, p + dp) - eval_potential(pot, y, p - dp)) / (2 * step)
+        fd = (pot(y, p + dp) - pot(y, p - dp)) / (2 * step)
         denom = np.maximum(1.0, np.abs(fd))
         assert (np.abs(fd - grad[..., k]) / denom).max() <= 1e-6
 
@@ -81,11 +78,11 @@ def test_unit_cell_periodicity(pot):
     rng = np.random.default_rng(5)
     y = rng.uniform(-3, 3, size=(1000, 2))
     p = rng.uniform(-2, 2, size=(1000, pot.d))
-    w = eval_potential(pot, y, p)
+    w = pot(y, p)
     for i in range(2):
         e = np.zeros(2)
         e[i] = 1.0
-        ws = eval_potential(pot, y + e, p)
+        ws = pot(y + e, p)
         if pot.piecewise:
             assert np.array_equal(ws, w)
         else:
@@ -98,8 +95,8 @@ def test_wells_vanish(pot):
     y = rng.uniform(-2, 2, size=(500, 2))
     a = np.broadcast_to(pot.wells.a, (500, pot.d))
     b = np.broadcast_to(pot.wells.b, (500, pot.d))
-    assert np.abs(eval_potential(pot, y, a)).max() <= 1e-14
-    assert np.abs(eval_potential(pot, y, b)).max() <= 1e-14
+    assert np.abs(pot(y, a)).max() <= 1e-14
+    assert np.abs(pot(y, b)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("pot", ALL_KINDS, ids=lambda p: p.kind)
@@ -107,20 +104,20 @@ def test_envelope_dominance(pot):
     rng = np.random.default_rng(3)
     y = rng.uniform(-2, 2, size=(800, 2))
     p = rng.uniform(-3, 3, size=(800, pot.d))
-    env = lower_envelope(pot)
-    assert (env(p) <= eval_potential(pot, y, p) + 1e-12).all()
+    env = pot.lower_envelope()
+    assert (env(p) <= pot(y, p) + 1e-12).all()
 
 
 def test_envelope_scales():
-    assert lower_envelope(homogeneous_quartic()).scale == 1.0
-    assert lower_envelope(striped(0.5)).scale == pytest.approx(0.5)
-    assert lower_envelope(piecewise_cells(np.array([[1.0, 2.0], [2.0, 4.0]]))).scale == 1.0
-    env = lower_envelope(striped(0.5))
+    assert homogeneous_quartic().lower_envelope().scale == 1.0
+    assert striped(0.5).lower_envelope().scale == pytest.approx(0.5)
+    assert piecewise_cells(np.array([[1.0, 2.0], [2.0, 4.0]])).lower_envelope().scale == 1.0
+    env = striped(0.5).lower_envelope()
     assert env(np.array([0.0])) == pytest.approx(0.5)
 
 
 def test_envelope_as_potential_is_homogeneous():
-    env = lower_envelope(striped(0.5)).as_potential()
+    env = striped(0.5).lower_envelope().as_potential()
     rng = np.random.default_rng(1)
     y = rng.uniform(-2, 2, size=(50, 2))
     p = rng.uniform(-2, 2, size=(50, 1))
@@ -184,9 +181,9 @@ def test_wellpair_validation():
 def test_vector_wells_default():
     pot = homogeneous_quartic(d=2)
     assert pot.d == 2
-    assert eval_potential(pot, [0.0, 0.0], [1.0, 0.0]) == 0.0
-    assert eval_potential(pot, [0.0, 0.0], [-1.0, 0.0]) == 0.0
-    assert eval_potential(pot, [0.0, 0.0], [0.0, 0.0]) == pytest.approx(1.0)
+    assert pot([0.0, 0.0], [1.0, 0.0]) == 0.0
+    assert pot([0.0, 0.0], [-1.0, 0.0]) == 0.0
+    assert pot([0.0, 0.0], [0.0, 0.0]) == pytest.approx(1.0)
     report = validate_hypotheses(pot, 500, seed=9)
     assert report.all_passed
 

@@ -6,8 +6,6 @@ from sigmacell.potential import WellPair, homogeneous_quartic
 from sigmacell.profile import (
     Mollifier,
     TransitionProfile,
-    boundary_field,
-    mollified_step,
     step_field,
 )
 
@@ -34,11 +32,11 @@ def test_step_field_sign_convention():
 @pytest.mark.parametrize("profname", ["bump_profile", "poly_profile"])
 def test_midpoint_and_exact_tails(profname, request):
     prof = request.getfixturevalue(profname)
-    assert mollified_step(prof, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
-    assert mollified_step(prof, -10.0)[0] == -1.0
-    assert mollified_step(prof, 10.0)[0] == 1.0
-    assert mollified_step(prof, -0.5)[0] == -1.0  # support edge is exact
-    assert mollified_step(prof, 0.5)[0] == 1.0
+    assert prof(0.0)[0] == pytest.approx(0.0, abs=1e-12)
+    assert prof(-10.0)[0] == -1.0
+    assert prof(10.0)[0] == 1.0
+    assert prof(-0.5)[0] == -1.0  # support edge is exact
+    assert prof(0.5)[0] == 1.0
 
 
 def test_marginal_normalization_against_adaptive_quadrature(bump_profile):
@@ -64,7 +62,7 @@ def test_marginal_normalization_against_adaptive_quadrature(bump_profile):
 
 def test_quarter_width_regression(bump_profile):
     # frozen value of the profile at s = r/(2T) = 0.25 for the default bump
-    val = mollified_step(bump_profile, 0.25)[0]
+    val = bump_profile(0.25)[0]
     assert 0.0 < val < 1.0  # strictly between midpoint and the b-well
     assert val == pytest.approx(0.8141777, abs=2e-6)
 
@@ -83,7 +81,7 @@ def test_monotone(bump_profile):
     assert (np.diff(vals) >= -1e-15).all()
 
 
-def test_rotation_invariance_of_boundary_field(bump_profile):
+def test_rotation_invariance_of_boundary_data(bump_profile):
     rng = np.random.default_rng(17)
     theta = 0.4
     nu1 = np.array([np.sin(theta), np.cos(theta)])
@@ -91,8 +89,8 @@ def test_rotation_invariance_of_boundary_field(bump_profile):
     y = rng.uniform(-3, 3, size=(200, 2))
     s = y @ nu1
     y2 = np.stack([rng.uniform(-3, 3, size=200), s], axis=1)  # same normal component
-    v1 = boundary_field(bump_profile, nu1, y)
-    v2 = boundary_field(bump_profile, nu2, y2)
+    v1 = bump_profile.at_scale(1.0)(y @ nu1)
+    v2 = bump_profile.at_scale(1.0)(y2 @ nu2)
     assert np.abs(v1 - v2).max() <= 1e-12
 
 
@@ -123,5 +121,5 @@ def test_mollifier_validation():
 
 def test_profile_dim3_marginal():
     prof = TransitionProfile(WELLS, Mollifier("bump", 0.5), dim=3)
-    assert mollified_step(prof, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
-    assert mollified_step(prof, 0.5)[0] == 1.0
+    assert prof(0.0)[0] == pytest.approx(0.0, abs=1e-12)
+    assert prof(0.5)[0] == 1.0

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sigmacell.cell import CellGrid, CellState, assemble_energy, boundary_values, minimize_cell
+from sigmacell.cell import CellGrid, CellState, boundary_values, cell_model, minimize_cell
 from sigmacell.lattice import RationalUnitVector, rotation_from_direction
 from sigmacell.oned import profile_energy_1d
 from sigmacell.potential import checkerboard, homogeneous_quartic
@@ -69,8 +69,8 @@ def test_competitor_energy_bounds(u_T, prof):
     plan = plan_tiling(4.0, 16.0, 3)
     s_grid = CellGrid(2, 16.0, 1 / 16, tangential="dirichlet")
     comp = build_competitor(u_T, plan, prof, s_grid)
-    e_S = assemble_energy(s_grid, QUARTIC, comp.state) / 16.0
-    g_T = assemble_energy(u_T.grid, QUARTIC, u_T) / 4.0
+    e_S = cell_model(s_grid, QUARTIC).energy_parts(comp.state.u).total / 16.0
+    g_T = cell_model(u_T.grid, QUARTIC).energy_parts(u_T.u).total / 4.0
     ratio = plan.count * 4.0 / 16.0
     assert np.isfinite(e_S)
     assert e_S >= g_T * ratio  # copies alone already carry this much
@@ -85,7 +85,7 @@ def test_degenerate_plan_yields_pure_step(prof):
     u_T0 = CellState(grid, boundary_values(grid, prof))
     s_grid = CellGrid(2, 16.0, 1 / 16, tangential="dirichlet")
     comp = build_competitor(u_T0, plan, prof, s_grid)
-    e_S = assemble_energy(s_grid, QUARTIC, comp.state) / 16.0
+    e_S = cell_model(s_grid, QUARTIC).energy_parts(comp.state.u).total / 16.0
     e_step = profile_energy_1d(QUARTIC, prof, 16.0)
     assert e_S == pytest.approx(e_step, rel=0.01)
 
