@@ -39,6 +39,7 @@ __all__ = [
     "pinned_objective",
     "minimize_cell",
     "estimate_g",
+    "check_schedule",
     "estimate_sigma",
     "SOLVE_CSV_COLUMNS",
     "solve_csv_row",
@@ -67,6 +68,8 @@ class CellGrid:
             raise ValueError("cell problems support dimensions 2 and 3")
         if self.T < 1.0:
             raise ValueError("cube edge must be at least the unit transition layer")
+        if not self.h > 0:
+            raise ValueError("mesh size must be positive")
         ratio = self.T / self.h
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ValueError("mesh size must divide the cube edge")
@@ -116,9 +119,6 @@ class CellState:
 
     grid: CellGrid
     u: np.ndarray
-
-    def copy(self) -> "CellState":
-        return CellState(self.grid, self.u.copy())
 
 
 @dataclass
@@ -362,6 +362,24 @@ class SigmaEstimate:
         return all(r.fine.converged and r.coarse.converged for r in self.refinements)
 
 
+def check_schedule(schedule, rotation: Optional[RationalRotation] = None, lattice_aligned: bool = False) -> list:
+    """The T-schedule as floats; raises ValueError unless it is non-empty, strictly
+    increasing and, on a lattice-aligned run, made of multiples of the rotation's period."""
+    schedule = [float(T) for T in schedule]
+    if not schedule:
+        raise ValueError("schedule must contain at least one cube edge")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    if lattice_aligned:
+        period = rotation.period if rotation is not None else 1
+        for T in schedule:
+            if abs(T / period - round(T / period)) > 1e-12:
+                raise ValueError(
+                    f"lattice-aligned run requires cube edges that are multiples of the period {period}; got T={T:g}"
+                )
+    return schedule
+
+
 def estimate_sigma(
     rotation: Optional[RationalRotation],
     schedule,
@@ -377,21 +395,10 @@ def estimate_sigma(
     """Run the T-schedule and extrapolate with a conservative error bar.
 
     sigma_hat is the fine-mesh g at the largest T; the error bar adds the
-    last T-difference to the last mesh difference.  Lattice-aligned runs
-    require every T to be a multiple of the rotation's lattice period.
+    last T-difference to the last mesh difference.  The schedule must
+    pass `check_schedule`.
     """
-    schedule = [float(T) for T in schedule]
-    if not schedule:
-        raise ValueError("schedule must contain at least one cube edge")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    if lattice_aligned:
-        period = rotation.period if rotation is not None else 1
-        for T in schedule:
-            if abs(T / period - round(T / period)) > 1e-12:
-                raise ValueError(
-                    f"lattice-aligned run requires cube edges that are multiples of the period {period}; got T={T}"
-                )
+    schedule = check_schedule(schedule, rotation, lattice_aligned)
     refinements = [
         estimate_g(rotation, T, pot, profile, h, dim, opts, tangential, phase_offsets) for T in schedule
     ]

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .cell import SOLVE_CSV_COLUMNS, CellGrid, SolverOptions, estimate_sigma, minimize_cell, solve_csv_row
-from .config import Config, ConfigError, parse_config
+from .config import DIM, Config, ConfigError, parse_config
 from .gamma import GAP_CSV_COLUMNS, DomainSpec, gamma_gap
 from .lattice import check_periodicity, rotation_from_direction
 from .potential import validate_hypotheses
@@ -101,12 +101,12 @@ def _solver_options(cfg: Config) -> SolverOptions:
     )
 
 
-def _profile(cfg: Config, dim: int = 2) -> TransitionProfile:
-    return TransitionProfile(cfg.potential.wells, cfg.mollifier, dim=dim)
+def _profile(cfg: Config) -> TransitionProfile:
+    return TransitionProfile(cfg.potential.wells, cfg.mollifier, dim=DIM)
 
 
 def _sigma_task(args):
-    cfg, nu, dim, profile = args
+    cfg, nu, profile = args
     rotation = rotation_from_direction(nu)
     est = estimate_sigma(
         rotation,
@@ -114,7 +114,7 @@ def _sigma_task(args):
         cfg.potential,
         profile,
         cfg.h,
-        dim=dim,
+        dim=DIM,
         opts=_solver_options(cfg),
         lattice_aligned=cfg.lattice_aligned,
         tangential=cfg.tangential,
@@ -123,9 +123,8 @@ def _sigma_task(args):
 
 
 def run_sigma(cfg: Config, run: _Run) -> int:
-    dim = 2
-    profile = _profile(cfg, dim)
-    tasks = [(cfg, nu, dim, profile) for nu in cfg.directions]
+    profile = _profile(cfg)
+    tasks = [(cfg, nu, profile) for nu in cfg.directions]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             estimates = list(pool.map(_sigma_task, tasks))
@@ -138,13 +137,12 @@ def run_sigma(cfg: Config, run: _Run) -> int:
         for ref in est.refinements
         for result, h in ((ref.coarse, 2 * ref.h), (ref.fine, ref.h))
     ]
-    header = [f"nu{i + 1}" for i in range(dim)] + list(SOLVE_CSV_COLUMNS)
+    header = [f"nu{i + 1}" for i in range(DIM)] + list(SOLVE_CSV_COLUMNS)
     if "csv" in cfg.formats:
         run.write_csv("solves.csv", header, rows)
 
     table = SigmaTable(
         [(est.nu, est.sigma_hat, est.error_bar) for est in estimates],
-        dimension=dim,
         potential_info=cfg.potential.describe(),
     )
     if "json" in cfg.formats:
@@ -180,18 +178,17 @@ def run_polar(cfg: Config, run: _Run) -> int:
 
 
 def run_gamma(cfg: Config, run: _Run) -> int:
-    dim = 2
-    profile = _profile(cfg, dim)
+    profile = _profile(cfg)
     nu = cfg.directions[0]
     rotation = rotation_from_direction(nu)
     opts = _solver_options(cfg)
     est = estimate_sigma(
         rotation, cfg.T_schedule, cfg.potential, profile, cfg.h,
-        dim=dim, opts=opts, lattice_aligned=cfg.lattice_aligned, tangential=cfg.tangential,
+        dim=DIM, opts=opts, lattice_aligned=cfg.lattice_aligned, tangential=cfg.tangential,
     )
-    cell_grid = CellGrid(dim, cfg.T_cell, cfg.h, rotation, cfg.tangential)
+    cell_grid = CellGrid(DIM, cfg.T_cell, cfg.h, rotation, cfg.tangential)
     cell_res, cell_state = minimize_cell(cell_grid, cfg.potential, profile, opts)
-    domain = DomainSpec.flat_strip(dim=dim)
+    domain = DomainSpec.flat_strip(dim=DIM)
     rows = gamma_gap(domain, cfg.eps_schedule, cfg.potential, profile, est.sigma_hat, cell_state, opts)
     if "csv" in cfg.formats:
         run.write_csv(
@@ -244,18 +241,17 @@ def run_tile(cfg: Config, run: _Run) -> int:
     if cfg.tile_S is None or cfg.tile_m is None:
         print("error: the tile command needs [schedule] s and m", file=sys.stderr)
         return EXIT_CONFIG
-    dim = 2
-    profile = _profile(cfg, dim)
+    profile = _profile(cfg)
     nu = cfg.directions[0]
     rotation = rotation_from_direction(nu)
     opts = _solver_options(cfg)
     rows = []
     ok = True
     for T in cfg.T_schedule:
-        grid = CellGrid(dim, T, cfg.h, rotation, "dirichlet")
+        grid = CellGrid(DIM, T, cfg.h, rotation, "dirichlet")
         res, state = minimize_cell(grid, cfg.potential, profile, opts)
         ok &= res.converged
-        if cfg.tile_S > T + 3 + np.sqrt(dim):
+        if cfg.tile_S > T + 3 + np.sqrt(DIM):
             rep = subadditivity_gap(state, T, cfg.tile_S, cfg.tile_m, cfg.potential, profile, opts)
             ok &= rep.solver_converged
             rows.append([rep.T, rep.S, rep.m, rep.e_S, rep.g_S, rep.remainder])

@@ -10,33 +10,34 @@ The exact grammar is documented in the README.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .lattice import RationalUnitVector, rationalize_direction
+from .cell import CellGrid, check_schedule
+from .lattice import RationalUnitVector, rationalize_direction, rotation_from_direction
 from .potential import POTENTIAL_KINDS, GrowthCertificate, Potential, WellPair
 from .profile import Mollifier
 
-__all__ = ["ConfigError", "Config", "parse_config"]
+__all__ = ["ConfigError", "Config", "parse_config", "DIM"]
+
+DIM = 2  # the front end solves two-dimensional cells
 
 
 class ConfigError(Exception):
     """Malformed configuration; the message names the offending key."""
 
 
-_SECTIONS = {
-    "potential": {"kind", "d", "wells_a", "wells_b", "growth_c", "growth_q", "alpha", "axis", "contrast", "factors"},
-    "mollifier": {"shape", "radius"},
-    "directions": None,  # dir<i> entries plus rational_tol / uniform
-    "schedule": {"t", "eps", "h", "lattice_aligned", "t_cell", "s", "m", "tangential"},
-    "solver": {"tolerance", "max_iterations", "memory", "workers", "seed", "samples"},
-    "output": {"dir", "formats", "sigma_table"},
-}
-
-_DIRECTION_KEYS = {"rational_tol", "uniform"}
+@contextmanager
+def _section(name: str):
+    """Report a library ValueError raised while building `name` as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"[{name}]: {exc}") from exc
 
 
 def _number(text: str, where: str) -> float:
@@ -49,9 +50,19 @@ def _number(text: str, where: str) -> float:
         raise ConfigError(f"{where}: cannot parse number {text!r}") from exc
 
 
+def _integer(text: str, where: str) -> int:
+    return int(_number(text, where))
+
+
 def _number_list(text: str, where: str) -> list:
     items = [tok for tok in text.replace(";", ",").split(",") if tok.strip()]
     return [_number(tok, where) for tok in items]
+
+
+def _factors(text: str, where: str) -> np.ndarray:
+    """A vector, or a matrix whose rows are separated by ';'."""
+    rows = [_number_list(row, where) for row in text.split(";") if row.strip()]
+    return np.array(rows[0] if len(rows) == 1 else rows)
 
 
 def _bool(text: str, where: str) -> bool:
@@ -61,6 +72,37 @@ def _bool(text: str, where: str) -> bool:
     if val in ("false", "no", "0", "off"):
         return False
     raise ConfigError(f"{where}: expected a boolean, got {text!r}")
+
+
+_REQUIRED = object()
+
+# [potential] keys as key -> (parser, default or _REQUIRED): those every kind
+# reads, then those of each kind, named as the keyword of its factory.
+_WELL_KEYS = {
+    "d": (_integer, 1),
+    "wells_a": (_number_list, None),
+    "wells_b": (_number_list, None),
+    "growth_c": (_number, 4.0),
+    "growth_q": (_number, 4.0),
+}
+_KIND_KEYS = {
+    "homogeneous-quartic": {},
+    "striped": {"alpha": (_number, 0.5), "axis": (_integer, 0)},
+    "checkerboard": {"contrast": (_number, 2.0)},
+    "piecewise-cells": {"factors": (_factors, _REQUIRED)},
+    "smooth-modulated": {"alpha": (_number, 0.5)},
+}
+
+_SECTIONS = {
+    "potential": {"kind", *_WELL_KEYS, *(key for keys in _KIND_KEYS.values() for key in keys)},
+    "mollifier": {"shape", "radius"},
+    "directions": None,  # dir<i> entries plus rational_tol / uniform
+    "schedule": {"t", "eps", "h", "lattice_aligned", "t_cell", "s", "m", "tangential"},
+    "solver": {"tolerance", "max_iterations", "memory", "workers", "seed", "samples"},
+    "output": {"dir", "formats", "sigma_table"},
+}
+
+_DIRECTION_KEYS = {"rational_tol", "uniform"}
 
 
 @dataclass
@@ -88,72 +130,52 @@ class Config:
     raw_text: str = ""
 
 
+def _read(sec, table: dict, kind: str) -> dict:
+    values = {}
+    for key, (parse, default) in table.items():
+        if key in sec:
+            values[key] = parse(sec[key], f"[potential] {key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"[potential]: kind {kind!r} requires key {key!r}")
+        else:
+            values[key] = default
+    return values
+
+
 def _build_potential(sec) -> Potential:
-    kind = sec.get("kind", None)
-    if kind is None:
+    if "kind" not in sec:
         raise ConfigError("[potential]: missing required key 'kind'")
-    kind = kind.strip()
-    if kind not in POTENTIAL_KINDS:
-        raise ConfigError(f"[potential]: unknown kind {kind!r}; choose from {sorted(POTENTIAL_KINDS)}")
-    d = int(_number(sec.get("d", "1"), "[potential] d"))
-    wells = None
-    if "wells_a" in sec or "wells_b" in sec:
-        if not ("wells_a" in sec and "wells_b" in sec):
-            raise ConfigError("[potential]: wells_a and wells_b must be given together")
-        a = np.array(_number_list(sec["wells_a"], "[potential] wells_a"))
-        b = np.array(_number_list(sec["wells_b"], "[potential] wells_b"))
-        wells = WellPair(a, b)
-        d = wells.d
-
-    if kind == "homogeneous-quartic":
-        pot = POTENTIAL_KINDS[kind](d=d, wells=wells)
-    elif kind == "striped":
-        pot = POTENTIAL_KINDS[kind](
-            alpha=_number(sec.get("alpha", "0.5"), "[potential] alpha"),
-            d=d,
-            axis=int(_number(sec.get("axis", "0"), "[potential] axis")),
-            wells=wells,
-        )
-    elif kind == "checkerboard":
-        pot = POTENTIAL_KINDS[kind](
-            contrast=_number(sec.get("contrast", "2"), "[potential] contrast"), d=d, wells=wells
-        )
-    elif kind == "smooth-modulated":
-        pot = POTENTIAL_KINDS[kind](
-            alpha=_number(sec.get("alpha", "0.5"), "[potential] alpha"), d=d, wells=wells
-        )
-    else:  # piecewise-cells
-        if "factors" not in sec:
-            raise ConfigError("[potential]: piecewise-cells requires 'factors' (rows split by ';')")
-        rows = [r for r in sec["factors"].split(";") if r.strip()]
-        mat = [
-            [_number(tok, "[potential] factors") for tok in row.split(",") if tok.strip()]
-            for row in rows
-        ]
-        factors = np.array(mat) if len(mat) > 1 else np.array(mat[0])
-        pot = POTENTIAL_KINDS[kind](factors=factors, d=d, wells=wells)
-
-    if "growth_c" in sec or "growth_q" in sec:
-        growth = GrowthCertificate(
-            _number(sec.get("growth_c", "4"), "[potential] growth_c"),
-            _number(sec.get("growth_q", "4"), "[potential] growth_q"),
-        )
-        pot = Potential(pot.kind, pot.wells, growth, pot.weight, pot.base, pot.params)
+    kind = sec["kind"].strip()
+    if kind not in _KIND_KEYS:
+        raise ConfigError(f"[potential]: unknown kind {kind!r}; choose from {sorted(_KIND_KEYS)}")
+    for key in sec:
+        if key != "kind" and key not in _WELL_KEYS and key not in _KIND_KEYS[kind]:
+            raise ConfigError(f"[potential] {key}: does not apply to kind {kind!r}")
+    if ("wells_a" in sec) != ("wells_b" in sec):
+        raise ConfigError("[potential]: wells_a and wells_b must be given together")
+    with _section("potential"):
+        common = _read(sec, _WELL_KEYS, kind)
+        args = _read(sec, _KIND_KEYS[kind], kind)
+        wells = WellPair(np.array(common["wells_a"]), np.array(common["wells_b"])) if "wells_a" in sec else None
+        if wells is not None and "d" in sec and common["d"] != wells.d:
+            raise ValueError(f"d = {common['d']} does not match wells of {wells.d} component(s)")
+        pot = POTENTIAL_KINDS[kind](d=common["d"], wells=wells, **args)
+        if "growth_c" in sec or "growth_q" in sec:
+            pot = replace(pot, growth=GrowthCertificate(common["growth_c"], common["growth_q"]))
+        pot.spatial_factor(np.zeros(DIM))  # the weight must evaluate on the 2D cells solved here
     return pot
 
 
-def _build_directions(sec, dim: int) -> list:
+def _build_directions(sec) -> list:
     tol = _number(sec.get("rational_tol", "1e-3"), "[directions] rational_tol")
     out = []
     for key in sec:
         if key in _DIRECTION_KEYS:
             continue
-        if not key.startswith("dir"):
-            raise ConfigError(f"[directions]: unknown key {key!r}")
         text = sec[key]
         toks = [t.strip() for t in text.split(",") if t.strip()]
-        if len(toks) != dim:
-            raise ConfigError(f"[directions] {key}: expected {dim} components, got {len(toks)}")
+        if len(toks) != DIM:
+            raise ConfigError(f"[directions] {key}: expected {DIM} components, got {len(toks)}")
         if all("/" in t or t.lstrip("+-").isdigit() for t in toks):
             comto = [Fraction(t) for t in toks]
             try:
@@ -167,11 +189,9 @@ def _build_directions(sec, dim: int) -> list:
             raise ConfigError(f"[directions] {key}: zero vector")
         out.append(rationalize_direction(vec / nrm, tol))
     if "uniform" in sec:
-        count = int(_number(sec["uniform"], "[directions] uniform"))
+        count = _integer(sec["uniform"], "[directions] uniform")
         if count <= 0:
             raise ConfigError("[directions] uniform: count must be positive")
-        if dim != 2:
-            raise ConfigError("[directions] uniform: only dimension 2 is supported")
         for k in range(count):
             theta = 2 * np.pi * k / count
             out.append(rationalize_direction(np.array([np.cos(theta), np.sin(theta)]), tol))
@@ -211,17 +231,15 @@ def parse_config(path) -> Config:
     pot = _build_potential(parser["potential"])
 
     msec = parser["mollifier"] if "mollifier" in parser else {}
-    try:
+    with _section("mollifier"):
         moll = Mollifier(
             shape=msec.get("shape", "bump").strip(),
             radius=_number(msec.get("radius", "0.5"), "[mollifier] radius"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"[mollifier]: {exc}") from exc
 
     if "directions" not in parser:
         raise ConfigError("missing required section [directions]")
-    directions = _build_directions(parser["directions"], dim=2)
+    directions = _build_directions(parser["directions"])
 
     ssec = parser["schedule"] if "schedule" in parser else {}
     T_schedule = _number_list(ssec.get("t", "2, 4, 8"), "[schedule] t")
@@ -229,37 +247,31 @@ def parse_config(path) -> Config:
     h = _number(ssec.get("h", "1/32"), "[schedule] h")
     lattice_aligned = _bool(ssec.get("lattice_aligned", "false"), "[schedule] lattice_aligned")
     tangential = ssec.get("tangential", "periodic").strip()
-    if tangential not in ("periodic", "dirichlet"):
-        raise ConfigError("[schedule] tangential: must be 'periodic' or 'dirichlet'")
     T_cell = _number(ssec.get("t_cell", "4"), "[schedule] t_cell")
     tile_S = _number(ssec["s"], "[schedule] s") if "s" in ssec else None
-    tile_m = int(_number(ssec["m"], "[schedule] m")) if "m" in ssec else None
-
-    if lattice_aligned:
-        from .lattice import rotation_from_direction
-
-        for nu in directions:
-            period = rotation_from_direction(nu).period
-            for T in T_schedule:
-                if abs(T / period - round(T / period)) > 1e-12:
-                    raise ConfigError(
-                        f"[schedule] t: lattice-aligned run needs multiples of the lattice period "
-                        f"{period} for direction {nu}, got T={T:g}"
-                    )
+    tile_m = _integer(ssec["m"], "[schedule] m") if "m" in ssec else None
+    with _section("schedule"):
+        rotations = [rotation_from_direction(nu) for nu in directions] if lattice_aligned else [None]
+        for rotation in rotations:
+            check_schedule(T_schedule, rotation, lattice_aligned)
+        for T in T_schedule:
+            CellGrid(DIM, T, h, tangential=tangential)
 
     osec = parser["solver"] if "solver" in parser else {}
     tolerance = _number(osec["tolerance"], "[solver] tolerance") if "tolerance" in osec else None
     max_iterations = (
-        int(_number(osec["max_iterations"], "[solver] max_iterations")) if "max_iterations" in osec else None
+        _integer(osec["max_iterations"], "[solver] max_iterations") if "max_iterations" in osec else None
     )
-    memory = int(_number(osec.get("memory", "10"), "[solver] memory"))
-    workers = int(_number(osec.get("workers", "1"), "[solver] workers"))
-    seed = int(_number(osec.get("seed", "0"), "[solver] seed"))
-    samples = int(_number(osec.get("samples", "1000"), "[solver] samples"))
+    memory = _integer(osec.get("memory", "10"), "[solver] memory")
+    workers = _integer(osec.get("workers", "1"), "[solver] workers")
+    seed = _integer(osec.get("seed", "0"), "[solver] seed")
+    samples = _integer(osec.get("samples", "1000"), "[solver] samples")
     if memory < 1:
         raise ConfigError("[solver] memory: must be at least 1")
     if workers < 1:
         raise ConfigError("[solver] workers: must be at least 1")
+    if samples < 1:
+        raise ConfigError("[solver] samples: must be at least 1")
 
     usec = parser["output"] if "output" in parser else {}
     out_dir = usec.get("dir", "out").strip()

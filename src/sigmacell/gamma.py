@@ -354,8 +354,8 @@ def gamma_gap(
         h = mesh_rule(float(eps))
         params = RecoveryParams(cell_state, float(eps), x0=(0.0,) * domain.dim)
         rec = build_recovery(params, domain, h, pot)
-        rec_energy = diffuse_model(rec.grid(), pot, rec.eps).energy_parts(rec.u).total
         fieldv, parts, res = minimize_diffuse(domain, pot, float(eps), h, profile, init=rec.u, opts=opts)
+        rec_energy = res.trace[0]  # the solve starts at the recovery field
         rows.append(
             GapRow(
                 eps=float(eps),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -55,9 +56,6 @@ class RationalUnitVector:
 
     def as_float(self) -> np.ndarray:
         return np.array([float(c) for c in self.components])
-
-    def denominator_lcm(self) -> int:
-        return lcm(*[c.denominator for c in self.components])
 
     def __iter__(self):
         return iter(self.components)
@@ -119,9 +117,6 @@ class RationalRotation:
 
     def as_float(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.matrix])
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.matrix[i][j] for i in range(self.dim))
 
     def lattice_vectors(self) -> np.ndarray:
         """Integer vectors period * (column j), one per column."""
@@ -202,18 +197,7 @@ def rationalize_direction(nu, tol: float) -> RationalUnitVector:
             lo = Fraction(int(np.floor(ts * q)), q)
             hi = Fraction(int(np.ceil(ts * q)), q)
             grids.append((lo,) if lo == hi else (lo, hi))
-        out = []
-        idx = [0] * len(grids)
-        while True:
-            out.append(tuple(g[i] for g, i in zip(grids, idx)))
-            for k in range(len(grids)):
-                idx[k] += 1
-                if idx[k] < len(grids[k]):
-                    break
-                idx[k] = 0
-            else:
-                break
-        return out
+        return product(*grids)
 
     q_max = int(np.ceil(4.0 / tol)) + 1
     hits: list = []

@@ -147,6 +147,8 @@ class StripeWeight:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         y = reduce_unit_cell(y)
+        if not 0 <= self.axis < y.shape[-1]:
+            raise ValueError(f"stripe axis {self.axis} is not an axis of {y.shape[-1]}-dimensional points")
         return 1.0 + self.alpha * np.cos(2.0 * np.pi * y[..., self.axis])
 
     @property
@@ -196,7 +198,7 @@ class CellsWeight:
 
     def __post_init__(self):
         f = np.asarray(self.factors, dtype=float)
-        if f.ndim < 1 or (np.array(f.shape) != f.shape[0]).any():
+        if f.ndim < 1 or f.size == 0 or (np.array(f.shape) != f.shape[0]).any():
             raise ValueError("factors must be an m^N array")
         if (f <= 0).any():
             raise ValueError("cell factors must be positive")
@@ -303,6 +305,8 @@ class Potential:
 
 
 def _default_wells(d: int) -> WellPair:
+    if d < 1:
+        raise ValueError("phase dimension d must be at least 1")
     if d == 1:
         return WellPair(np.array([-1.0]), np.array([1.0]))
     a = np.zeros(d)
@@ -311,64 +315,33 @@ def _default_wells(d: int) -> WellPair:
     return WellPair(a, b)
 
 
-def homogeneous_quartic(d: int = 1, wells: Optional[WellPair] = None) -> Potential:
+def _separable(kind: str, weight, d: int, wells: Optional[WellPair], growth_C: float = 4.0, **params) -> Potential:
+    """f(y) W0(p) with the quartic well on `wells` (default: -1, 1 along e1) and growth (growth_C, 4)."""
     wells = wells or _default_wells(d)
-    return Potential(
-        kind="homogeneous-quartic",
-        wells=wells,
-        growth=GrowthCertificate(4.0, 4.0),
-        weight=ConstantWeight(1.0),
-        base=QuarticBase(wells),
-    )
+    return Potential(kind, wells, GrowthCertificate(growth_C, 4.0), weight, QuarticBase(wells), params)
+
+
+def homogeneous_quartic(d: int = 1, wells: Optional[WellPair] = None) -> Potential:
+    return _separable("homogeneous-quartic", ConstantWeight(1.0), d, wells)
 
 
 def striped(alpha: float, d: int = 1, axis: int = 0, wells: Optional[WellPair] = None) -> Potential:
-    wells = wells or _default_wells(d)
-    return Potential(
-        kind="striped",
-        wells=wells,
-        growth=GrowthCertificate(4.0, 4.0),
-        weight=StripeWeight(alpha, axis),
-        base=QuarticBase(wells),
-        params={"alpha": alpha, "axis": axis},
-    )
+    return _separable("striped", StripeWeight(alpha, axis), d, wells, alpha=alpha, axis=axis)
 
 
 def checkerboard(contrast: float, d: int = 1, wells: Optional[WellPair] = None) -> Potential:
-    wells = wells or _default_wells(d)
-    return Potential(
-        kind="checkerboard",
-        wells=wells,
-        growth=GrowthCertificate(max(4.0, 2.0 * contrast), 4.0),
-        weight=CheckerboardWeight(contrast),
-        base=QuarticBase(wells),
-        params={"contrast": contrast},
-    )
+    weight = CheckerboardWeight(contrast)
+    return _separable("checkerboard", weight, d, wells, max(4.0, 2.0 * contrast), contrast=contrast)
 
 
 def piecewise_cells(factors: np.ndarray, d: int = 1, wells: Optional[WellPair] = None) -> Potential:
-    factors = np.asarray(factors, dtype=float)
-    wells = wells or _default_wells(d)
-    return Potential(
-        kind="piecewise-cells",
-        wells=wells,
-        growth=GrowthCertificate(max(4.0, 2.0 * float(factors.max())), 4.0),
-        weight=CellsWeight(factors),
-        base=QuarticBase(wells),
-        params={"factors": factors},
-    )
+    weight = CellsWeight(np.asarray(factors, dtype=float))
+    growth_C = max(4.0, 2.0 * float(weight.factors.max()))
+    return _separable("piecewise-cells", weight, d, wells, growth_C, factors=weight.factors)
 
 
 def smooth_modulated(alpha: float, d: int = 1, wells: Optional[WellPair] = None) -> Potential:
-    wells = wells or _default_wells(d)
-    return Potential(
-        kind="smooth-modulated",
-        wells=wells,
-        growth=GrowthCertificate(4.0, 4.0),
-        weight=SmoothWeight(alpha),
-        base=QuarticBase(wells),
-        params={"alpha": alpha},
-    )
+    return _separable("smooth-modulated", SmoothWeight(alpha), d, wells, alpha=alpha)
 
 
 POTENTIAL_KINDS = {

@@ -91,7 +91,7 @@ class SigmaTable:
     consecutive gap) raise instead of extrapolating.
     """
 
-    def __init__(self, entries: Iterable, dimension: int = 2, potential_info: Optional[dict] = None):
+    def __init__(self, entries: Iterable, potential_info: Optional[dict] = None):
         recs = []
         for nu, sigma, err in entries:
             nu = np.asarray(nu, dtype=float)
@@ -102,9 +102,6 @@ class SigmaTable:
             recs.append(SigmaEntryRecord(nu, float(sigma), float(err)))
         if not recs:
             raise ValueError("table must contain at least one direction")
-        if dimension != 2:
-            raise ValueError("angular interpolation is implemented for dimension 2")
-        self.dimension = dimension
         self.potential_info = potential_info or {}
         angles = np.array([np.arctan2(r.nu[1], r.nu[0]) for r in recs])
         order = np.argsort(angles)
@@ -144,13 +141,12 @@ class SigmaTable:
     def rescaled(self, factor: float) -> "SigmaTable":
         return SigmaTable(
             [(r.nu, factor * r.sigma, factor * r.err) for r in self.entries],
-            self.dimension,
             self.potential_info,
         )
 
     def to_json(self) -> str:
         doc = {
-            "dimension": self.dimension,
+            "dimension": 2,
             "potential": self.potential_info,
             "entries": [
                 {"nu": [float(v) for v in r.nu], "sigma": r.sigma, "err": r.err}
@@ -162,8 +158,10 @@ class SigmaTable:
     @classmethod
     def from_json(cls, text: str) -> "SigmaTable":
         doc = json.loads(text)
+        if doc.get("dimension", 2) != 2:
+            raise ValueError("angular interpolation is implemented for dimension 2")
         entries = [(e["nu"], e["sigma"], e["err"]) for e in doc["entries"]]
-        return cls(entries, doc.get("dimension", 2), doc.get("potential", {}))
+        return cls(entries, doc.get("potential", {}))
 
 
 def interface_energy(interface: PolyInterface, table: SigmaTable) -> float:
@@ -239,10 +237,6 @@ class ConvexityViolation:
     lhs: float
     rhs: float
     slack: float
-
-    @property
-    def excess(self) -> float:
-        return self.lhs - self.rhs - self.slack
 
 
 def convexity_check(table: SigmaTable) -> list:

@@ -222,8 +222,8 @@ def subadditivity_gap(
 ) -> SubadditivityReport:
     """Competitor energy density on the S-cell versus the solved value.
 
-    e_S comes from assembling the tiled competitor; the S-cell solve is
-    warm-started at the competitor, so its g(S) can only be lower.  The
+    e_S is the energy of the tiled competitor, where the S-cell solve
+    starts, so its g(S) can only be lower.  The
     remainder e_S - g(T) is measured, not bounded.
     """
     t_grid = u_T.grid
@@ -232,7 +232,7 @@ def subadditivity_gap(
     comp = build_competitor(u_T, plan, profile, s_grid)
     area_S = S ** (t_grid.dim - 1)
     area_T = T ** (t_grid.dim - 1)
-    e_S = cell_model(s_grid, pot).energy_parts(comp.state.u).total / area_S
     g_T = cell_model(t_grid, pot).energy_parts(u_T.u).total / area_T
     res, _ = minimize_cell(s_grid, pot, profile, opts, init=comp.state)
+    e_S = res.trace[0] / area_S  # the solve starts at the competitor
     return SubadditivityReport(T, S, m, e_S, res.g, g_T, e_S - g_T, res.converged)

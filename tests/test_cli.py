@@ -1,11 +1,15 @@
+import inspect
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sigmacell.cli import main, run_command
-from sigmacell.config import ConfigError, parse_config
+from sigmacell.config import _KIND_KEYS, ConfigError, parse_config
+from sigmacell.potential import POTENTIAL_KINDS
 from sigmacell.surface import SigmaTable
 
 MINIMAL = """
@@ -234,3 +238,61 @@ def test_bad_format_rejected(tmp_path):
     text = MINIMAL + "formats = csv, pdf\n"
     with pytest.raises(ConfigError, match="pdf"):
         parse_config(write(tmp_path, text))
+
+
+def test_readme_config_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    grammar = readme[readme.index("## Config file grammar") :]
+    block = re.search(r"```ini\n(.*?)```", grammar, re.S).group(1)
+    cfg = parse_config(write(tmp_path, block))
+    assert cfg.potential.kind == "striped"
+    assert cfg.potential.params == {"alpha": 0.5, "axis": 0}
+    assert [str(nu) for nu in cfg.directions] == ["(3/5, 4/5)", "(696/985, 697/985)"]
+    assert (cfg.tile_S, cfg.tile_m) == (16.0, 3)
+
+
+def test_kind_keys_match_factory_keywords():
+    assert set(_KIND_KEYS) == set(POTENTIAL_KINDS)
+    for kind, keys in _KIND_KEYS.items():
+        assert set(inspect.signature(POTENTIAL_KINDS[kind]).parameters) == set(keys) | {"d", "wells"}
+
+
+QUARTIC = "kind = homogeneous-quartic"
+
+# name -> ((text in MINIMAL, replacement), ...), the section the message names
+BAD_CONFIGS = {
+    "quartic-alpha": (((QUARTIC, QUARTIC + "\nalpha = 0.5"),), "potential"),
+    "quartic-contrast": (((QUARTIC, QUARTIC + "\ncontrast = 2"),), "potential"),
+    "quartic-axis": (((QUARTIC, QUARTIC + "\naxis = 1"),), "potential"),
+    "striped-axis-5": (((QUARTIC, "kind = striped\naxis = 5"),), "potential"),
+    "striped-contrast": (((QUARTIC, "kind = striped\ncontrast = 7"),), "potential"),
+    "factors-1d": (((QUARTIC, "kind = piecewise-cells\nfactors = 1, 2"),), "potential"),
+    "factors-missing": (((QUARTIC, "kind = piecewise-cells"),), "potential"),
+    "factors-ragged": (((QUARTIC, "kind = piecewise-cells\nfactors = 1, 2; 3"),), "potential"),
+    "d-wells-mismatch": (((QUARTIC, QUARTIC + "\nd = 3\nwells_a = -1\nwells_b = 1"),), "potential"),
+    "d-zero": (((QUARTIC, QUARTIC + "\nd = 0"),), "potential"),
+    "wells-alone": (((QUARTIC, QUARTIC + "\nwells_a = -1"),), "potential"),
+    "alpha-1.5": (((QUARTIC, "kind = striped\nalpha = 1.5"),), "potential"),
+    "contrast-negative": (((QUARTIC, "kind = checkerboard\ncontrast = -1"),), "potential"),
+    "wells-equal": (((QUARTIC, QUARTIC + "\nwells_a = 1\nwells_b = 1"),), "potential"),
+    "growth-q-1": (((QUARTIC, QUARTIC + "\ngrowth_q = 1"),), "potential"),
+    "t-decreasing": ((("t = 2", "t = 4, 2"),), "schedule"),
+    "t-empty": ((("t = 2", "t ="),), "schedule"),
+    "h-not-dividing": ((("h = 1/16", "h = 0.3"),), "schedule"),
+    "h-zero": ((("h = 1/16", "h = 0"),), "schedule"),
+    "tangential-unknown": ((("h = 1/16", "h = 1/16\ntangential = sideways"),), "schedule"),
+    "lattice-period": ((("dir1 = 0, 1", "dir1 = 3/5, 4/5"), ("t = 2", "t = 4\nlattice_aligned = true")), "schedule"),
+    "samples-zero": ((("seed = 7", "seed = 7\nsamples = 0"),), "solver"),
+    "mollifier-radius": ((("[directions]", "[mollifier]\nradius = 2\n\n[directions]"),), "mollifier"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2_naming_section(tmp_path, capsys, name):
+    edits, section = BAD_CONFIGS[name]
+    text = MINIMAL
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    assert main(["validate", "--config", write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: [{section}]" in capsys.readouterr().err

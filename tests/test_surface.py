@@ -169,6 +169,9 @@ def test_json_round_trip():
     back = SigmaTable.from_json(text)
     assert back.to_json() == text
     assert back.sigma_at((0.0, 1.0)) == pytest.approx(1.7)
+    assert '"dimension": 2' in text
+    with pytest.raises(ValueError, match="dimension 2"):
+        SigmaTable.from_json(text.replace('"dimension": 2', '"dimension": 3'))
 
 
 def test_vertex_file_round_trip(tmp_path):
