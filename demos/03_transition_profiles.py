@@ -25,7 +25,9 @@ for shape in ("bump", "polynomial"):
     print()
 
 prof = TransitionProfile(wells, Mollifier("bump", 0.5), dim=2)
-print("scale law: the width scales like 1/T")
-for T in (1.0, 2.0, 4.0):
-    half = prof.at_scale(T).support_radius
-    print(f"  scale T={T:g}: transition supported in |s| <= {half:g}")
+print("scale law: read at x / eps, the transition narrows to |x| < r eps")
+x = np.linspace(-1.0, 1.0, 4001)
+for eps in (1.0, 0.5, 0.25):
+    frac = prof.fraction(x / eps)
+    half = np.abs(x[(frac > 0.0) & (frac < 1.0)]).max()
+    print(f"  eps={eps:g}: the widest node strictly inside the transition is at |x| = {half:g}")

@@ -160,22 +160,17 @@ def cell_model(grid: CellGrid, pot: Potential) -> EnergyModel:
 def boundary_values(grid: CellGrid, profile: TransitionProfile) -> np.ndarray:
     """Mollified-step data phi(x_N) on every node of the reference cube."""
     pts = grid.box.node_points()
-    return profile.at_scale(1.0)(pts[..., -1])
+    return profile(pts[..., -1])
 
 
 def initial_state(grid: CellGrid, profile: TransitionProfile, offset: float = 0.0) -> CellState:
-    """Admissible initialization: the boundary profile extended inward.
+    """The boundary profile extended inward and shifted by `offset` along the normal.
 
-    A nonzero offset shifts the interior transition layer along the
-    normal (the pinned rows keep the exact data); offsets probe the
-    potential phase so descent is not trapped at a symmetric saddle.
+    Offsets probe the potential phase so descent is not trapped at a
+    symmetric saddle; `minimize_cell` pins the boundary rows to the data.
     """
     pts = grid.box.node_points()
-    u = profile.at_scale(1.0)(pts[..., -1] - offset)
-    bmask = grid.box.boundary_mask()
-    data = boundary_values(grid, profile)
-    u[bmask] = data[bmask]
-    return CellState(grid, u)
+    return CellState(grid, profile(pts[..., -1] - offset))
 
 
 def pinned_objective(model: EnergyModel, pinned: np.ndarray):
@@ -319,8 +314,6 @@ def estimate_g(
     leave).  The best probe, linearly interpolated, warm-starts the solve
     on the next finer mesh, and so on down to h.
     """
-    if T < 1.0:
-        raise ValueError("cube edge must be at least the unit transition layer")
     levels = _mesh_levels(CellGrid(dim, T, h, rotation, tangential))
     probe_grid = levels[-1]
     tie = PROBE_TIE_FRACTION * opts.resolved_tolerance(pot)

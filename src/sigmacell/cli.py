@@ -5,7 +5,8 @@ Subcommands:
     sigma     estimate the surface tension on the configured directions;
               emits a JSON direction table and a per-solve CSV
     polar     render an existing sigma table as a polar SVG
-    gamma     diffuse-interface gap study on a flat strip; emits CSV
+    gamma     diffuse-interface gap study on a flat strip, solved at its
+              normal e2 whatever the directions; emits CSV
     validate  hypothesis, rotation, periodicity (and, if a table is
               present, convexity) reports
     tile      tiling subadditivity check; emits CSV
@@ -29,18 +30,16 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .cell import SOLVE_CSV_COLUMNS, CellGrid, SolverOptions, estimate_sigma, minimize_cell, solve_csv_row
-from .config import DIM, Config, ConfigError, parse_config
-from .gamma import GAP_CSV_COLUMNS, DomainSpec, gamma_gap
+from .config import DIM, Config, ConfigError, _section, parse_config
+from .gamma import GAP_CSV_COLUMNS, DomainSpec, check_recovery_layer, default_gamma_mesh, gamma_gap
 from .lattice import check_periodicity, rotation_from_direction
 from .potential import validate_hypotheses
 from .profile import TransitionProfile
 from .surface import SigmaTable, convexity_check
 from .svgplot import polar_svg
-from .tiling import subadditivity_gap
+from .tiling import plan_tiling, subadditivity_gap, tiles
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,6 +104,13 @@ def _profile(cfg: Config) -> TransitionProfile:
     return TransitionProfile(cfg.potential.wells, cfg.mollifier, dim=DIM)
 
 
+def _check_refinements(cfg: Config) -> None:
+    """Build the coarse cell of every T's (2h, h) refinement; a refusal is a [schedule] error."""
+    with _section("schedule"):
+        for T in cfg.T_schedule:
+            CellGrid(DIM, T, 2 * cfg.h, tangential=cfg.tangential)
+
+
 def _sigma_task(args):
     cfg, nu, profile = args
     rotation = rotation_from_direction(nu)
@@ -123,6 +129,7 @@ def _sigma_task(args):
 
 
 def run_sigma(cfg: Config, run: _Run) -> int:
+    _check_refinements(cfg)
     profile = _profile(cfg)
     tasks = [(cfg, nu, profile) for nu in cfg.directions]
     if cfg.workers > 1:
@@ -178,17 +185,20 @@ def run_polar(cfg: Config, run: _Run) -> int:
 
 
 def run_gamma(cfg: Config, run: _Run) -> int:
+    domain = DomainSpec.flat_strip(dim=DIM)
+    _check_refinements(cfg)
+    with _section("schedule"):
+        cell_grid = CellGrid(DIM, cfg.T_cell, cfg.h, None, cfg.tangential)
+        for eps in cfg.eps_schedule:
+            domain.grid(default_gamma_mesh(eps))
+            check_recovery_layer(domain, (0.0,) * DIM, eps, cfg.T_cell)
     profile = _profile(cfg)
-    nu = cfg.directions[0]
-    rotation = rotation_from_direction(nu)
     opts = _solver_options(cfg)
     est = estimate_sigma(
-        rotation, cfg.T_schedule, cfg.potential, profile, cfg.h,
+        None, cfg.T_schedule, cfg.potential, profile, cfg.h,
         dim=DIM, opts=opts, lattice_aligned=cfg.lattice_aligned, tangential=cfg.tangential,
     )
-    cell_grid = CellGrid(DIM, cfg.T_cell, cfg.h, rotation, cfg.tangential)
     cell_res, cell_state = minimize_cell(cell_grid, cfg.potential, profile, opts)
-    domain = DomainSpec.flat_strip(dim=DIM)
     rows = gamma_gap(domain, cfg.eps_schedule, cfg.potential, profile, est.sigma_hat, cell_state, opts)
     if "csv" in cfg.formats:
         run.write_csv(
@@ -241,9 +251,13 @@ def run_tile(cfg: Config, run: _Run) -> int:
     if cfg.tile_S is None or cfg.tile_m is None:
         print("error: the tile command needs [schedule] s and m", file=sys.stderr)
         return EXIT_CONFIG
+    rotation = rotation_from_direction(cfg.directions[0])
+    tiled = [T for T in cfg.T_schedule if tiles(T, cfg.tile_S, DIM)]
+    with _section("schedule"):
+        for T in tiled:
+            s_grid = CellGrid(DIM, cfg.tile_S, cfg.h, rotation, "dirichlet")
+            plan_tiling(T, cfg.tile_S, cfg.tile_m, rotation, DIM).corner_nodes(s_grid)
     profile = _profile(cfg)
-    nu = cfg.directions[0]
-    rotation = rotation_from_direction(nu)
     opts = _solver_options(cfg)
     rows = []
     ok = True
@@ -251,7 +265,7 @@ def run_tile(cfg: Config, run: _Run) -> int:
         grid = CellGrid(DIM, T, cfg.h, rotation, "dirichlet")
         res, state = minimize_cell(grid, cfg.potential, profile, opts)
         ok &= res.converged
-        if cfg.tile_S > T + 3 + np.sqrt(DIM):
+        if T in tiled:
             rep = subadditivity_gap(state, T, cfg.tile_S, cfg.tile_m, cfg.potential, profile, opts)
             ok &= rep.solver_converged
             rows.append([rep.T, rep.S, rep.m, rep.e_S, rep.g_S, rep.remainder])

@@ -32,6 +32,8 @@ import numpy as np
 
 __all__ = ["DescentResult", "lbfgs_descent"]
 
+ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
+
 
 @dataclass
 class DescentResult:
@@ -49,7 +51,6 @@ def lbfgs_descent(
     sup_tol: float,
     max_iterations: int,
     memory: int = 10,
-    armijo: float = 1e-4,
     max_backtracks: int = 60,
 ) -> DescentResult:
     """Minimize f from x0 until the gradient sup-norm drops below sup_tol."""
@@ -86,7 +87,7 @@ def lbfgs_descent(
             np.multiply(p, step, out=x_trial)
             np.add(x_trial, x, out=x_trial)
             f_new, g_new = f_g(x_trial)
-            if np.isfinite(f_new) and f_new <= f + armijo * step * gp:
+            if np.isfinite(f_new) and f_new <= f + ARMIJO * step * gp:
                 return f_new, g_new
             step *= 0.5
         return None

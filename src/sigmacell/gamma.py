@@ -14,7 +14,7 @@ bound whose energy reproduces the cell value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,6 +33,7 @@ __all__ = [
     "RecoveryParams",
     "diffuse_model",
     "minimize_diffuse",
+    "check_recovery_layer",
     "build_recovery",
     "gamma_gap",
     "GapRow",
@@ -47,16 +48,14 @@ class DomainSpec:
     """Rectangular domain with a per-face boundary policy.
 
     `faces[axis] = (low policy, high policy)`; periodic faces must pair
-    up.  `nu` is the interface normal used by the dirichlet-step policy
-    and by flat-interface studies; `offset` shifts the interface plane
-    (x . nu = offset).
+    up.  `nu` is the normal of the interface plane x . nu = 0, used by
+    the dirichlet-step policy and by flat-interface studies.
     """
 
     lo: tuple
     hi: tuple
     faces: tuple
     nu: tuple
-    offset: float = 0.0
 
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lo)
@@ -95,10 +94,10 @@ class DomainSpec:
         return BoxGrid(self.lo, self.hi, h, periodic)
 
     @classmethod
-    def flat_strip(cls, dim: int = 2, width: float = 1.0, height: float = 1.0) -> "DomainSpec":
-        """Lateral-periodic strip, pure phases top and bottom."""
+    def flat_strip(cls, dim: int = 2, height: float = 1.0) -> "DomainSpec":
+        """Lateral-periodic strip of unit width with normal e_N, pure phases top and bottom."""
         lo = (0.0,) * (dim - 1) + (-height / 2.0,)
-        hi = (width,) * (dim - 1) + (height / 2.0,)
+        hi = (1.0,) * (dim - 1) + (height / 2.0,)
         faces = (("periodic", "periodic"),) * (dim - 1) + ((("dirichlet-a", "dirichlet-b")),)
         nu = (0.0,) * (dim - 1) + (1.0,)
         return cls(lo, hi, faces, nu)
@@ -118,12 +117,11 @@ class PhaseField:
 
 
 def _boundary_data(domain: DomainSpec, grid: BoxGrid, pot: Potential, profile: TransitionProfile, eps: float):
-    """Fixed-node mask and the values pinned there."""
+    """Fixed-node mask and the values pinned there; the step is the profile read at (x . nu) / eps."""
     pts = grid.node_points()
     data = np.zeros(grid.shape + (pot.d,))
     mask = np.zeros(grid.shape, dtype=bool)
     nu = np.asarray(domain.nu)
-    step = profile.at_scale(1.0 / eps)
     for ax, (p_lo, p_hi) in enumerate(domain.faces):
         for side, policy in ((0, p_lo), (-1, p_hi)):
             if policy == "periodic":
@@ -137,8 +135,7 @@ def _boundary_data(domain: DomainSpec, grid: BoxGrid, pot: Potential, profile: T
             elif policy == "dirichlet-b":
                 data[sl] = pot.wells.b
             else:  # dirichlet-step
-                s = pts[sl] @ nu - domain.offset
-                data[sl] = step(s)
+                data[sl] = profile((1.0 / eps) * (pts[sl] @ nu))
     return mask, data
 
 
@@ -190,7 +187,7 @@ def minimize_diffuse(
     if init is None:
         pts = grid.node_points()
         nu = np.asarray(domain.nu)
-        u0 = profile.at_scale(1.0 / eps)(pts @ nu - domain.offset)
+        u0 = profile((1.0 / eps) * (pts @ nu))
     else:
         u0 = np.array(init, dtype=float)
         if u0.shape != grid.shape + (pot.d,):
@@ -271,6 +268,16 @@ class RecoveryParams:
         return zeta - k  # rotated-frame shift in [0, period)^N
 
 
+def check_recovery_layer(domain: DomainSpec, x0, eps: float, T: float) -> None:
+    """Raise ValueError unless the recovery layer, half-width eps*T/2 around x0, fits in the domain along the normal."""
+    nu = np.asarray(domain.nu)
+    corners = np.array(list(np.ndindex(*(2,) * domain.dim)))
+    span = (np.array(domain.lo) + corners * (np.array(domain.hi) - np.array(domain.lo))) @ nu
+    anchor = float(np.asarray(x0, dtype=float) @ nu)
+    if anchor - eps * T / 2.0 < span.min() - 1e-12 or anchor + eps * T / 2.0 > span.max() + 1e-12:
+        raise ValueError("recovery layer exceeds the domain along the normal")
+
+
 def build_recovery(params: RecoveryParams, domain: DomainSpec, h: float, pot: Potential) -> PhaseField:
     """Tile the rescaled cell minimizer along the interface plane.
 
@@ -284,16 +291,8 @@ def build_recovery(params: RecoveryParams, domain: DomainSpec, h: float, pot: Po
     cg = cell.grid
     T = cg.T
     eps = params.eps
-    nu = np.asarray(domain.nu)
     x0 = np.asarray(params.x0, dtype=float)
-
-    # the layer must fit inside the domain along the normal
-    corners = np.array(list(np.ndindex(*(2,) * domain.dim)))
-    verts = np.array(domain.lo) + corners * (np.array(domain.hi) - np.array(domain.lo))
-    span = verts @ nu
-    anchor = float(x0 @ nu)
-    if anchor - eps * T / 2.0 < span.min() - 1e-12 or anchor + eps * T / 2.0 > span.max() + 1e-12:
-        raise ValueError("recovery layer exceeds the domain along the normal")
+    check_recovery_layer(domain, x0, eps, T)
 
     # closed node array of the cell solution for interpolation
     u_cell = closed_nodes(cell.u, cg.box.periodic)
@@ -341,7 +340,6 @@ def gamma_gap(
     sigma_hat: float,
     cell_state: CellState,
     opts: SolverOptions = SolverOptions(),
-    mesh_rule=default_gamma_mesh,
 ) -> list:
     """Per eps: minimized energy, recovery energy, and gaps to the target.
 
@@ -351,7 +349,7 @@ def gamma_gap(
     rows = []
     target = sigma_hat * domain.interface_area()
     for eps in eps_schedule:
-        h = mesh_rule(float(eps))
+        h = default_gamma_mesh(float(eps))
         params = RecoveryParams(cell_state, float(eps), x0=(0.0,) * domain.dim)
         rec = build_recovery(params, domain, h, pot)
         fieldv, parts, res = minimize_diffuse(domain, pot, float(eps), h, profile, init=rec.u, opts=opts)

@@ -295,12 +295,12 @@ def check_periodicity(pot, rotation: RationalRotation, samples: int, seed: int) 
     return PeriodicityReport(not failures, samples, shifts, failures)
 
 
-def random_rational_directions(dim: int, count: int, seed: int, max_denominator: int = 40) -> list:
-    """Exact rational unit vectors from random stereographic parameters."""
+def random_rational_directions(dim: int, count: int, seed: int) -> list:
+    """Exact rational unit vectors from random stereographic parameters with denominators up to 40."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
-        q = int(rng.integers(1, max_denominator + 1))
+        q = int(rng.integers(1, 41))
         t = tuple(Fraction(int(rng.integers(-2 * q, 2 * q + 1)), q) for _ in range(dim - 1))
         pole_axis = int(rng.integers(0, dim))
         sign = 1 if rng.integers(0, 2) else -1

@@ -37,12 +37,11 @@ def transition_bvp_energy(
     profile: TransitionProfile,
     T: float,
     nu: Optional[np.ndarray] = None,
-    mesh: int = 801,
 ) -> float:
     """Energy per unit area of the optimal 1D transition on [-T/2, T/2].
 
     Solves 2 u'' = f(s) W0'(u) with the mollified-step boundary values by
-    collocation, then integrates f(s) W0(u) + u'^2 on a fine grid.  Only
+    collocation, then integrates f(s) W0(u) + u'^2 on 801 points.  Only
     scalar phases are supported (the oracle use case).
     """
     if pot.d != 1:
@@ -50,8 +49,8 @@ def transition_bvp_energy(
     nu = np.asarray(nu if nu is not None else [0.0, 1.0], dtype=float)
     f = _normal_weight(pot, nu)
     half = T / 2.0
-    ua = float(profile.at_scale(1.0)(np.array(-half))[0])
-    ub = float(profile.at_scale(1.0)(np.array(half))[0])
+    ua = float(profile(np.array(-half))[0])
+    ub = float(profile(np.array(half))[0])
 
     def rhs(s, y):
         u, du = y
@@ -68,7 +67,7 @@ def transition_bvp_energy(
     if not sol.success:
         raise RuntimeError(f"1D collocation failed: {sol.message}")
 
-    s = np.linspace(-half, half, mesh)
+    s = np.linspace(-half, half, 801)
     u = sol.sol(s)[0]
     du = sol.sol(s)[1]
     integrand = f(s) * pot.base(u[..., None]) + du**2
@@ -80,15 +79,13 @@ def profile_energy_1d(
     profile: TransitionProfile,
     T: float,
     nu: Optional[np.ndarray] = None,
-    mesh: int = 20001,
 ) -> float:
-    """Energy per unit area of the mollified-step profile itself."""
+    """Energy per unit area of the mollified-step profile itself (trapezoid rule, 20001 points)."""
     nu = np.asarray(nu if nu is not None else [0.0] * 1 + [1.0], dtype=float)
     f = _normal_weight(pot, nu)
     half = T / 2.0
-    s = np.linspace(-half, half, mesh)
-    p = profile.at_scale(1.0)
-    u = p(s)
-    du = p.slope(s)
+    s = np.linspace(-half, half, 20001)
+    u = profile(s)
+    du = profile.slope(s)
     integrand = f(s) * pot.base(u) + (du * du).sum(axis=-1)
     return float(np.trapezoid(integrand, s))

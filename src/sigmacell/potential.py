@@ -351,6 +351,7 @@ POTENTIAL_KINDS = {
     "piecewise-cells": piecewise_cells,
     "smooth-modulated": smooth_modulated,
 }
+P_BOX = 3.0  # validate_hypotheses samples phases in [-P_BOX, P_BOX]^d
 
 
 @dataclass
@@ -387,7 +388,6 @@ def validate_hypotheses(
     sample_count: int,
     seed: int,
     dim: int = 2,
-    p_box: float = 3.0,
 ) -> HypothesisReport:
     """Sample-based checks of the structural hypotheses on a potential.
 
@@ -406,7 +406,7 @@ def validate_hypotheses(
     rng = np.random.default_rng(seed)
     d = pot.d
     y = rng.uniform(-2.0, 2.0, size=(sample_count, dim))
-    p = rng.uniform(-p_box, p_box, size=(sample_count, d))
+    p = rng.uniform(-P_BOX, P_BOX, size=(sample_count, d))
     w = pot(y, p)
     checks = []
 
@@ -438,7 +438,7 @@ def validate_hypotheses(
     ok = bool((np.abs(wa) <= 1e-14).all() and (np.abs(wb) <= 1e-14).all())
     detail = "" if ok else "well value does not vanish"
     if ok:
-        grid_1d = np.linspace(-p_box, p_box, 41)
+        grid_1d = np.linspace(-P_BOX, P_BOX, 41)
         mesh = np.meshgrid(*([grid_1d] * d), indexing="ij")
         probe = np.stack([m.ravel() for m in mesh], axis=-1)
         probe = np.concatenate([probe, p], axis=0)

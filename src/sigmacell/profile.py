@@ -14,7 +14,6 @@ hot loop is a vectorized polynomial lookup with exact constant tails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -74,10 +73,6 @@ class Mollifier:
         return _SHAPES[self.shape](np.asarray(r, dtype=float) / self.radius)
 
 
-def _gauss_legendre(n: int = 96):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _marginal_table(moll: Mollifier, dim: int):
     """Tabulate the 1D marginal of the kernel along a fixed axis.
 
@@ -90,7 +85,7 @@ def _marginal_table(moll: Mollifier, dim: int):
     if dim == 1:
         density = moll.radial(np.abs(s))
     else:
-        nodes, weights = _gauss_legendre()
+        nodes, weights = np.polynomial.legendre.leggauss(96)
         half = np.sqrt(np.maximum(r * r - s * s, 0.0))
         if dim == 2:
             # integrate over w in [-half, half]
@@ -108,21 +103,19 @@ def _marginal_table(moll: Mollifier, dim: int):
 
 
 class TransitionProfile:
-    """The mollified two-phase step reduced to one dimension.
+    """The mollified two-phase step reduced to one dimension, at unit width.
 
-    At scale T the profile is `a + (b - a) * Phi(T s)` where Phi is the
-    cumulative marginal of the kernel: exactly `a` for s <= -r/T, exactly
-    `b` for s >= r/T, strictly monotone between, and equal to the well
-    midpoint at s = 0 (the kernel is even).
+    The profile is `a + (b - a) * Phi(s)` where Phi is the cumulative
+    marginal of the kernel: exactly `a` for s <= -r, exactly `b` for
+    s >= r, strictly monotone between, and equal to the well midpoint at
+    s = 0 (the kernel is even).  A transition of width eps is this
+    profile read at s / eps.
     """
 
-    def __init__(self, wells: WellPair, mollifier: Mollifier, dim: int, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+    def __init__(self, wells: WellPair, mollifier: Mollifier, dim: int):
         self.wells = wells
         self.mollifier = mollifier
         self.dim = dim
-        self.scale = float(scale)
         s, density = _marginal_table(mollifier, dim)
         spline = PchipInterpolator(s, density)
         cdf = spline.antiderivative()
@@ -133,28 +126,13 @@ class TransitionProfile:
         self._density_spline = spline
         self._support = mollifier.radius
 
-    @property
-    def support_radius(self) -> float:
-        """Half-width of the transition at the current scale."""
-        return self._support / self.scale
-
-    def at_scale(self, scale: float) -> "TransitionProfile":
-        """Same tables, different transition width (cheap)."""
-        other = object.__new__(TransitionProfile)
-        other.__dict__.update(self.__dict__)
-        other.scale = float(scale)
-        if other.scale <= 0:
-            raise ValueError("scale must be positive")
-        return other
-
     def fraction(self, s) -> np.ndarray:
-        """Phi(scale * s): the b-phase fraction, clamped to exact tails."""
+        """Phi(s): the b-phase fraction, clamped to exact tails."""
         s = np.asarray(s, dtype=float)
-        ts = np.clip(self.scale * s, -self._support, self._support)
-        out = self._cdf(ts) / self._normalization
+        out = self._cdf(np.clip(s, -self._support, self._support)) / self._normalization
         out = np.clip(out, 0.0, 1.0)
-        out = np.where(self.scale * s <= -self._support, 0.0, out)
-        out = np.where(self.scale * s >= self._support, 1.0, out)
+        out = np.where(s <= -self._support, 0.0, out)
+        out = np.where(s >= self._support, 1.0, out)
         return out
 
     def __call__(self, s) -> np.ndarray:
@@ -166,13 +144,12 @@ class TransitionProfile:
     def slope(self, s) -> np.ndarray:
         """d/ds of the profile; shape (..., d)."""
         s = np.asarray(s, dtype=float)
-        ts = self.scale * s
         dens = np.where(
-            np.abs(ts) < self._support,
-            self._density_spline(np.clip(ts, -self._support, self._support)),
+            np.abs(s) < self._support,
+            self._density_spline(np.clip(s, -self._support, self._support)),
             0.0,
         )
-        frac_slope = self.scale * dens / self._normalization
+        frac_slope = dens / self._normalization
         return frac_slope[..., None] * (self.wells.b - self.wells.a)
 
 

@@ -26,7 +26,6 @@ from .cell import (
     CellGrid,
     CellState,
     SolverOptions,
-    boundary_values,
     cell_model,
     minimize_cell,
 )
@@ -35,7 +34,7 @@ from .lattice import RationalRotation
 from .potential import Potential
 from .profile import TransitionProfile
 
-__all__ = ["TilingPlan", "plan_tiling", "build_competitor", "subadditivity_gap", "SubadditivityReport"]
+__all__ = ["TilingPlan", "tiles", "plan_tiling", "build_competitor", "subadditivity_gap", "SubadditivityReport"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,13 @@ class TilingPlan:
     def shell_width(self) -> float:
         return 1.0 / self.m
 
+    def corner_nodes(self, s_grid: CellGrid) -> list:
+        """Node index of each copy's low corner on the S-cell grid; ValueError if one is off the nodes."""
+        pos = (self.reference_centers() - self.T / 2.0 - np.array(s_grid.box.lo)) / s_grid.h
+        if (np.abs(pos - np.round(pos)) > 1e-9).any():
+            raise ValueError("copy corner does not land on a grid node; choose h dividing 1/period")
+        return np.round(pos).astype(int).tolist()
+
     def reference_centers(self) -> np.ndarray:
         """Copy centers in reference coordinates (exact rational, as float)."""
         if self.rotation is None:
@@ -66,6 +72,11 @@ class TilingPlan:
             for i in range(n):
                 out[k, i] = float(sum(M[j][i] * Fraction(int(x[j])) for j in range(n)))
         return out
+
+
+def tiles(T: float, S: float, dim: int) -> bool:
+    """Whether an S-cell has room for copies of a T-cell: S > T + 3 + sqrt(N)."""
+    return S > T + 3.0 + float(np.sqrt(dim))
 
 
 def plan_tiling(
@@ -82,7 +93,7 @@ def plan_tiling(
     to be pairwise disjoint and contained in the shrunken cube.
     """
     root_n = float(np.sqrt(dim))
-    if not S > T + 3.0 + root_n:
+    if not tiles(T, S, dim):
         raise ValueError(f"tiling requires S > T + 3 + sqrt(N) = {T + 3 + root_n:.6g}, got S={S}")
     if not 2 <= m < T:
         raise ValueError(f"shell parameter must satisfy 2 <= m < T, got m={m}, T={T}")
@@ -157,11 +168,10 @@ def build_competitor(
     if t_grid.dim != plan.dim or s_grid.dim != plan.dim:
         raise ValueError("dimension mismatch")
 
-    h = s_grid.h
     dim = plan.dim
-    phi = profile.at_scale(1.0)
     pts = s_grid.box.node_points()
-    u = phi(pts[..., -1])
+    ambient = profile(pts[..., -1])
+    u = ambient.copy()
 
     u_copy = closed_nodes(u_T.u, t_grid.box.periodic)
     n_copy = u_copy.shape[0]
@@ -169,14 +179,8 @@ def build_competitor(
     half_in = plan.T / 2.0
     half_out = (plan.T + plan.shell_width) / 2.0
     copy_slices = []
-    for c in refs:
-        lo_idx = []
-        for ax in range(dim):
-            pos = (c[ax] - half_in - s_grid.box.lo[ax]) / h
-            if abs(pos - round(pos)) > 1e-9:
-                raise ValueError("copy corner does not land on a grid node; choose h dividing 1/period")
-            lo_idx.append(int(round(pos)))
-        block = tuple(slice(i, i + n_copy) for i in lo_idx)
+    for c, corner in zip(refs, plan.corner_nodes(s_grid)):
+        block = tuple(slice(i, i + n_copy) for i in corner)
         u[block] = u_copy
         copy_slices.append(block)
 
@@ -187,15 +191,13 @@ def build_competitor(
             w = np.ones_like(dist)
             for ax in range(dim):
                 w = w * _smooth_ramp(np.abs(pts[..., ax] - c[ax]), half_in, half_out)
-            shifted = phi(pts[..., -1] - c[-1])
-            ambient = phi(pts[..., -1])
+            shifted = profile(pts[..., -1] - c[-1])
             blend = w[..., None] * shifted + (1.0 - w[..., None]) * ambient
             u[shell] = blend[shell]
 
     # exact boundary data on the non-periodic faces
     bmask = s_grid.box.boundary_mask()
-    data = boundary_values(s_grid, profile)
-    u[bmask] = data[bmask]
+    u[bmask] = ambient[bmask]
     return CompetitorField(CellState(s_grid, u), plan, copy_slices)
 
 

@@ -104,12 +104,12 @@ def test_sigma_command_artifacts(tmp_path):
     path = write(tmp_path, MINIMAL)
     out = str(tmp_path / "out")
     assert main(["sigma", "--config", path, "--out", out]) == 0
-    table = SigmaTable.from_json(open(os.path.join(out, "sigma_table.json")).read())
+    table = SigmaTable.from_json(Path(out, "sigma_table.json").read_text())
     assert len(table.entries) == 1
     with open(os.path.join(out, "solves.csv")) as fh:
         header = fh.readline().strip().split(",")
     assert header == ["nu1", "nu2", "T", "h", "g", "potential_part", "gradient_part", "iterations", "residual"]
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     names = {o["path"] for o in manifest["outputs"]}
     assert {"solves.csv", "sigma_table.json"} <= names
     for entry in manifest["outputs"]:
@@ -160,7 +160,7 @@ def test_polar_renders_svg(tmp_path):
     out = str(tmp_path / "out")
     assert main(["sigma", "--config", path, "--out", out]) == 0
     assert main(["polar", "--config", path, "--out", out]) == 0
-    svg = open(os.path.join(out, "polar.svg")).read()
+    svg = Path(out, "polar.svg").read_text()
     assert svg.startswith("<svg")
     assert "path" in svg
 
@@ -194,6 +194,17 @@ def test_gamma_command(tmp_path):
         rows = fh.read().strip().splitlines()
     assert header == ["eps", "min_energy", "recovery_energy", "sigma_target", "gap_min", "gap_recovery"]
     assert len(rows) == 2
+
+
+def test_gamma_solves_at_the_strip_normal(tmp_path):
+    # the strip's normal is e2, so the first configured direction does not enter the study
+    text = MINIMAL.replace("t = 2", "t = 2\neps = 1/4\nt_cell = 2")
+    gaps = []
+    for name, direction in (("tilted", "3/5, 4/5"), ("normal", "0, 1")):
+        path = write(tmp_path, text.replace("dir1 = 0, 1", f"dir1 = {direction}"), name=f"{name}.ini")
+        assert main(["gamma", "--config", path, "--out", str(tmp_path / name)]) == 0
+        gaps.append((tmp_path / name / "gamma_gaps.csv").read_bytes())
+    assert gaps[0] == gaps[1]
 
 
 def test_tile_command(tmp_path):
@@ -259,7 +270,7 @@ def test_kind_keys_match_factory_keywords():
 
 QUARTIC = "kind = homogeneous-quartic"
 
-# name -> ((text in MINIMAL, replacement), ...), the section the message names
+# name -> ((text in MINIMAL, replacement), ...), the section the message names[, the command run: validate if absent]
 BAD_CONFIGS = {
     "quartic-alpha": (((QUARTIC, QUARTIC + "\nalpha = 0.5"),), "potential"),
     "quartic-contrast": (((QUARTIC, QUARTIC + "\ncontrast = 2"),), "potential"),
@@ -283,16 +294,23 @@ BAD_CONFIGS = {
     "tangential-unknown": ((("h = 1/16", "h = 1/16\ntangential = sideways"),), "schedule"),
     "lattice-period": ((("dir1 = 0, 1", "dir1 = 3/5, 4/5"), ("t = 2", "t = 4\nlattice_aligned = true")), "schedule"),
     "samples-zero": ((("seed = 7", "seed = 7\nsamples = 0"),), "solver"),
+    "sigma-coarse-mesh": ((("t = 2", "t = 1"), ("h = 1/16", "h = 1/8")), "schedule", "sigma"),
+    "gamma-t-cell": ((("t = 2", "t = 2\nt_cell = 1/2"),), "schedule", "gamma"),
+    "gamma-eps-zero": ((("t = 2", "t = 2\neps = 0"),), "schedule", "gamma"),
+    "gamma-eps-mesh": ((("t = 2", "t = 2\neps = 0.3"),), "schedule", "gamma"),
+    "gamma-layer": ((("t = 2", "t = 2\neps = 1/3\nt_cell = 4"),), "schedule", "gamma"),
+    "tile-m-1": ((("t = 2", "t = 2\ns = 16\nm = 1"),), "schedule", "tile"),
+    "tile-corner": ((("dir1 = 0, 1", "dir1 = 3/5, 4/5"), ("t = 2", "t = 4\ns = 16\nm = 3")), "schedule", "tile"),
     "mollifier-radius": ((("[directions]", "[mollifier]\nradius = 2\n\n[directions]"),), "mollifier"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
 def test_bad_config_exits_2_naming_section(tmp_path, capsys, name):
-    edits, section = BAD_CONFIGS[name]
+    edits, section, *command = BAD_CONFIGS[name]
     text = MINIMAL
     for old, new in edits:
         assert old in text
         text = text.replace(old, new, 1)
-    assert main(["validate", "--config", write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    assert main([*(command or ["validate"]), "--config", write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: [{section}]" in capsys.readouterr().err

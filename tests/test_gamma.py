@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigmacell.cell import CellGrid, CellState, boundary_values, cell_model, minimize_cell
+from sigmacell.cell import CellGrid, CellState, SolverOptions, boundary_values, cell_model, minimize_cell
 from sigmacell.gamma import (
     DomainSpec,
     _boundary_data,
@@ -103,6 +103,20 @@ def test_minimize_diffuse_keeps_pinned_nodes(prof, mass_target):
     mask, data = _boundary_data(dom, grid, QUARTIC, prof, eps)
     assert res.iterations > 0
     assert fieldv.u[mask].tobytes() == data[mask].tobytes()
+
+
+def test_step_data_is_the_unit_profile_at_x_over_eps(prof):
+    faces = (("dirichlet-step", "dirichlet-step"), ("dirichlet-step", "dirichlet-step"))
+    dom = DomainSpec(lo=(-0.5, -0.5), hi=(0.5, 0.5), faces=faces, nu=(0.6, 0.8))
+    eps, h = 1 / 8, 1 / 64
+    grid = dom.grid(h)
+    fieldv, _, res = minimize_diffuse(dom, QUARTIC, eps, h, prof, opts=SolverOptions(max_iterations=0))
+    expected = prof((1.0 / eps) * (grid.node_points() @ np.asarray(dom.nu)))
+    mask, data = _boundary_data(dom, grid, QUARTIC, prof, eps)
+    assert res.iterations == 0
+    assert len(np.unique(data[mask])) > 2  # the faces cross the transition
+    assert data[mask].tobytes() == expected[mask].tobytes()
+    assert fieldv.u.tobytes() == expected.tobytes()
 
 
 def test_mass_target_validation(prof):

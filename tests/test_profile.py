@@ -67,14 +67,6 @@ def test_quarter_width_regression(bump_profile):
     assert val == pytest.approx(0.8141777, abs=2e-6)
 
 
-def test_scale_law(bump_profile):
-    s = np.linspace(-2, 2, 101)
-    for T in (0.5, 2.0, 7.0):
-        scaled = bump_profile.at_scale(T)(s)
-        reference = bump_profile(T * s)
-        assert np.abs(scaled - reference).max() <= 1e-12
-
-
 def test_monotone(bump_profile):
     s = np.linspace(-0.6, 0.6, 4001)
     vals = bump_profile(s)[..., 0]
@@ -89,8 +81,8 @@ def test_rotation_invariance_of_boundary_data(bump_profile):
     y = rng.uniform(-3, 3, size=(200, 2))
     s = y @ nu1
     y2 = np.stack([rng.uniform(-3, 3, size=200), s], axis=1)  # same normal component
-    v1 = bump_profile.at_scale(1.0)(y @ nu1)
-    v2 = bump_profile.at_scale(1.0)(y2 @ nu2)
+    v1 = bump_profile(y @ nu1)
+    v2 = bump_profile(y2 @ nu2)
     assert np.abs(v1 - v2).max() <= 1e-12
 
 
