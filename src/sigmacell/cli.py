@@ -31,7 +31,9 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .cell import SOLVE_CSV_COLUMNS, CellGrid, SolverOptions, estimate_sigma, minimize_cell, solve_csv_row
+from .cell import (
+    SOLVE_CSV_COLUMNS, CellGrid, SolverOptions, check_schedule, estimate_sigma, minimize_cell, solve_csv_row
+)
 from .config import DIM, Config, ConfigError, _section, parse_config
 from .gamma import GAP_CSV_COLUMNS, DomainSpec, check_recovery_layer, default_gamma_mesh, gamma_gap
 from .lattice import check_periodicity, rotation_from_direction
@@ -104,9 +106,13 @@ def _profile(cfg: Config) -> TransitionProfile:
     return TransitionProfile(cfg.potential.wells, cfg.mollifier, dim=DIM)
 
 
-def _check_refinements(cfg: Config) -> None:
-    """Build the coarse cell of every T's (2h, h) refinement; a refusal is a [schedule] error."""
+def _check_refinements(cfg: Config, directions) -> None:
+    """Build the coarse cell of every T's (2h, h) refinement and, on a lattice-aligned run, check T
+    against the period of each direction solved; a refusal is a [schedule] error."""
     with _section("schedule"):
+        if cfg.lattice_aligned:
+            for nu in directions:
+                check_schedule(cfg.T_schedule, rotation_from_direction(nu), lattice_aligned=True)
         for T in cfg.T_schedule:
             CellGrid(DIM, T, 2 * cfg.h, tangential=cfg.tangential)
 
@@ -129,7 +135,7 @@ def _sigma_task(args):
 
 
 def run_sigma(cfg: Config, run: _Run) -> int:
-    _check_refinements(cfg)
+    _check_refinements(cfg, cfg.directions)
     profile = _profile(cfg)
     tasks = [(cfg, nu, profile) for nu in cfg.directions]
     if cfg.workers > 1:
@@ -186,7 +192,7 @@ def run_polar(cfg: Config, run: _Run) -> int:
 
 def run_gamma(cfg: Config, run: _Run) -> int:
     domain = DomainSpec.flat_strip(dim=DIM)
-    _check_refinements(cfg)
+    _check_refinements(cfg, ())  # solved at e2, whose period 1 parse_config checked
     with _section("schedule"):
         cell_grid = CellGrid(DIM, cfg.T_cell, cfg.h, None, cfg.tangential)
         for eps in cfg.eps_schedule:
@@ -249,11 +255,11 @@ def run_validate(cfg: Config, run: _Run) -> int:
 
 def run_tile(cfg: Config, run: _Run) -> int:
     if cfg.tile_S is None or cfg.tile_m is None:
-        print("error: the tile command needs [schedule] s and m", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("[schedule]: the tile command needs keys 's' and 'm'")
     rotation = rotation_from_direction(cfg.directions[0])
     tiled = [T for T in cfg.T_schedule if tiles(T, cfg.tile_S, DIM)]
     with _section("schedule"):
+        check_schedule(cfg.T_schedule, rotation, cfg.lattice_aligned)
         for T in tiled:
             s_grid = CellGrid(DIM, cfg.tile_S, cfg.h, rotation, "dirichlet")
             plan_tiling(T, cfg.tile_S, cfg.tile_m, rotation, DIM).corner_nodes(s_grid)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .cell import CellGrid, check_schedule
-from .lattice import RationalUnitVector, rationalize_direction, rotation_from_direction
+from .lattice import RationalUnitVector, rationalize_direction
 from .potential import POTENTIAL_KINDS, GrowthCertificate, Potential, WellPair
 from .profile import Mollifier
 
@@ -251,9 +251,8 @@ def parse_config(path) -> Config:
     tile_S = _number(ssec["s"], "[schedule] s") if "s" in ssec else None
     tile_m = _integer(ssec["m"], "[schedule] m") if "m" in ssec else None
     with _section("schedule"):
-        rotations = [rotation_from_direction(nu) for nu in directions] if lattice_aligned else [None]
-        for rotation in rotations:
-            check_schedule(T_schedule, rotation, lattice_aligned)
+        # period 1 here; each command checks the periods of the directions it solves
+        check_schedule(T_schedule, None, lattice_aligned)
         for T in T_schedule:
             CellGrid(DIM, T, h, tangential=tangential)
 

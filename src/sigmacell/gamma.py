@@ -9,16 +9,18 @@ on a matching box the two energies agree bit-for-bit).  Minimizers over a
 flat-interface strip converge, as eps shrinks, to the surface tension
 times the interface area; the recovery construction tiles a rescaled cell
 minimizer along the interface and provides both a warm start and an upper
-bound whose energy reproduces the cell value.
+bound whose energy reproduces the cell value.  It reads the cell solution by
+a numpy multilinear lookup in the steps of scipy's linear
+`RegularGridInterpolator`, so the recovery field equals scipy's bitwise.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .cell import CellState, SolverOptions, pinned_objective
 from .descent import lbfgs_descent
@@ -278,6 +280,28 @@ def check_recovery_layer(domain: DomainSpec, x0, eps: float, T: float) -> None:
         raise ValueError("recovery layer exceeds the domain along the normal")
 
 
+def _multilinear(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Multilinear lookup of `values` (grid shape + trailing axes) on the grid `axes` at `pts` (..., ndim).
+
+    Per axis the interval has x[i] <= p < x[i+1], clipped to the end intervals (outside points extrapolate);
+    the corners are summed from 0 in `itertools.product` order, weighted by products of `1 - y` or `y`.
+    """
+    flat = pts.reshape(-1, len(axes))
+    lower, frac = [], []
+    for x, p in zip(axes, flat.T):
+        i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, x.size - 2)
+        lower.append(i)
+        frac.append((p - x[i]) / (x[i + 1] - x[i]))
+    trailing = (slice(None),) + (None,) * (values.ndim - len(axes))
+    out = 0.0
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        weight = 1.0
+        for c, y in zip(corner, frac):
+            weight = weight * (y if c else 1 - y)
+        out = out + values[tuple(i + c for i, c in zip(lower, corner))] * weight[trailing]
+    return out.reshape(pts.shape[:-1] + values.shape[len(axes) :])
+
+
 def build_recovery(params: RecoveryParams, domain: DomainSpec, h: float, pot: Potential) -> PhaseField:
     """Tile the rescaled cell minimizer along the interface plane.
 
@@ -297,7 +321,6 @@ def build_recovery(params: RecoveryParams, domain: DomainSpec, h: float, pot: Po
     # closed node array of the cell solution for interpolation
     u_cell = closed_nodes(cell.u, cg.box.periodic)
     cell_axes = [-T / 2.0 + cg.h * np.arange(n) for n in u_cell.shape[:-1]]
-    interp = RegularGridInterpolator(tuple(cell_axes), u_cell, method="linear", bounds_error=False, fill_value=None)
 
     pts = grid.node_points()
     z = (pts - x0) / eps + (cg.rotation_matrix @ params.lattice_shift())
@@ -306,7 +329,7 @@ def build_recovery(params: RecoveryParams, domain: DomainSpec, h: float, pot: Po
     zt = zeta.copy()
     zt[..., :-1] = np.mod(zeta[..., :-1] + T / 2.0, T) - T / 2.0
     inside = np.abs(zeta[..., -1]) <= T / 2.0
-    vals = interp(np.clip(zt, -T / 2.0, T / 2.0))
+    vals = _multilinear(cell_axes, u_cell, np.clip(zt, -T / 2.0, T / 2.0))
     step = np.where((zeta[..., -1] > 0.0)[..., None], pot.wells.b, pot.wells.a)
     u = np.where(inside[..., None], vals, step)
     return PhaseField(domain, eps, h, u)

@@ -9,6 +9,9 @@ profile is the cumulative distribution of the kernel's 1D marginal.
 The marginal is tabulated once per (mollifier, dimension) and integrated
 through a shape-preserving cubic interpolant, so evaluation in the solver
 hot loop is a vectorized polynomial lookup with exact constant tails.
+The interpolant is the monotone cubic of Fritsch & Carlson (1980) in numpy,
+built and read in the steps and floating-point order of scipy's
+`PchipInterpolator` and its `antiderivative()`, so it equals scipy's bitwise.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .potential import WellPair
 
@@ -102,6 +104,58 @@ def _marginal_table(moll: Mollifier, dim: int):
     return s, density
 
 
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at a table end, with the two shape fixes of Moler's pchiptx."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and np.abs(d) > 3.0 * np.abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _monotone_cubic(x, y) -> np.ndarray:
+    """Coefficients (4, n - 1), highest power of s - x[i] first, of the monotone cubic through (x, y).
+    A node's slope is the weighted harmonic mean of its two secants, or 0 where they differ in sign or one is 0."""
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the flat nodes are set to 0
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _antiderivative(coef: np.ndarray, x) -> np.ndarray:
+    """Coefficients of the antiderivative of `coef` that is 0 at x[0]. The constant of interval i is
+    interval i-1 read at its right end: the constants accumulate left to right, each from its constant term up."""
+    k = coef.shape[0]
+    out = np.zeros((k + 1, coef.shape[1]))
+    out[:-1] = coef / np.arange(k, 0, -1.0)[:, None]
+    h = x[1:] - x[:-1]
+    terms = out[-2::-1, :-1] * np.cumprod(np.broadcast_to(h[:-1], (k, h.size - 1)), axis=0)
+    out[-1] = np.add.accumulate(np.concatenate(([0.0], terms.T.ravel())))[::k]
+    return out
+
+
+def _evaluate(coef: np.ndarray, x, p):
+    """The piecewise polynomial `coef` on breakpoints x read at p, in the interval x[i] <= p < x[i+1] clipped to
+    the end intervals, summed from the constant term up with the powers of s = p - x[i] built by repeated products."""
+    i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, x.size - 2)
+    s = p - x[i]
+    out, z = 0.0 + coef[-1, i], 1.0
+    for row in coef[-2::-1]:
+        z = z * s
+        out = out + row[i] * z
+    return out
+
+
 class TransitionProfile:
     """The mollified two-phase step reduced to one dimension, at unit width.
 
@@ -117,22 +171,21 @@ class TransitionProfile:
         self.mollifier = mollifier
         self.dim = dim
         s, density = _marginal_table(mollifier, dim)
-        spline = PchipInterpolator(s, density)
-        cdf = spline.antiderivative()
-        self._normalization = float(cdf(s[-1]))  # kernel mass along the marginal
+        self._table = s
+        self._density = _monotone_cubic(s, density)
+        self._cdf = _antiderivative(self._density, s)
+        self._normalization = float(_evaluate(self._cdf, s, s[-1]))  # kernel mass along the marginal
         if not self._normalization > 0:
             raise ValueError("mollifier has zero mass")
-        self._cdf = cdf
-        self._density_spline = spline
         self._support = mollifier.radius
 
     def fraction(self, s) -> np.ndarray:
         """Phi(s): the b-phase fraction, clamped to exact tails."""
         s = np.asarray(s, dtype=float)
-        out = self._cdf(np.clip(s, -self._support, self._support)) / self._normalization
-        out = np.clip(out, 0.0, 1.0)
-        out = np.where(s <= -self._support, 0.0, out)
-        out = np.where(s >= self._support, 1.0, out)
+        above = s >= self._support
+        out = np.where(above, 1.0, 0.0)
+        inside = ~(above | (s <= -self._support))  # NaN counts as inside, so it propagates
+        out[inside] = np.clip(_evaluate(self._cdf, self._table, s[inside]) / self._normalization, 0.0, 1.0)
         return out
 
     def __call__(self, s) -> np.ndarray:
@@ -144,11 +197,9 @@ class TransitionProfile:
     def slope(self, s) -> np.ndarray:
         """d/ds of the profile; shape (..., d)."""
         s = np.asarray(s, dtype=float)
-        dens = np.where(
-            np.abs(s) < self._support,
-            self._density_spline(np.clip(s, -self._support, self._support)),
-            0.0,
-        )
+        inside = np.abs(s) < self._support
+        dens = np.zeros(s.shape)
+        dens[inside] = _evaluate(self._density, self._table, s[inside])
         frac_slope = dens / self._normalization
         return frac_slope[..., None] * (self.wells.b - self.wells.a)
 

@@ -78,8 +78,20 @@ def test_lattice_alignment_validation_cites_period(tmp_path):
     text = MINIMAL.replace("dir1 = 0, 1", "dir1 = 3/5, 4/5").replace(
         "t = 2", "t = 4\nlattice_aligned = true"
     )
+    cfg = parse_config(write(tmp_path, text))  # the directions a command solves are its own check
     with pytest.raises(ConfigError, match="period 5"):
-        parse_config(write(tmp_path, text))
+        run_command("sigma", cfg, str(tmp_path / "out"))
+
+
+def test_lattice_aligned_gamma_checks_only_the_strip_normal(tmp_path, capsys):
+    # gamma solves at e2 (period 1), so the period 5 of dir1 does not concern it; sigma solves at dir1
+    text = MINIMAL.replace("dir1 = 0, 1", "dir1 = 3/5, 4/5").replace(
+        "t = 2", "t = 2, 4\nlattice_aligned = true\neps = 1/4\nt_cell = 2"
+    )
+    path = write(tmp_path, text)
+    assert main(["gamma", "--config", path, "--out", str(tmp_path / "gamma")]) == 0
+    assert main(["sigma", "--config", path, "--out", str(tmp_path / "sigma")]) == 2
+    assert "config error: [schedule]: lattice-aligned run requires" in capsys.readouterr().err
 
 
 def test_uniform_directions(tmp_path):
@@ -292,13 +304,18 @@ BAD_CONFIGS = {
     "h-not-dividing": ((("h = 1/16", "h = 0.3"),), "schedule"),
     "h-zero": ((("h = 1/16", "h = 0"),), "schedule"),
     "tangential-unknown": ((("h = 1/16", "h = 1/16\ntangential = sideways"),), "schedule"),
-    "lattice-period": ((("dir1 = 0, 1", "dir1 = 3/5, 4/5"), ("t = 2", "t = 4\nlattice_aligned = true")), "schedule"),
+    "lattice-period": (
+        (("dir1 = 0, 1", "dir1 = 3/5, 4/5"), ("t = 2", "t = 4\nlattice_aligned = true")),
+        "schedule",
+        "sigma",
+    ),
     "samples-zero": ((("seed = 7", "seed = 7\nsamples = 0"),), "solver"),
     "sigma-coarse-mesh": ((("t = 2", "t = 1"), ("h = 1/16", "h = 1/8")), "schedule", "sigma"),
     "gamma-t-cell": ((("t = 2", "t = 2\nt_cell = 1/2"),), "schedule", "gamma"),
     "gamma-eps-zero": ((("t = 2", "t = 2\neps = 0"),), "schedule", "gamma"),
     "gamma-eps-mesh": ((("t = 2", "t = 2\neps = 0.3"),), "schedule", "gamma"),
     "gamma-layer": ((("t = 2", "t = 2\neps = 1/3\nt_cell = 4"),), "schedule", "gamma"),
+    "tile-plan-keys": ((), "schedule", "tile"),
     "tile-m-1": ((("t = 2", "t = 2\ns = 16\nm = 1"),), "schedule", "tile"),
     "tile-corner": ((("dir1 = 0, 1", "dir1 = 3/5, 4/5"), ("t = 2", "t = 4\ns = 16\nm = 3")), "schedule", "tile"),
     "mollifier-radius": ((("[directions]", "[mollifier]\nradius = 2\n\n[directions]"),), "mollifier"),

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +28,11 @@ def test_package_imports_exist():
     for module, alias in imports:
         assert hasattr(importlib.import_module(f"sigmacell.{module}"), alias.name), f"{module}.{alias.name}"
         assert hasattr(sigmacell, alias.asname or alias.name), alias.name
+
+
+def test_package_and_cli_import_without_scipy():
+    code = "import sys, sigmacell, sigmacell.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    path = os.pathsep.join(filter(None, (str(Path(sigmacell.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

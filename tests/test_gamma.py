@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from sigmacell.cell import CellGrid, CellState, SolverOptions, boundary_values, cell_model, minimize_cell
 from sigmacell.gamma import (
     DomainSpec,
     _boundary_data,
+    _multilinear,
     PhaseField,
     RecoveryParams,
     build_recovery,
@@ -171,6 +173,28 @@ def test_nonzero_lattice_shift_branch(prof, strip, cell_state):
     pts = grid.node_points()
     far_hi = pts[..., 1] > 0.4
     assert np.array_equal(rec.u[far_hi], np.broadcast_to(QUARTIC.wells.b, rec.u[far_hi].shape))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_multilinear_lookup_equals_scipy(dim, d):
+    rng = np.random.default_rng(10 * dim + d)
+    axes = [-1.0 + 0.25 * np.arange(n) for n in (9, 10, 11)[:dim]]  # the closed nodes of a cell, T = 2
+    values = rng.standard_normal(tuple(x.size for x in axes) + (d,))
+    lo, hi = np.array([x[0] for x in axes]), np.array([x[-1] for x in axes])
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    inside = rng.uniform(lo, hi, (1000, dim))
+    lines = inside.copy()
+    lines[:, -1] = rng.choice(axes[-1], len(lines))  # on grid lines of the last axis
+    faces = inside.copy()
+    faces[::2, 0] = lo[0]
+    faces[1::2, -1] = hi[-1]
+    outside = rng.uniform(lo - 0.3, hi + 0.3, (1000, dim))
+    scipy_lookup = RegularGridInterpolator(tuple(axes), values, method="linear", bounds_error=False, fill_value=None)
+    for pts in (nodes, inside, lines, faces, outside.reshape(10, 100, dim)):
+        got, want = _multilinear(axes, values, pts), scipy_lookup(pts)
+        assert got.shape == want.shape == pts.shape[:-1] + (d,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_gamma_gap_rows(prof, strip, cell_state):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from sigmacell.potential import WellPair, homogeneous_quartic
 from sigmacell.profile import (
     Mollifier,
     TransitionProfile,
+    _evaluate,
+    _marginal_table,
     step_field,
 )
 
@@ -115,3 +118,35 @@ def test_profile_dim3_marginal():
     prof = TransitionProfile(WELLS, Mollifier("bump", 0.5), dim=3)
     assert prof(0.0)[0] == pytest.approx(0.0, abs=1e-12)
     assert prof(0.5)[0] == 1.0
+
+
+def assert_bitwise_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", ["bump", "polynomial"])
+@pytest.mark.parametrize("radius", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_monotone_cubic_equals_scipy_pchip(shape, radius, dim):
+    moll = Mollifier(shape, radius)
+    prof = TransitionProfile(WELLS, moll, dim)
+    s, density = _marginal_table(moll, dim)
+    spline = PchipInterpolator(s, density)
+    cdf = spline.antiderivative()
+    assert_bitwise_equal(prof._density, spline.c)
+    assert_bitwise_equal(prof._cdf, cdf.c)
+    norm = float(cdf(s[-1]))
+    assert prof._normalization == norm
+    rng = np.random.default_rng(dim)
+    ends = np.array([-2.0, -1.0001, -1.0, 1.0, 1.0001, 2.0]) * radius  # beyond the table: end intervals, clipped tails
+    for points in (s, rng.uniform(-1.1 * radius, 1.1 * radius, 5000).reshape(50, 100), ends, np.array(0.1 * radius)):
+        assert_bitwise_equal(_evaluate(prof._density, s, points), spline(points))
+        assert_bitwise_equal(_evaluate(prof._cdf, s, points), cdf(points))
+        # the profile as built on scipy's interpolants: clipped to the table, exact tails
+        clipped = np.clip(points, -radius, radius)
+        inner = np.where(points <= -radius, 0.0, np.clip(cdf(clipped) / norm, 0.0, 1.0))
+        assert_bitwise_equal(prof.fraction(points), np.where(points >= radius, 1.0, inner))
+        slope = np.where(np.abs(points) < radius, spline(clipped), 0.0) / norm
+        assert_bitwise_equal(prof.slope(points), slope[..., None] * (WELLS.b - WELLS.a))
