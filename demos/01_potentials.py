@@ -28,7 +28,7 @@ y = np.array([0.1, 0.1])
 print("values at y=(0.1, 0.1), p=0 (the midpoint between the wells):")
 for pot in pots:
     print(f"  {pot.kind:20s} W = {float(pot(y, [0.0])):.4f}"
-          f"   envelope scale = {pot.lower_envelope().scale:.2f}")
+          f"   envelope scale = {pot.lower_envelope().weight.value:.2f}")
 
 print("\nwells vanish everywhere:")
 for pot in pots:

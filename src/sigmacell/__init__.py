@@ -31,7 +31,6 @@ from .lattice import (
 )
 from .potential import (
     GrowthCertificate,
-    LowerEnvelope,
     Potential,
     WellPair,
     checkerboard,

@@ -126,7 +126,6 @@ class CellResult:
     g: float
     iterations: int
     residual: float
-    energy: float
     potential_part: float
     gradient_part: float
     converged: bool
@@ -229,7 +228,6 @@ def minimize_cell(
         g=parts.total / area,
         iterations=res.iterations,
         residual=res.grad_sup,
-        energy=parts.total,
         potential_part=parts.potential,
         gradient_part=parts.gradient,
         converged=res.converged,
@@ -268,7 +266,8 @@ class GRefinement:
     phase_offset: float  # the offset whose probe seeded the hierarchy
 
 
-DEFAULT_PHASE_OFFSETS = (0.0, 0.25, 0.5, 0.75)
+# Ascending, so the first of several tied probes is the lowest offset.
+PHASE_OFFSETS = (0.0, 0.25, 0.5, 0.75)
 
 # The spatial weight has unit period and the transition profile unit
 # width; the probe mesh keeps at least 4 nodes across each (a probe at
@@ -304,7 +303,6 @@ def estimate_g(
     dim: int = 2,
     opts: SolverOptions = SolverOptions(),
     tangential: str = "periodic",
-    phase_offsets=DEFAULT_PHASE_OFFSETS,
 ) -> GRefinement:
     """Solve by nested iteration down to h; report the fine g and the (2h, h) mesh difference.
 
@@ -318,7 +316,7 @@ def estimate_g(
     probe_grid = levels[-1]
     tie = PROBE_TIE_FRACTION * opts.resolved_tolerance(pot)
     best = None
-    for off in sorted(phase_offsets) or [0.0]:
+    for off in PHASE_OFFSETS:
         res, state = minimize_cell(probe_grid, pot, profile, opts, init=initial_state(probe_grid, profile, off))
         if best is None or res.g < best[0].g - tie:
             best = (res, state, off)
@@ -383,7 +381,6 @@ def estimate_sigma(
     opts: SolverOptions = SolverOptions(),
     lattice_aligned: bool = False,
     tangential: str = "periodic",
-    phase_offsets=DEFAULT_PHASE_OFFSETS,
 ) -> SigmaEstimate:
     """Run the T-schedule and extrapolate with a conservative error bar.
 
@@ -392,15 +389,12 @@ def estimate_sigma(
     pass `check_schedule`.
     """
     schedule = check_schedule(schedule, rotation, lattice_aligned)
-    refinements = [
-        estimate_g(rotation, T, pot, profile, h, dim, opts, tangential, phase_offsets) for T in schedule
-    ]
+    refinements = [estimate_g(rotation, T, pot, profile, h, dim, opts, tangential) for T in schedule]
     per_T = [(r.T, r.h, r.g) for r in refinements]
     last = refinements[-1]
     t_term = abs(refinements[-1].g - refinements[-2].g) if len(refinements) >= 2 else 0.0
-    nu = (rotation.as_float() if rotation is not None else np.eye(dim))[:, -1]
     return SigmaEstimate(
-        nu=nu,
+        nu=last.state.grid.nu,
         per_T=per_T,
         sigma_hat=last.g,
         error_bar=t_term + last.discretization_error,

@@ -135,6 +135,9 @@ def _sigma_task(args):
 
 
 def run_sigma(cfg: Config, run: _Run) -> int:
+    repeated = [nu for k, nu in enumerate(cfg.directions) if nu in cfg.directions[:k]]
+    if repeated:
+        raise ConfigError(f"[directions]: direction {repeated[0]} is given more than once")
     _check_refinements(cfg, cfg.directions)
     profile = _profile(cfg)
     tasks = [(cfg, nu, profile) for nu in cfg.directions]
@@ -185,7 +188,8 @@ def run_polar(cfg: Config, run: _Run) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: cannot read sigma table: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    run.write_text("polar.svg", polar_svg(table))
+    if "svg" in cfg.formats:
+        run.write_text("polar.svg", polar_svg(table))
     run.outcomes.append({"kind": "polar", "entries": len(table.entries)})
     return EXIT_OK
 
@@ -318,14 +322,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.seed is not None:
-        cfg.seed = args.seed
-    try:
+        if args.workers is not None:
+            cfg.workers = args.workers
+        if args.seed is not None:
+            cfg.seed = args.seed
         return run_command(args.command, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

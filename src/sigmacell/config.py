@@ -127,7 +127,7 @@ class Config:
     out_dir: str
     formats: tuple
     sigma_table_name: str
-    raw_text: str = ""
+    raw_text: str
 
 
 def _read(sec, table: dict, kind: str) -> dict:

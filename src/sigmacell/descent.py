@@ -18,6 +18,10 @@ matrix-vector product gives S^T g and Y^T g, and one gives the search
 direction.  The new entries of S^T Y and Y^T Y are differences of
 successive S^T g and Y^T g, so no third pass is needed.
 
+The line search halves the step at most MAX_BACKTRACKS times; when the
+quasi-Newton direction finds no decrease, one steepest-descent search
+follows before the descent stops.
+
 Trial points are written into two reused buffers, so `f_g` must not keep
 a reference to its argument after it returns.
 """
@@ -33,6 +37,7 @@ import numpy as np
 __all__ = ["DescentResult", "lbfgs_descent"]
 
 ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
+MAX_BACKTRACKS = 60  # step halvings per line search
 
 
 @dataclass
@@ -51,7 +56,6 @@ def lbfgs_descent(
     sup_tol: float,
     max_iterations: int,
     memory: int = 10,
-    max_backtracks: int = 60,
 ) -> DescentResult:
     """Minimize f from x0 until the gradient sup-norm drops below sup_tol."""
     if memory < 1:
@@ -83,7 +87,7 @@ def lbfgs_descent(
     def line_search(gp):
         """(f_new, g_new) at the first x_trial = x + step p, step 1, 1/2, 1/4, ..., with an Armijo decrease, or None."""
         step = 1.0
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             np.multiply(p, step, out=x_trial)
             np.add(x_trial, x, out=x_trial)
             f_new, g_new = f_g(x_trial)

@@ -96,10 +96,10 @@ class DomainSpec:
         return BoxGrid(self.lo, self.hi, h, periodic)
 
     @classmethod
-    def flat_strip(cls, dim: int = 2, height: float = 1.0) -> "DomainSpec":
-        """Lateral-periodic strip of unit width with normal e_N, pure phases top and bottom."""
-        lo = (0.0,) * (dim - 1) + (-height / 2.0,)
-        hi = (1.0,) * (dim - 1) + (height / 2.0,)
+    def flat_strip(cls, dim: int = 2) -> "DomainSpec":
+        """Lateral-periodic unit strip with normal e_N, pure phases top and bottom."""
+        lo = (0.0,) * (dim - 1) + (-0.5,)
+        hi = (1.0,) * (dim - 1) + (0.5,)
         faces = (("periodic", "periodic"),) * (dim - 1) + ((("dirichlet-a", "dirichlet-b")),)
         nu = (0.0,) * (dim - 1) + (1.0,)
         return cls(lo, hi, faces, nu)
@@ -256,10 +256,6 @@ class RecoveryParams:
     cell_state: CellState
     eps: float
     x0: tuple
-
-    @property
-    def T_cell(self) -> float:
-        return self.cell_state.grid.T
 
     def lattice_shift(self) -> np.ndarray:
         grid = self.cell_state.grid

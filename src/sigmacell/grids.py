@@ -20,7 +20,7 @@ omit the duplicate endpoint node; each axis step wraps around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -168,7 +168,7 @@ class EnergyModel:
         self,
         grid: BoxGrid,
         pot,
-        y_map: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        y_map: Callable[[np.ndarray], np.ndarray],
         weight_potential: float = 1.0,
         weight_gradient: float = 1.0,
     ):
@@ -176,10 +176,7 @@ class EnergyModel:
         self.pot = pot
         self.wW = float(weight_potential)
         self.wG = float(weight_gradient)
-        centers = grid.cell_centers()
-        if y_map is not None:
-            centers = y_map(centers)
-        self._factor = np.asarray(pot.spatial_factor(centers), dtype=float)
+        self._factor = np.asarray(pot.spatial_factor(y_map(grid.cell_centers())), dtype=float)
         n, hN = grid.dim, grid.h**grid.dim
         self._mean = 1.0 / (1 << n)  # corner sum -> center value
         slope = 1.0 / ((1 << (n - 1)) * grid.h)  # signed corner sum -> averaged edge difference

@@ -13,7 +13,7 @@ with zero tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -86,10 +86,10 @@ def _mat_det(A: Sequence[Sequence[Fraction]]) -> Fraction:
 
 @dataclass(frozen=True)
 class RationalRotation:
-    """Exactly orthogonal rational matrix with det = 1 and its lattice period."""
+    """Exactly orthogonal rational matrix with det = 1; `period` is its lattice period, computed from it."""
 
     matrix: tuple
-    period: int
+    period: int = field(init=False)
 
     def __post_init__(self):
         M = tuple(tuple(Fraction(v) for v in row) for row in self.matrix)
@@ -103,13 +103,8 @@ class RationalRotation:
                     raise ValueError("matrix is not exactly orthogonal")
         if _mat_det(M) != 1:
             raise ValueError("matrix must have determinant 1")
-        period = int(self.period)
-        for row in M:
-            for v in row:
-                if (period * v).denominator != 1:
-                    raise ValueError("period does not clear all denominators")
         object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "period", lattice_period(M))
 
     @property
     def dim(self) -> int:
@@ -133,16 +128,12 @@ class RationalRotation:
         M = tuple(
             tuple(Fraction(1) if i == j else Fraction(0) for j in range(dim)) for i in range(dim)
         )
-        return cls(M, 1)
+        return cls(M)
 
 
 def lattice_period(matrix) -> int:
     """Smallest positive integer clearing every entry denominator."""
-    if isinstance(matrix, RationalRotation):
-        rows = matrix.matrix
-    else:
-        rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
-    return lcm(*[v.denominator for row in rows for v in row])
+    return lcm(*[Fraction(v).denominator for row in matrix for v in row])
 
 
 def _stereographic_point(t: Sequence[Fraction], pole_axis: int, sign: int, dim: int) -> tuple:
@@ -252,7 +243,7 @@ def rotation_from_direction(nu: RationalUnitVector) -> RationalRotation:
     z = tuple(H1[i][0] for i in range(n))  # image of e_1, orthogonal to nu
     H2 = householder(z)
     R = _mat_mul(H2, H1)
-    return RationalRotation(R, lattice_period(R))
+    return RationalRotation(R)
 
 
 @dataclass

@@ -5,13 +5,14 @@ an interval is computed by collocation on the Euler-Lagrange boundary
 value problem (a completely different method from the grid descent), and
 field energies of known 1D profiles are integrated by quadrature.
 
-Valid whenever the spatial weight varies only along the interface
+The interface normal is e2 of the plane: the spatial weight is read
+along the line s e2.  Valid whenever the weight varies only along that
 normal, which covers the homogeneous oracle and stripe-normal runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_bvp
@@ -22,22 +23,18 @@ from .profile import TransitionProfile
 __all__ = ["transition_bvp_energy", "profile_energy_1d"]
 
 
-def _normal_weight(pot: Potential, nu: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    nu = np.asarray(nu, dtype=float)
+def _normal_weight(pot: Potential) -> Callable[[np.ndarray], np.ndarray]:
+    """s -> f(s e2), the spatial weight along the interface normal."""
+    e2 = np.array([0.0, 1.0])
 
     def f(s: np.ndarray) -> np.ndarray:
-        pts = np.asarray(s, dtype=float)[..., None] * nu
+        pts = np.asarray(s, dtype=float)[..., None] * e2
         return pot.spatial_factor(pts)
 
     return f
 
 
-def transition_bvp_energy(
-    pot: Potential,
-    profile: TransitionProfile,
-    T: float,
-    nu: Optional[np.ndarray] = None,
-) -> float:
+def transition_bvp_energy(pot: Potential, profile: TransitionProfile, T: float) -> float:
     """Energy per unit area of the optimal 1D transition on [-T/2, T/2].
 
     Solves 2 u'' = f(s) W0'(u) with the mollified-step boundary values by
@@ -46,8 +43,7 @@ def transition_bvp_energy(
     """
     if pot.d != 1:
         raise ValueError("the 1D oracle supports scalar phases only")
-    nu = np.asarray(nu if nu is not None else [0.0, 1.0], dtype=float)
-    f = _normal_weight(pot, nu)
+    f = _normal_weight(pot)
     half = T / 2.0
     ua = float(profile(np.array(-half))[0])
     ub = float(profile(np.array(half))[0])
@@ -74,15 +70,9 @@ def transition_bvp_energy(
     return float(np.trapezoid(integrand, s))
 
 
-def profile_energy_1d(
-    pot: Potential,
-    profile: TransitionProfile,
-    T: float,
-    nu: Optional[np.ndarray] = None,
-) -> float:
+def profile_energy_1d(pot: Potential, profile: TransitionProfile, T: float) -> float:
     """Energy per unit area of the mollified-step profile itself (trapezoid rule, 20001 points)."""
-    nu = np.asarray(nu if nu is not None else [0.0] * 1 + [1.0], dtype=float)
-    f = _normal_weight(pot, nu)
+    f = _normal_weight(pot)
     half = T / 2.0
     s = np.linspace(-half, half, 20001)
     u = profile(s)

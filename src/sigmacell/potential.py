@@ -23,7 +23,6 @@ __all__ = [
     "WellPair",
     "GrowthCertificate",
     "Potential",
-    "LowerEnvelope",
     "HypothesisReport",
     "homogeneous_quartic",
     "striped",
@@ -242,28 +241,6 @@ class SmoothWeight:
 
 
 @dataclass(frozen=True)
-class LowerEnvelope:
-    """Homogeneous lower bound: envelope(p) = min_y W(y, p)."""
-
-    scale: float
-    base: QuarticBase
-    wells: WellPair
-
-    def __call__(self, p: np.ndarray) -> np.ndarray:
-        return self.scale * self.base(p)
-
-    def as_potential(self) -> "Potential":
-        """The envelope itself as a (homogeneous) potential."""
-        return Potential(
-            kind="lower-envelope",
-            wells=self.wells,
-            growth=GrowthCertificate(max(4.0, 4.0 / self.scale), 4.0),
-            weight=ConstantWeight(self.scale),
-            base=self.base,
-        )
-
-
-@dataclass(frozen=True)
 class Potential:
     """A separable periodic double-well density W(y, p) = f(y) W0(p)."""
 
@@ -291,8 +268,11 @@ class Potential:
     def dp(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.spatial_factor(y)[..., None] * self.base.dp(p)
 
-    def lower_envelope(self) -> LowerEnvelope:
-        return LowerEnvelope(scale=float(self.weight.min_value), base=self.base, wells=self.wells)
+    def lower_envelope(self) -> "Potential":
+        """The homogeneous lower bound (min_y f) W0(p) = min_y W(y, p), itself a potential."""
+        scale = float(self.weight.min_value)
+        growth = GrowthCertificate(max(4.0, 4.0 / scale), 4.0)
+        return Potential("lower-envelope", self.wells, growth, ConstantWeight(scale), self.base)
 
     def describe(self) -> dict:
         """JSON-ready description (kind, parameters, wells, growth)."""
@@ -456,8 +436,7 @@ def validate_hypotheses(
     checks.append(HypothesisCheck("H2", "zero-set", ok, sample_count, detail))
 
     # H3: lower envelope dominance.
-    env = pot.lower_envelope()
-    we = env(p)
+    we = pot.lower_envelope()(y, p)
     bad = we > w + 1e-12 * np.maximum(1.0, np.abs(w))
     ok = not bool(bad.any())
     detail = "" if ok else f"envelope exceeds W at p={p[int(np.argmax(bad))]}"

@@ -1,7 +1,7 @@
 """Sharp-interface energies on polyhedral interfaces.
 
 A polyhedral interface is a list of facets (exact rational unit normal,
-positive measure); a closed interface satisfies the divergence identity
+positive measure) that closes up: it satisfies the divergence identity
 sum_i measure_i * normal_i = 0.  The anisotropic energy weighs each facet
 by the surface tension at its normal, looked up in a direction table with
 piecewise-linear interpolation in angle (2D).  Curved interfaces are
@@ -47,19 +47,17 @@ class PolyFacet:
 
 @dataclass(frozen=True)
 class PolyInterface:
+    """A closed interface: construction checks the closure identity."""
+
     facets: tuple
-    closed: bool = True
 
     def __post_init__(self):
         facets = tuple(self.facets)
         if not facets:
             raise ValueError("interface needs at least one facet")
         object.__setattr__(self, "facets", facets)
-        if self.closed:
-            resultant = self.resultant()
-            scale = self.perimeter()
-            if np.linalg.norm(resultant) > 1e-10 * max(1.0, scale):
-                raise ValueError("closed interface violates the closure identity")
+        if np.linalg.norm(self.resultant()) > 1e-10 * max(1.0, self.perimeter()):
+            raise ValueError("closed interface violates the closure identity")
 
     def resultant(self) -> np.ndarray:
         return sum(f.measure * f.normal.as_float() for f in self.facets)
@@ -70,9 +68,7 @@ class PolyInterface:
     def dilated(self, factor: float) -> "PolyInterface":
         if factor <= 0:
             raise ValueError("dilation factor must be positive")
-        return PolyInterface(
-            tuple(PolyFacet(f.normal, factor * f.measure) for f in self.facets), self.closed
-        )
+        return PolyInterface(tuple(PolyFacet(f.normal, factor * f.measure) for f in self.facets))
 
 
 @dataclass(frozen=True)
@@ -106,19 +102,21 @@ class SigmaTable:
         angles = np.array([np.arctan2(r.nu[1], r.nu[0]) for r in recs])
         order = np.argsort(angles)
         self.entries = [recs[i] for i in order]
-        self._angles = angles[order]
-        if len(set(np.round(self._angles, 12))) != len(recs):
+        self.angles = angles[order]  # of the entries, ascending
+        if len(set(np.round(self.angles, 12))) != len(recs):
             raise ValueError("table directions must be distinct")
-        gaps = np.diff(np.concatenate([self._angles, [self._angles[0] + 2 * np.pi]]))
+        gaps = np.diff(np.concatenate([self.angles, [self.angles[0] + 2 * np.pi]]))
         self.angular_mesh = float(np.median(gaps)) if len(recs) > 1 else 2 * np.pi
 
-    def _locate(self, theta: float):
+    def _locate(self, nu):
+        """The bracketing entries i, j of direction nu and its angular fraction t between them."""
+        nu = np.asarray(nu, dtype=float)
         two_pi = 2 * np.pi
-        theta = np.mod(theta - self._angles[0], two_pi) + self._angles[0]
-        idx = int(np.searchsorted(self._angles, theta, side="right") - 1)
-        j = (idx + 1) % len(self._angles)
-        th0 = self._angles[idx]
-        th1 = self._angles[j] if j != 0 else self._angles[0] + two_pi
+        theta = np.mod(float(np.arctan2(nu[1], nu[0])) - self.angles[0], two_pi) + self.angles[0]
+        idx = int(np.searchsorted(self.angles, theta, side="right") - 1)
+        j = (idx + 1) % len(self.angles)
+        th0 = self.angles[idx]
+        th1 = self.angles[j] if j != 0 else self.angles[0] + two_pi
         dist_nearest = min(abs(theta - th0), abs(th1 - theta))
         if dist_nearest > self.angular_mesh + 1e-12:
             raise KeyError(
@@ -129,13 +127,11 @@ class SigmaTable:
         return idx, j, t
 
     def sigma_at(self, nu) -> float:
-        nu = np.asarray(nu, dtype=float)
-        i, j, t = self._locate(float(np.arctan2(nu[1], nu[0])))
+        i, j, t = self._locate(nu)
         return (1 - t) * self.entries[i].sigma + t * self.entries[j].sigma
 
     def err_at(self, nu) -> float:
-        nu = np.asarray(nu, dtype=float)
-        i, j, t = self._locate(float(np.arctan2(nu[1], nu[0])))
+        i, j, t = self._locate(nu)
         return (1 - t) * self.entries[i].err + t * self.entries[j].err
 
     def rescaled(self, factor: float) -> "SigmaTable":
@@ -227,7 +223,7 @@ def polygonal_approximation(vertices: np.ndarray, tol: float) -> PolyInterface:
     if abs(perim_out - perim_in) > tol * perim_in:
         raise ValueError("closure adjustment moved the perimeter by more than the tolerance")
     facets = tuple(PolyFacet(r, float(l)) for r, l in zip(rationals, new_lengths))
-    return PolyInterface(facets, closed=True)
+    return PolyInterface(facets)
 
 
 @dataclass
@@ -286,8 +282,6 @@ class InterfaceComparison:
 
 def compare_interfaces(a: PolyInterface, b: PolyInterface, table: SigmaTable) -> InterfaceComparison:
     """Rank two closed interfaces under the anisotropic energy."""
-    if not (a.closed and b.closed):
-        raise ValueError("comparison expects closed interfaces")
     return InterfaceComparison(interface_energy(a, table), interface_energy(b, table))
 
 

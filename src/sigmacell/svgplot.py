@@ -28,13 +28,8 @@ def _path(points) -> str:
 
 def polar_svg(table: SigmaTable) -> str:
     """Render the table as a polar curve with error band; returns SVG text."""
-    if not table.entries:
-        raise ValueError("cannot plot an empty table")
-    angles = np.array([np.arctan2(r.nu[1], r.nu[0]) for r in table.entries])
-    order = np.argsort(angles)
-    angles = angles[order]
-    sig = np.array([table.entries[i].sigma for i in order])
-    err = np.array([table.entries[i].err for i in order])
+    sig = np.array([r.sigma for r in table.entries])
+    err = np.array([r.err for r in table.entries])
 
     rmax = float((sig + err).max())
     scale = (_SIZE / 2 - _MARGIN) / max(rmax, 1.0)
@@ -43,7 +38,7 @@ def polar_svg(table: SigmaTable) -> str:
     def to_xy(radii):
         return [
             (cx + scale * r * np.cos(t), cy - scale * r * np.sin(t))
-            for r, t in zip(radii, angles)
+            for r, t in zip(radii, table.angles)
         ]
 
     curve = _path(to_xy(sig))

@@ -102,19 +102,10 @@ def plan_tiling(
     count = per_axis ** (dim - 1)
     R = np.eye(dim) if rotation is None else rotation.as_float()
 
-    centers = []
-    shifts = []
     offsets = [(j - (per_axis - 1) / 2.0) * pitch for j in range(per_axis)]
-    for combo in product(offsets, repeat=dim - 1):
-        ref = np.array(list(combo) + [0.0])
-        p = R @ ref
-        x = np.rint(p).astype(np.int64)
-        if np.linalg.norm(p - x) > root_n:
-            raise RuntimeError("integer shift unexpectedly far from its prism center")
-        centers.append(p)
-        shifts.append(x)
+    centers = [R @ np.array(list(combo) + [0.0]) for combo in product(offsets, repeat=dim - 1)]
     centers = np.array(centers).reshape(count, dim)
-    shifts = np.array(shifts, dtype=np.int64).reshape(count, dim)
+    shifts = np.rint(centers).astype(np.int64)
 
     plan = TilingPlan(dim, float(T), float(S), int(m), count, centers, shifts, rotation)
     _validate_geometry(plan)

@@ -177,6 +177,17 @@ def test_polar_renders_svg(tmp_path):
     assert "path" in svg
 
 
+def test_polar_writes_svg_only_when_listed(tmp_path):
+    path = write(tmp_path, MINIMAL + "formats = csv, json\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    table = SigmaTable([((1.0, 0.0), 1.0, 0.0), ((0.0, 1.0), 1.0, 0.0), ((-1.0, 0.0), 1.0, 0.0)])
+    (out / "sigma_table.json").write_text(table.to_json())
+    assert main(["polar", "--config", path, "--out", str(out)]) == 0
+    assert not (out / "polar.svg").exists()
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == []
+
+
 def test_validate_command_passes(tmp_path, capsys):
     path = write(tmp_path, MINIMAL.replace("dir1 = 0, 1", "dir1 = 3/5, 4/5"))
     out = str(tmp_path / "out")
@@ -304,6 +315,7 @@ BAD_CONFIGS = {
     "h-not-dividing": ((("h = 1/16", "h = 0.3"),), "schedule"),
     "h-zero": ((("h = 1/16", "h = 0"),), "schedule"),
     "tangential-unknown": ((("h = 1/16", "h = 1/16\ntangential = sideways"),), "schedule"),
+    "sigma-repeated-direction": ((("dir1 = 0, 1", "dir1 = 3/5, 4/5\ndir2 = 0.6, 0.8"),), "directions", "sigma"),
     "lattice-period": (
         (("dir1 = 0, 1", "dir1 = 3/5, 4/5"), ("t = 2", "t = 4\nlattice_aligned = true")),
         "schedule",

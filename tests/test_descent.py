@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sigmacell import descent
 from sigmacell.descent import lbfgs_descent
 
 
@@ -151,7 +152,7 @@ def test_buffers_do_not_leak():
     assert a.trace == b.trace
 
 
-def test_steepest_descent_fallback_when_quasi_newton_search_fails():
+def test_steepest_descent_fallback_when_quasi_newton_search_fails(monkeypatch):
     # The reported gradient M x is not the gradient of f = |x|^2 / 2, but -M x
     # still descends f (x . M x = |x|^2).  The quasi-Newton direction built from
     # its secant pairs does not, so its line search fails from the second
@@ -161,7 +162,8 @@ def test_steepest_descent_fallback_when_quasi_newton_search_fails():
     def f_g(x):
         return 0.5 * float(x @ x), M @ x
 
-    res = lbfgs_descent(f_g, np.array([1.0, 0.0]), sup_tol=1e-8, max_iterations=20, max_backtracks=5)
+    monkeypatch.setattr(descent, "MAX_BACKTRACKS", 5)
+    res = lbfgs_descent(f_g, np.array([1.0, 0.0]), sup_tol=1e-8, max_iterations=20)
     assert res.iterations == 20
     assert all(b < a for a, b in zip(res.trace, res.trace[1:]))
     assert res.f < 0.1

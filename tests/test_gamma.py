@@ -156,7 +156,8 @@ def test_recovery_energy_matches_cell_density(prof, strip, cell_state):
 
 
 def test_recovery_layer_must_fit(prof, cell_state):
-    small = DomainSpec.flat_strip(height=0.25)
+    faces = (("periodic", "periodic"), ("dirichlet-a", "dirichlet-b"))
+    small = DomainSpec(lo=(0.0, -0.125), hi=(1.0, 0.125), faces=faces, nu=(0.0, 1.0))
     with pytest.raises(ValueError, match="layer"):
         build_recovery(RecoveryParams(cell_state, 1 / 4, (0.0, 0.0)), small, 1 / 32, QUARTIC)
 

@@ -158,8 +158,8 @@ def test_lattice_period_mixed_denominators():
     prod = tuple(
         tuple(sum(five[i][k] * R3[k][j] for k in range(3)) for j in range(3)) for i in range(3)
     )
-    R = RationalRotation(prod, lattice_period(prod))
-    assert R.period == 15
+    R = RationalRotation(prod)
+    assert R.period == lattice_period(prod) == 15
 
 
 def test_check_periodicity_checkerboard():
@@ -197,4 +197,4 @@ def test_check_periodicity_homogeneous_any_rotation():
 
 def test_rotation_rejects_bad_matrix():
     with pytest.raises(ValueError):
-        RationalRotation(((F(1), F(1)), (F(0), F(1))), 1)
+        RationalRotation(((F(1), F(1)), (F(0), F(1))))

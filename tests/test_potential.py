@@ -105,19 +105,19 @@ def test_envelope_dominance(pot):
     y = rng.uniform(-2, 2, size=(800, 2))
     p = rng.uniform(-3, 3, size=(800, pot.d))
     env = pot.lower_envelope()
-    assert (env(p) <= pot(y, p) + 1e-12).all()
+    assert (env(y, p) <= pot(y, p) + 1e-12).all()
 
 
 def test_envelope_scales():
-    assert homogeneous_quartic().lower_envelope().scale == 1.0
-    assert striped(0.5).lower_envelope().scale == pytest.approx(0.5)
-    assert piecewise_cells(np.array([[1.0, 2.0], [2.0, 4.0]])).lower_envelope().scale == 1.0
+    assert homogeneous_quartic().lower_envelope().weight.value == 1.0
+    assert striped(0.5).lower_envelope().weight.value == pytest.approx(0.5)
+    assert piecewise_cells(np.array([[1.0, 2.0], [2.0, 4.0]])).lower_envelope().weight.value == 1.0
     env = striped(0.5).lower_envelope()
-    assert env(np.array([0.0])) == pytest.approx(0.5)
+    assert env(np.zeros(2), np.array([0.0])) == pytest.approx(0.5)
 
 
 def test_envelope_as_potential_is_homogeneous():
-    env = striped(0.5).lower_envelope().as_potential()
+    env = striped(0.5).lower_envelope()
     rng = np.random.default_rng(1)
     y = rng.uniform(-2, 2, size=(50, 2))
     p = rng.uniform(-2, 2, size=(50, 1))
