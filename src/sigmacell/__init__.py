@@ -14,7 +14,6 @@ from .cell import (
 from .gamma import (
     DomainSpec,
     PhaseField,
-    RecoveryParams,
     build_recovery,
     diffuse_model,
     gamma_gap,

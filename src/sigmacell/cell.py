@@ -34,7 +34,7 @@ __all__ = [
     "SolverOptions",
     "GRefinement",
     "SigmaEstimate",
-    "boundary_values",
+    "initial_state",
     "cell_model",
     "pinned_objective",
     "minimize_cell",
@@ -54,7 +54,9 @@ class CellGrid:
     are periodic by default (for lattice-aligned edges this matches the
     potential's exact periodicity along the rotated tangents and removes
     the O(1/T) lateral boundary layer); `tangential="dirichlet"` instead
-    pins the mollified-step data on every face.
+    pins the mollified-step data on every face.  The node grid `box` (which
+    checks the mesh) and the float `rotation_matrix` are built once, at
+    construction; `dataclasses.replace` builds them anew.
     """
 
     dim: int
@@ -62,45 +64,30 @@ class CellGrid:
     h: float
     rotation: Optional[RationalRotation] = None
     tangential: str = "periodic"
+    box: BoxGrid = field(init=False, compare=False, repr=False)
+    rotation_matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError("cell problems support dimensions 2 and 3")
         if self.T < 1.0:
             raise ValueError("cube edge must be at least the unit transition layer")
-        if not self.h > 0:
-            raise ValueError("mesh size must be positive")
-        ratio = self.T / self.h
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ValueError("mesh size must divide the cube edge")
+        half, per = self.T / 2.0, self.tangential == "periodic"
+        box = BoxGrid((-half,) * self.dim, (half,) * self.dim, self.h, (per,) * (self.dim - 1) + (False,))
+        object.__setattr__(self, "box", box)
         if self.n < 8:
             raise ValueError("grid needs at least 8 nodes per axis")
         if self.rotation is not None and self.rotation.dim != self.dim:
             raise ValueError("rotation dimension mismatch")
         if self.tangential not in ("periodic", "dirichlet"):
             raise ValueError("tangential policy must be 'periodic' or 'dirichlet'")
+        matrix = np.eye(self.dim) if self.rotation is None else self.rotation.as_float()
+        object.__setattr__(self, "rotation_matrix", matrix)
 
     @property
     def n(self) -> int:
         """Nodes along the normal axis."""
-        return int(round(self.T / self.h)) + 1
-
-    @property
-    def box(self) -> BoxGrid:
-        half = self.T / 2.0
-        per = self.tangential == "periodic"
-        return BoxGrid(
-            lo=(-half,) * self.dim,
-            hi=(half,) * self.dim,
-            h=self.h,
-            periodic=(per,) * (self.dim - 1) + (False,),
-        )
-
-    @property
-    def rotation_matrix(self) -> np.ndarray:
-        if self.rotation is None:
-            return np.eye(self.dim)
-        return self.rotation.as_float()
+        return self.box.shape[-1]
 
     @property
     def nu(self) -> np.ndarray:
@@ -156,17 +143,12 @@ def cell_model(grid: CellGrid, pot: Potential) -> EnergyModel:
     return EnergyModel(grid.box, pot, y_map=grid.y_map)
 
 
-def boundary_values(grid: CellGrid, profile: TransitionProfile) -> np.ndarray:
-    """Mollified-step data phi(x_N) on every node of the reference cube."""
-    pts = grid.box.node_points()
-    return profile(pts[..., -1])
-
-
 def initial_state(grid: CellGrid, profile: TransitionProfile, offset: float = 0.0) -> CellState:
-    """The boundary profile extended inward and shifted by `offset` along the normal.
+    """The mollified step phi(x_N - offset) on every node of the reference cube.
 
-    Offsets probe the potential phase so descent is not trapped at a
-    symmetric saddle; `minimize_cell` pins the boundary rows to the data.
+    At offset 0 it is the boundary data.  Other offsets probe the potential
+    phase so descent is not trapped at a symmetric saddle; `minimize_cell`
+    pins the boundary rows to the data.
     """
     pts = grid.box.node_points()
     return CellState(grid, profile(pts[..., -1] - offset))
@@ -204,9 +186,9 @@ def minimize_cell(
     """
     model = cell_model(grid, pot)
     bmask = grid.box.boundary_mask()
-    data = boundary_values(grid, profile)
+    data = initial_state(grid, profile).u
     if init is None:
-        u0 = data.copy()
+        u0 = data
     else:
         if init.u.shape[:-1] != grid.box.shape:
             raise ValueError("warm start does not match the grid")

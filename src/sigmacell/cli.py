@@ -12,7 +12,8 @@ Subcommands:
     tile      tiling subadditivity check; emits CSV
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
-4 validation failure.  Outputs are byte-deterministic for a fixed
+4 validation failure; a config error writes nothing, not even the output
+directory.  Outputs are byte-deterministic for a fixed
 config, seed and worker count; every file is listed in the run manifest
 with its content hash (the manifest itself carries a timestamp).
 """
@@ -28,12 +29,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
-from .cell import (
-    SOLVE_CSV_COLUMNS, CellGrid, SolverOptions, check_schedule, estimate_sigma, minimize_cell, solve_csv_row
-)
+from .cell import SOLVE_CSV_COLUMNS, CellGrid, check_schedule, estimate_sigma, minimize_cell, solve_csv_row
 from .config import DIM, Config, ConfigError, _section, parse_config
 from .gamma import GAP_CSV_COLUMNS, DomainSpec, check_recovery_layer, default_gamma_mesh, gamma_gap
 from .lattice import check_periodicity, rotation_from_direction
@@ -62,13 +61,17 @@ class _Run:
     outputs: list
     outcomes: list
 
-    def write_text(self, name: str, text: str) -> str:
+    def _write(self, name: str, text: str) -> str:
+        """Write one file, making the output directory at the first write (a refused run writes nothing)."""
+        os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, name)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        self.outputs.append({"path": name, "sha256": digest})
         return path
+
+    def write_text(self, name: str, text: str) -> str:
+        self.outputs.append({"path": name, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()})
+        return self._write(name, text)
 
     def write_csv(self, name: str, header, rows) -> str:
         buf = io.StringIO()
@@ -88,18 +91,21 @@ class _Run:
             "outcomes": self.outcomes,
             "outputs": self.outputs,
         }
-        path = os.path.join(self.out_dir, "manifest.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self._write("manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
-
-def _solver_options(cfg: Config) -> SolverOptions:
-    return SolverOptions(
-        tolerance=cfg.tolerance,
-        max_iterations=cfg.max_iterations,
-        memory=cfg.memory,
-    )
+    def sigma_table(self, required: bool):
+        """The sigma table in the output directory; an unreadable one, or a `required` one that is missing,
+        is an [output] error, and a missing one that is not required is None."""
+        path = os.path.join(self.out_dir, self.cfg.sigma_table_name)
+        if not os.path.exists(path):
+            if required:
+                raise ConfigError(f"[output] sigma_table: {path} not found; run the sigma command first")
+            return None
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return SigmaTable.from_json(fh.read())
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"[output] sigma_table: cannot read {path}: {exc}") from exc
 
 
 def _profile(cfg: Config) -> TransitionProfile:
@@ -127,7 +133,7 @@ def _sigma_task(args):
         profile,
         cfg.h,
         dim=DIM,
-        opts=_solver_options(cfg),
+        opts=cfg.solver,
         lattice_aligned=cfg.lattice_aligned,
         tangential=cfg.tangential,
     )
@@ -177,17 +183,7 @@ def run_sigma(cfg: Config, run: _Run) -> int:
 
 
 def run_polar(cfg: Config, run: _Run) -> int:
-    path = os.path.join(run.out_dir, cfg.sigma_table_name)
-    if not os.path.exists(path):
-        print(f"error: sigma table {path} not found; run the sigma command first", file=sys.stderr)
-        return EXIT_CONFIG
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        table = SigmaTable.from_json(text)
-    except (ValueError, KeyError) as exc:
-        print(f"error: cannot read sigma table: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    table = run.sigma_table(required=True)
     if "svg" in cfg.formats:
         run.write_text("polar.svg", polar_svg(table))
     run.outcomes.append({"kind": "polar", "entries": len(table.entries)})
@@ -201,15 +197,14 @@ def run_gamma(cfg: Config, run: _Run) -> int:
         cell_grid = CellGrid(DIM, cfg.T_cell, cfg.h, None, cfg.tangential)
         for eps in cfg.eps_schedule:
             domain.grid(default_gamma_mesh(eps))
-            check_recovery_layer(domain, (0.0,) * DIM, eps, cfg.T_cell)
+            check_recovery_layer(domain, eps, cfg.T_cell)
     profile = _profile(cfg)
-    opts = _solver_options(cfg)
     est = estimate_sigma(
         None, cfg.T_schedule, cfg.potential, profile, cfg.h,
-        dim=DIM, opts=opts, lattice_aligned=cfg.lattice_aligned, tangential=cfg.tangential,
+        dim=DIM, opts=cfg.solver, lattice_aligned=cfg.lattice_aligned, tangential=cfg.tangential,
     )
-    cell_res, cell_state = minimize_cell(cell_grid, cfg.potential, profile, opts)
-    rows = gamma_gap(domain, cfg.eps_schedule, cfg.potential, profile, est.sigma_hat, cell_state, opts)
+    cell_res, cell_state = minimize_cell(cell_grid, cfg.potential, profile, cfg.solver)
+    rows = gamma_gap(domain, cfg.eps_schedule, cfg.potential, profile, est.sigma_hat, cell_state, cfg.solver)
     if "csv" in cfg.formats:
         run.write_csv(
             "gamma_gaps.csv",
@@ -237,18 +232,15 @@ def run_validate(cfg: Config, run: _Run) -> int:
         lines.append(f"periodicity {nu}: {'pass' if per.passed else 'FAIL'}")
         failed |= not per.passed
 
-    table_path = os.path.join(run.out_dir, cfg.sigma_table_name)
-    if os.path.exists(table_path):
-        with open(table_path, "r", encoding="utf-8") as fh:
-            table = SigmaTable.from_json(fh.read())
-        if len(table.entries) >= 3:
-            violations = convexity_check(table)
-            lines.append(f"convexity: {len(violations)} violation(s) beyond the error bars")
-            failed |= bool(violations)
-        else:
-            lines.append("convexity: skipped (table has fewer than 3 directions)")
-    else:
+    table = run.sigma_table(required=False)
+    if table is None:
         lines.append("convexity: skipped (no sigma table in the output directory)")
+    elif len(table.entries) >= 3:
+        violations = convexity_check(table)
+        lines.append(f"convexity: {len(violations)} violation(s) beyond the error bars")
+        failed |= bool(violations)
+    else:
+        lines.append("convexity: skipped (table has fewer than 3 directions)")
 
     text = "\n".join(lines) + "\n"
     run.write_text("validate.txt", text)
@@ -268,15 +260,14 @@ def run_tile(cfg: Config, run: _Run) -> int:
             s_grid = CellGrid(DIM, cfg.tile_S, cfg.h, rotation, "dirichlet")
             plan_tiling(T, cfg.tile_S, cfg.tile_m, rotation, DIM).corner_nodes(s_grid)
     profile = _profile(cfg)
-    opts = _solver_options(cfg)
     rows = []
     ok = True
     for T in cfg.T_schedule:
         grid = CellGrid(DIM, T, cfg.h, rotation, "dirichlet")
-        res, state = minimize_cell(grid, cfg.potential, profile, opts)
+        res, state = minimize_cell(grid, cfg.potential, profile, cfg.solver)
         ok &= res.converged
         if T in tiled:
-            rep = subadditivity_gap(state, T, cfg.tile_S, cfg.tile_m, cfg.potential, profile, opts)
+            rep = subadditivity_gap(state, T, cfg.tile_S, cfg.tile_m, cfg.potential, profile, cfg.solver)
             ok &= rep.solver_converged
             rows.append([rep.T, rep.S, rep.m, rep.e_S, rep.g_S, rep.remainder])
     if "csv" in cfg.formats:
@@ -298,9 +289,7 @@ def run_command(command: str, cfg: Config, out_dir=None) -> int:
     """Execute one subcommand; returns the process exit code."""
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    run = _Run(cfg, out, outputs=[], outcomes=[])
+    run = _Run(cfg, out_dir or cfg.out_dir, outputs=[], outcomes=[])
     code = _COMMANDS[command](cfg, run)
     run.manifest(command, code)
     return code
@@ -322,10 +311,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        if args.workers is not None:
-            cfg.workers = args.workers
-        if args.seed is not None:
-            cfg.seed = args.seed
+        overrides = {key: getattr(args, key) for key in ("workers", "seed") if getattr(args, key) is not None}
+        cfg = replace(cfg, **overrides)  # not assignment: the overrides meet the checks of their keys
         return run_command(args.command, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

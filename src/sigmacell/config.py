@@ -10,6 +10,7 @@ The exact grammar is documented in the README.
 from __future__ import annotations
 
 import configparser
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cell import CellGrid, check_schedule
+from .cell import CellGrid, SolverOptions, check_schedule
 from .lattice import RationalUnitVector, rationalize_direction
 from .potential import POTENTIAL_KINDS, GrowthCertificate, Potential, WellPair
 from .profile import Mollifier
@@ -43,15 +44,19 @@ def _section(name: str):
 def _number(text: str, where: str) -> float:
     text = text.strip()
     try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
+        value = float(Fraction(text)) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where}: cannot parse number {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: number must be finite, got {text!r}")
+    return value
 
 
 def _integer(text: str, where: str) -> int:
-    return int(_number(text, where))
+    value = _number(text, where)
+    if value != int(value):
+        raise ConfigError(f"{where}: expected an integer, got {text!r}")
+    return int(value)
 
 
 def _number_list(text: str, where: str) -> list:
@@ -118,9 +123,7 @@ class Config:
     T_cell: float
     tile_S: Optional[float]
     tile_m: Optional[int]
-    tolerance: Optional[float]
-    max_iterations: Optional[int]
-    memory: int
+    solver: SolverOptions
     workers: int
     seed: int
     samples: int
@@ -128,6 +131,20 @@ class Config:
     formats: tuple
     sigma_table_name: str
     raw_text: str
+
+    def __post_init__(self):
+        # checked here, not in parse_config, so the CLI overrides applied with dataclasses.replace meet them too
+        for key, value, low in (
+            ("max_iterations", self.solver.max_iterations, 1),
+            ("memory", self.solver.memory, 1),
+            ("workers", self.workers, 1),
+            ("seed", self.seed, 0),
+            ("samples", self.samples, 1),
+        ):
+            if value is not None and value < low:
+                raise ConfigError(f"[solver] {key}: must be at least {low}")
+        if self.solver.tolerance is not None and not self.solver.tolerance > 0:
+            raise ConfigError("[solver] tolerance: must be positive")
 
 
 def _read(sec, table: dict, kind: str) -> dict:
@@ -239,7 +256,8 @@ def parse_config(path) -> Config:
 
     if "directions" not in parser:
         raise ConfigError("missing required section [directions]")
-    directions = _build_directions(parser["directions"])
+    with _section("directions"):
+        directions = _build_directions(parser["directions"])
 
     ssec = parser["schedule"] if "schedule" in parser else {}
     T_schedule = _number_list(ssec.get("t", "2, 4, 8"), "[schedule] t")
@@ -257,20 +275,11 @@ def parse_config(path) -> Config:
             CellGrid(DIM, T, h, tangential=tangential)
 
     osec = parser["solver"] if "solver" in parser else {}
-    tolerance = _number(osec["tolerance"], "[solver] tolerance") if "tolerance" in osec else None
-    max_iterations = (
-        _integer(osec["max_iterations"], "[solver] max_iterations") if "max_iterations" in osec else None
+    solver = SolverOptions(
+        _number(osec["tolerance"], "[solver] tolerance") if "tolerance" in osec else None,
+        _integer(osec["max_iterations"], "[solver] max_iterations") if "max_iterations" in osec else None,
+        _integer(osec.get("memory", "10"), "[solver] memory"),
     )
-    memory = _integer(osec.get("memory", "10"), "[solver] memory")
-    workers = _integer(osec.get("workers", "1"), "[solver] workers")
-    seed = _integer(osec.get("seed", "0"), "[solver] seed")
-    samples = _integer(osec.get("samples", "1000"), "[solver] samples")
-    if memory < 1:
-        raise ConfigError("[solver] memory: must be at least 1")
-    if workers < 1:
-        raise ConfigError("[solver] workers: must be at least 1")
-    if samples < 1:
-        raise ConfigError("[solver] samples: must be at least 1")
 
     usec = parser["output"] if "output" in parser else {}
     out_dir = usec.get("dir", "out").strip()
@@ -292,12 +301,10 @@ def parse_config(path) -> Config:
         T_cell=T_cell,
         tile_S=tile_S,
         tile_m=tile_m,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-        memory=memory,
-        workers=workers,
-        seed=seed,
-        samples=samples,
+        solver=solver,
+        workers=_integer(osec.get("workers", "1"), "[solver] workers"),
+        seed=_integer(osec.get("seed", "0"), "[solver] seed"),
+        samples=_integer(osec.get("samples", "1000"), "[solver] samples"),
         out_dir=out_dir,
         formats=formats,
         sigma_table_name=sigma_table_name,

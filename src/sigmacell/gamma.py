@@ -8,10 +8,11 @@ is assembled with the same midpoint kernel as the cell problem (at eps=1
 on a matching box the two energies agree bit-for-bit).  Minimizers over a
 flat-interface strip converge, as eps shrinks, to the surface tension
 times the interface area; the recovery construction tiles a rescaled cell
-minimizer along the interface and provides both a warm start and an upper
-bound whose energy reproduces the cell value.  It reads the cell solution by
-a numpy multilinear lookup in the steps of scipy's linear
-`RegularGridInterpolator`, so the recovery field equals scipy's bitwise.
+minimizer along the interface plane through the origin and provides both
+a warm start and an upper bound whose energy reproduces the cell value.
+It reads the cell solution by a numpy multilinear lookup in the steps of
+scipy's linear `RegularGridInterpolator`, so the recovery field equals
+scipy's bitwise.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "FACE_POLICIES",
     "DomainSpec",
     "PhaseField",
-    "RecoveryParams",
     "diffuse_model",
     "minimize_diffuse",
     "check_recovery_layer",
@@ -242,37 +242,12 @@ def minimize_diffuse(
     return fieldv, parts, res
 
 
-@dataclass(frozen=True)
-class RecoveryParams:
-    """Ingredients of the recovery construction.
-
-    `cell_state` is a converged cell solution on its T-cube; `eps` the
-    target scale; `x0` the interface anchor.  The anchor decomposes as
-    x0/eps = m + s with m in the rotated period lattice; the residual
-    shift s (zero for anchors on the eps-lattice) realigns the copies so
-    the potential's periodicity cancels the translation.
-    """
-
-    cell_state: CellState
-    eps: float
-    x0: tuple
-
-    def lattice_shift(self) -> np.ndarray:
-        grid = self.cell_state.grid
-        R = grid.rotation_matrix
-        period = grid.rotation.period if grid.rotation is not None else 1
-        zeta = R.T @ (np.asarray(self.x0, dtype=float) / self.eps)
-        k = np.floor(zeta / period) * period
-        return zeta - k  # rotated-frame shift in [0, period)^N
-
-
-def check_recovery_layer(domain: DomainSpec, x0, eps: float, T: float) -> None:
-    """Raise ValueError unless the recovery layer, half-width eps*T/2 around x0, fits in the domain along the normal."""
+def check_recovery_layer(domain: DomainSpec, eps: float, T: float) -> None:
+    """Raise ValueError unless the recovery layer, half-width eps*T/2 around the origin, fits in the domain along the normal."""
     nu = np.asarray(domain.nu)
     corners = np.array(list(np.ndindex(*(2,) * domain.dim)))
     span = (np.array(domain.lo) + corners * (np.array(domain.hi) - np.array(domain.lo))) @ nu
-    anchor = float(np.asarray(x0, dtype=float) @ nu)
-    if anchor - eps * T / 2.0 < span.min() - 1e-12 or anchor + eps * T / 2.0 > span.max() + 1e-12:
+    if -eps * T / 2.0 < span.min() - 1e-12 or eps * T / 2.0 > span.max() + 1e-12:
         raise ValueError("recovery layer exceeds the domain along the normal")
 
 
@@ -298,29 +273,25 @@ def _multilinear(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out.reshape(pts.shape[:-1] + values.shape[len(axes) :])
 
 
-def build_recovery(params: RecoveryParams, domain: DomainSpec, h: float, pot: Potential) -> PhaseField:
-    """Tile the rescaled cell minimizer along the interface plane.
+def build_recovery(cell_state: CellState, eps: float, domain: DomainSpec, h: float, pot: Potential) -> PhaseField:
+    """Tile the rescaled cell minimizer `cell_state` along the interface plane through the origin.
 
     Outside the layer of half-width eps*T/2 the field is the pure step;
-    inside, the cell solution is evaluated at (x - x0)/eps (plus the
-    lattice shift), extended periodically in the rotated tangential
-    coordinates.
+    inside, the cell solution is evaluated at x/eps, extended periodically
+    in the rotated tangential coordinates.  The layer is anchored at the
+    origin: the cell point R^T x / eps reads the potential at y = x / eps,
+    where the cell solve evaluated it.
     """
     grid = domain.grid(h)
-    cell = params.cell_state
-    cg = cell.grid
+    cg = cell_state.grid
     T = cg.T
-    eps = params.eps
-    x0 = np.asarray(params.x0, dtype=float)
-    check_recovery_layer(domain, x0, eps, T)
+    check_recovery_layer(domain, eps, T)
 
     # closed node array of the cell solution for interpolation
-    u_cell = closed_nodes(cell.u, cg.box.periodic)
+    u_cell = closed_nodes(cell_state.u, cg.box.periodic)
     cell_axes = [-T / 2.0 + cg.h * np.arange(n) for n in u_cell.shape[:-1]]
 
-    pts = grid.node_points()
-    z = (pts - x0) / eps + (cg.rotation_matrix @ params.lattice_shift())
-    zeta = z @ cg.rotation_matrix  # rotated-frame coordinates R^T z
+    zeta = (grid.node_points() / eps) @ cg.rotation_matrix  # rotated-frame coordinates R^T x / eps
     # wrap tangential coordinates into [-T/2, T/2)
     zt = zeta.copy()
     zt[..., :-1] = np.mod(zeta[..., :-1] + T / 2.0, T) - T / 2.0
@@ -369,8 +340,7 @@ def gamma_gap(
     target = sigma_hat * domain.interface_area()
     for eps in eps_schedule:
         h = default_gamma_mesh(float(eps))
-        params = RecoveryParams(cell_state, float(eps), x0=(0.0,) * domain.dim)
-        rec = build_recovery(params, domain, h, pot)
+        rec = build_recovery(cell_state, float(eps), domain, h, pot)
         fieldv, parts, res = minimize_diffuse(domain, pot, float(eps), h, profile, init=rec.u, opts=opts)
         rec_energy = res.trace[0]  # the solve starts at the recovery field
         rows.append(

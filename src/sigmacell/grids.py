@@ -42,7 +42,7 @@ class BoxGrid:
         per = tuple(bool(v) for v in self.periodic)
         if not (len(lo) == len(hi) == len(per)):
             raise ValueError("lo, hi, periodic must have equal length")
-        if self.h <= 0:
+        if not self.h > 0:
             raise ValueError("mesh size must be positive")
         for a, b in zip(lo, hi):
             if b <= a:

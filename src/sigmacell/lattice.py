@@ -249,7 +249,6 @@ def rotation_from_direction(nu: RationalUnitVector) -> RationalRotation:
 @dataclass
 class PeriodicityReport:
     passed: bool
-    samples: int
     shifts: np.ndarray
     failures: list
 
@@ -274,16 +273,11 @@ def check_periodicity(pot, rotation: RationalRotation, samples: int, seed: int) 
     w0 = pot(x, p)
     failures = []
     for i in range(n):
-        shifted = x + shifts[i]
-        wi = pot(shifted, p)
-        if pot.piecewise:
-            bad = wi != w0
-        else:
-            bad = np.abs(wi - w0) > 1e-12 * np.maximum(1.0, np.abs(w0))
+        bad = pot.shift_defects(x, p, w0, shifts[i], 1e-12)
         if bad.any():
             j = int(np.argmax(bad))
             failures.append((x[j].copy(), p[j].copy(), i))
-    return PeriodicityReport(not failures, samples, shifts, failures)
+    return PeriodicityReport(not failures, shifts, failures)
 
 
 def random_rational_directions(dim: int, count: int, seed: int) -> list:

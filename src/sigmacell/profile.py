@@ -168,8 +168,6 @@ class TransitionProfile:
 
     def __init__(self, wells: WellPair, mollifier: Mollifier, dim: int):
         self.wells = wells
-        self.mollifier = mollifier
-        self.dim = dim
         s, density = _marginal_table(mollifier, dim)
         self._table = s
         self._density = _monotone_cubic(s, density)

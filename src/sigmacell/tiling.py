@@ -22,13 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cell import (
-    CellGrid,
-    CellState,
-    SolverOptions,
-    cell_model,
-    minimize_cell,
-)
+from .cell import CellGrid, CellState, SolverOptions, cell_model, initial_state, minimize_cell
 from .grids import closed_nodes
 from .lattice import RationalRotation
 from .potential import Potential
@@ -128,7 +122,6 @@ def _validate_geometry(plan: TilingPlan) -> None:
 @dataclass
 class CompetitorField:
     state: CellState
-    plan: TilingPlan
     copy_slices: list
 
 
@@ -161,7 +154,7 @@ def build_competitor(
 
     dim = plan.dim
     pts = s_grid.box.node_points()
-    ambient = profile(pts[..., -1])
+    ambient = initial_state(s_grid, profile).u
     u = ambient.copy()
 
     u_copy = closed_nodes(u_T.u, t_grid.box.periodic)
@@ -182,14 +175,14 @@ def build_competitor(
             w = np.ones_like(dist)
             for ax in range(dim):
                 w = w * _smooth_ramp(np.abs(pts[..., ax] - c[ax]), half_in, half_out)
-            shifted = profile(pts[..., -1] - c[-1])
+            shifted = initial_state(s_grid, profile, c[-1]).u
             blend = w[..., None] * shifted + (1.0 - w[..., None]) * ambient
             u[shell] = blend[shell]
 
     # exact boundary data on the non-periodic faces
     bmask = s_grid.box.boundary_mask()
     u[bmask] = ambient[bmask]
-    return CompetitorField(CellState(s_grid, u), plan, copy_slices)
+    return CompetitorField(CellState(s_grid, u), copy_slices)
 
 
 @dataclass

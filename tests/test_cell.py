@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from sigmacell.cell import (
     CellGrid,
     CellState,
     SolverOptions,
-    boundary_values,
     cell_model,
     estimate_g,
     estimate_sigma,
@@ -55,7 +55,7 @@ def test_constant_midpoint_energy_is_cube_volume(prof):
 
 def test_profile_field_matches_1d_quadrature(prof):
     grid = CellGrid(2, 4.0, 1 / 16, tangential="dirichlet")
-    st = CellState(grid, boundary_values(grid, prof))
+    st = initial_state(grid, prof)
     e2d = cell_model(grid, QUARTIC).energy_parts(st.u).total
     e1d = profile_energy_1d(QUARTIC, prof, 4.0)
     assert e2d == pytest.approx(4.0 * e1d, rel=0.01)
@@ -303,7 +303,7 @@ def test_minimize_cell_keeps_pinned_nodes_3d(prof3):
     res, state = minimize_cell(grid, QUARTIC, prof3, init=init)
     bmask = grid.box.boundary_mask()
     assert res.iterations > 0
-    assert state.u[bmask].tobytes() == boundary_values(grid, prof3)[bmask].tobytes()
+    assert state.u[bmask].tobytes() == initial_state(grid, prof3).u[bmask].tobytes()
 
 
 def test_grid_validation():
@@ -315,6 +315,19 @@ def test_grid_validation():
         CellGrid(4, 2.0, 1 / 8)
     with pytest.raises(ValueError):
         CellGrid(2, 2.0, 1 / 2)  # too few nodes
+    for h in (0.0, float("nan"), 0.3):  # the mesh must be positive and divide the edge
+        with pytest.raises(ValueError):
+            CellGrid(2, 4.0, h)
+
+
+def test_grid_builds_its_box_once():
+    grid = CellGrid(2, 4.0, 1 / 16, rotation_from_direction(RationalUnitVector((F(3, 5), F(4, 5)))))
+    assert grid.box is grid.box
+    assert grid.rotation_matrix is grid.rotation_matrix
+    coarse = replace(grid, h=2 * grid.h)
+    assert coarse.box.shape == (32, 33)
+    assert coarse.n == 33
+    assert coarse == CellGrid(2, 4.0, 1 / 8, grid.rotation)
 
 
 def test_nonconvergence_is_reported_not_raised(prof):

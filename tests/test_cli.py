@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sigmacell.cell import SolverOptions
 from sigmacell.cli import main, run_command
 from sigmacell.config import _KIND_KEYS, ConfigError, parse_config
 from sigmacell.potential import POTENTIAL_KINDS
@@ -44,6 +45,7 @@ def test_parse_minimal(tmp_path):
     assert cfg.T_schedule == [2.0]
     assert cfg.h == pytest.approx(1 / 16)
     assert cfg.seed == 7
+    assert cfg.solver == SolverOptions(None, None, 10)
 
 
 def test_unknown_section_named(tmp_path):
@@ -153,10 +155,12 @@ def test_sigma_worker_pool_deterministic(tmp_path):
             assert fa.read() == fb.read()
 
 
-def test_polar_requires_table(tmp_path):
+def test_polar_requires_table(tmp_path, capsys):
     path = write(tmp_path, MINIMAL)
-    out = str(tmp_path / "empty")
-    assert main(["polar", "--config", path, "--out", out]) == 2
+    out = tmp_path / "empty"
+    assert main(["polar", "--config", path, "--out", str(out)]) == 2
+    assert "config error: [output] sigma_table:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_polar_rejects_empty_table(tmp_path):
@@ -165,6 +169,24 @@ def test_polar_rejects_empty_table(tmp_path):
     out.mkdir()
     (out / "sigma_table.json").write_text('{"dimension": 2, "potential": {}, "entries": []}')
     assert main(["polar", "--config", path, "--out", str(out)]) == 2
+
+
+def test_validate_refuses_unreadable_table(tmp_path, capsys):
+    path = write(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sigma_table.json").write_text('{"dimension": 2, "potential": {}, "entries": []}')
+    assert main(["validate", "--config", path, "--out", str(out)]) == 2
+    assert "config error: [output] sigma_table:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [("sigma", "--workers", "0"), ("validate", "--seed", "-1")])
+def test_cli_override_meets_key_checks(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, MINIMAL), "--out", str(out), flag, value]) == 2
+    assert f"config error: [solver] {flag[2:]}: must be at least" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_polar_renders_svg(tmp_path):
@@ -322,6 +344,18 @@ BAD_CONFIGS = {
         "sigma",
     ),
     "samples-zero": ((("seed = 7", "seed = 7\nsamples = 0"),), "solver"),
+    "samples-overflow": ((("seed = 7", "seed = 7\nsamples = 1e400"),), "solver"),
+    "memory-inf": ((("seed = 7", "seed = 7\nmemory = inf"),), "solver"),
+    "memory-fraction": ((("seed = 7", "seed = 7\nmemory = 2.7"),), "solver"),
+    "workers-nan": ((("seed = 7", "seed = 7\nworkers = nan"),), "solver"),
+    "seed-negative": ((("seed = 7", "seed = -1"),), "solver"),
+    "seed-fraction": ((("seed = 7", "seed = 7.9"),), "solver"),
+    "tolerance-negative": ((("seed = 7", "seed = 7\ntolerance = -1"),), "solver"),
+    "max-iterations-negative": ((("seed = 7", "seed = 7\nmax_iterations = -3"),), "solver"),
+    "t-inf": ((("t = 2", "t = 2, inf"),), "schedule"),
+    "direction-inf": ((("dir1 = 0, 1", "dir1 = inf, 1"),), "directions"),
+    "rational-tol-tiny": ((("dir1 = 0, 1", "dir1 = 0.6, 0.8\nrational_tol = 1e-12"),), "directions"),
+    "uniform-fraction": ((("dir1 = 0, 1", "uniform = 2.5"),), "directions"),
     "sigma-coarse-mesh": ((("t = 2", "t = 1"), ("h = 1/16", "h = 1/8")), "schedule", "sigma"),
     "gamma-t-cell": ((("t = 2", "t = 2\nt_cell = 1/2"),), "schedule", "gamma"),
     "gamma-eps-zero": ((("t = 2", "t = 2\neps = 0"),), "schedule", "gamma"),
@@ -343,3 +377,4 @@ def test_bad_config_exits_2_naming_section(tmp_path, capsys, name):
         text = text.replace(old, new, 1)
     assert main([*(command or ["validate"]), "--config", write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: [{section}]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # a refused run writes nothing

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from sigmacell.cell import CellGrid, CellState, SolverOptions, boundary_values, cell_model, minimize_cell
+from sigmacell.cell import CellGrid, SolverOptions, cell_model, initial_state, minimize_cell
 from sigmacell.gamma import (
     DomainSpec,
     _boundary_data,
     _multilinear,
     PhaseField,
-    RecoveryParams,
     build_recovery,
     diffuse_model,
     gamma_gap,
@@ -44,7 +43,7 @@ def _all_step_domain():
 
 def test_matches_cell_energy_at_unit_scale(prof):
     grid = CellGrid(2, 1.0, 1 / 16, tangential="dirichlet")
-    st = CellState(grid, boundary_values(grid, prof))
+    st = initial_state(grid, prof)
     dom = _all_step_domain()
     field = PhaseField(dom, 1.0, 1 / 16, st.u)
     e_diffuse = diffuse_model(field.grid(), QUARTIC, field.eps).energy_parts(field.u).total
@@ -129,7 +128,7 @@ def test_mass_target_validation(prof):
 
 
 def test_recovery_far_field_exact(prof, strip, cell_state):
-    rec = build_recovery(RecoveryParams(cell_state, 1 / 8, (0.0, 0.0)), strip, 1 / 32, QUARTIC)
+    rec = build_recovery(cell_state, 1 / 8, strip, 1 / 32, QUARTIC)
     grid = strip.grid(1 / 32)
     pts = grid.node_points()
     far_lo = pts[..., 1] < -0.3
@@ -140,7 +139,7 @@ def test_recovery_far_field_exact(prof, strip, cell_state):
 
 def test_recovery_tangential_periodicity(prof, strip, cell_state):
     eps = 1 / 8
-    rec = build_recovery(RecoveryParams(cell_state, eps, (0.0, 0.0)), strip, 1 / 32, QUARTIC)
+    rec = build_recovery(cell_state, eps, strip, 1 / 32, QUARTIC)
     period_nodes = int(round(eps * cell_state.grid.T / (1 / 32)))
     layer = rec.u[:, 8:25, :]  # inside the transition layer
     shifted = np.roll(layer, period_nodes, axis=0)
@@ -149,7 +148,7 @@ def test_recovery_tangential_periodicity(prof, strip, cell_state):
 
 def test_recovery_energy_matches_cell_density(prof, strip, cell_state):
     for eps in (1 / 8, 1 / 16):
-        rec = build_recovery(RecoveryParams(cell_state, eps, (0.0, 0.0)), strip, eps / 8, QUARTIC)
+        rec = build_recovery(cell_state, eps, strip, eps / 8, QUARTIC)
         e = diffuse_model(rec.grid(), QUARTIC, eps).energy_parts(rec.u).total
         g_cell = cell_model(cell_state.grid, QUARTIC).energy_parts(cell_state.u).total / 4.0
         assert e == pytest.approx(g_cell * strip.interface_area(), rel=0.02)
@@ -159,21 +158,7 @@ def test_recovery_layer_must_fit(prof, cell_state):
     faces = (("periodic", "periodic"), ("dirichlet-a", "dirichlet-b"))
     small = DomainSpec(lo=(0.0, -0.125), hi=(1.0, 0.125), faces=faces, nu=(0.0, 1.0))
     with pytest.raises(ValueError, match="layer"):
-        build_recovery(RecoveryParams(cell_state, 1 / 4, (0.0, 0.0)), small, 1 / 32, QUARTIC)
-
-
-def test_nonzero_lattice_shift_branch(prof, strip, cell_state):
-    # anchor off the eps-lattice: shift is nonzero, field stays admissible
-    eps = 1 / 8
-    params = RecoveryParams(cell_state, eps, (0.3, 0.0))
-    assert np.abs(params.lattice_shift()).max() > 0
-    rec = build_recovery(params, strip, 1 / 32, QUARTIC)
-    assert np.isfinite(rec.u).all()
-    # far field is still the pure step relative to the anchor plane
-    grid = strip.grid(1 / 32)
-    pts = grid.node_points()
-    far_hi = pts[..., 1] > 0.4
-    assert np.array_equal(rec.u[far_hi], np.broadcast_to(QUARTIC.wells.b, rec.u[far_hi].shape))
+        build_recovery(cell_state, 1 / 4, small, 1 / 32, QUARTIC)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sigmacell.cell import CellGrid, CellState, boundary_values, cell_model, minimize_cell
+from sigmacell.cell import CellGrid, cell_model, initial_state, minimize_cell
 from sigmacell.lattice import RationalUnitVector, rotation_from_direction
 from sigmacell.oned import profile_energy_1d
 from sigmacell.potential import checkerboard, homogeneous_quartic
@@ -53,7 +53,7 @@ def test_competitor_boundary_trace_exact(u_T, prof):
     s_grid = CellGrid(2, 16.0, 1 / 16, tangential="dirichlet")
     comp = build_competitor(u_T, plan, prof, s_grid)
     bmask = s_grid.box.boundary_mask()
-    data = boundary_values(s_grid, prof)
+    data = initial_state(s_grid, prof).u
     assert comp.state.u[bmask].tobytes() == data[bmask].tobytes()
 
 
@@ -82,7 +82,7 @@ def test_degenerate_plan_yields_pure_step(prof):
         centers=np.zeros((0, 2)), shifts=np.zeros((0, 2), dtype=np.int64), rotation=None,
     )
     grid = CellGrid(2, 4.0, 1 / 16, tangential="dirichlet")
-    u_T0 = CellState(grid, boundary_values(grid, prof))
+    u_T0 = initial_state(grid, prof)
     s_grid = CellGrid(2, 16.0, 1 / 16, tangential="dirichlet")
     comp = build_competitor(u_T0, plan, prof, s_grid)
     e_S = cell_model(s_grid, QUARTIC).energy_parts(comp.state.u).total / 16.0
