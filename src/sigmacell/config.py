@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .cell import CellGrid, SolverOptions, check_schedule
-from .lattice import RationalUnitVector, rationalize_direction
+from .lattice import RATIONAL_TOL_MIN, RationalUnitVector, rationalize_direction
 from .potential import POTENTIAL_KINDS, GrowthCertificate, Potential, WellPair
 from .profile import Mollifier
 
@@ -185,6 +185,8 @@ def _build_potential(sec) -> Potential:
 
 def _build_directions(sec) -> list:
     tol = _number(sec.get("rational_tol", "1e-3"), "[directions] rational_tol")
+    if tol < RATIONAL_TOL_MIN:
+        raise ConfigError(f"[directions] rational_tol: must be at least {RATIONAL_TOL_MIN:g}, got {tol:g}")
     out = []
     for key in sec:
         if key in _DIRECTION_KEYS:

@@ -158,6 +158,9 @@ def _stereographic_point(t: Sequence[Fraction], pole_axis: int, sign: int, dim: 
     return tuple(comps)
 
 
+RATIONAL_TOL_MIN = 1e-9  # smallest tolerance `rationalize_direction` accepts
+
+
 def rationalize_direction(nu, tol: float) -> RationalUnitVector:
     """Approximate a real unit direction by an exact rational one.
 
@@ -168,8 +171,8 @@ def rationalize_direction(nu, tol: float) -> RationalUnitVector:
     with the smallest coordinate-denominator lcm (ties broken
     lexicographically) is returned.
     """
-    if tol < 1e-9:
-        raise ValueError("tolerance below 1e-9 would blow up denominators")
+    if tol < RATIONAL_TOL_MIN:
+        raise ValueError(f"tolerance below {RATIONAL_TOL_MIN:g} would blow up denominators")
     nu = np.asarray(nu, dtype=float)
     dim = nu.size
     norm = float(np.linalg.norm(nu))

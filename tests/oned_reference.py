@@ -1,4 +1,4 @@
-"""One-dimensional reference solutions.
+"""One-dimensional reference solutions for the tests.
 
 Independent cross-checks for the cell solver: the optimal transition on
 an interval is computed by collocation on the Euler-Lagrange boundary
@@ -7,7 +7,8 @@ field energies of known 1D profiles are integrated by quadrature.
 
 The interface normal is e2 of the plane: the spatial weight is read
 along the line s e2.  Valid whenever the weight varies only along that
-normal, which covers the homogeneous oracle and stripe-normal runs.
+normal, which covers the homogeneous quartic and stripes normal to e2
+(striped(alpha, axis=1)).
 """
 
 from __future__ import annotations
@@ -17,10 +18,15 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_bvp
 
-from .potential import Potential
-from .profile import TransitionProfile
+from sigmacell.potential import Potential
+from sigmacell.profile import TransitionProfile
 
 __all__ = ["transition_bvp_energy", "profile_energy_1d"]
+
+# Collocation starts tanh(s - c): a layer centred on a weight crest is a
+# critical point, not the minimum, so the layer centre is scanned over
+# one unit period of the weight.
+LAYER_CENTRES = tuple(k / 8 for k in range(8))
 
 
 def _normal_weight(pot: Potential) -> Callable[[np.ndarray], np.ndarray]:
@@ -38,8 +44,10 @@ def transition_bvp_energy(pot: Potential, profile: TransitionProfile, T: float) 
     """Energy per unit area of the optimal 1D transition on [-T/2, T/2].
 
     Solves 2 u'' = f(s) W0'(u) with the mollified-step boundary values by
-    collocation, then integrates f(s) W0(u) + u'^2 on 801 points.  Only
-    scalar phases are supported (the oracle use case).
+    collocation from each start tanh(s - c), c in LAYER_CENTRES, then
+    integrates f(s) W0(u) + u'^2 on 801 points and returns the lowest
+    energy.  Starts whose collocation fails are skipped.  Only scalar
+    phases are supported (the oracle use case).
     """
     if pot.d != 1:
         raise ValueError("the 1D oracle supports scalar phases only")
@@ -58,16 +66,20 @@ def transition_bvp_energy(pot: Potential, profile: TransitionProfile, T: float) 
         return np.array([ya[0] - ua, yb[0] - ub])
 
     s0 = np.linspace(-half, half, 41)
-    y0 = np.vstack([np.tanh(s0), 1.0 / np.cosh(s0) ** 2])
-    sol = solve_bvp(rhs, bc, s0, y0, tol=1e-10, max_nodes=200000)
-    if not sol.success:
-        raise RuntimeError(f"1D collocation failed: {sol.message}")
-
     s = np.linspace(-half, half, 801)
-    u = sol.sol(s)[0]
-    du = sol.sol(s)[1]
-    integrand = f(s) * pot.base(u[..., None]) + du**2
-    return float(np.trapezoid(integrand, s))
+    energies, messages = [], []
+    for c in LAYER_CENTRES:
+        y0 = np.vstack([np.tanh(s0 - c), 1.0 / np.cosh(s0 - c) ** 2])
+        sol = solve_bvp(rhs, bc, s0, y0, tol=1e-10, max_nodes=20000)
+        if not sol.success:
+            messages.append(sol.message)
+            continue
+        u, du = sol.sol(s)
+        integrand = f(s) * pot.base(u[..., None]) + du**2
+        energies.append(float(np.trapezoid(integrand, s)))
+    if not energies:
+        raise RuntimeError(f"1D collocation failed from every start: {messages}")
+    return min(energies)
 
 
 def profile_energy_1d(pot: Potential, profile: TransitionProfile, T: float) -> float:

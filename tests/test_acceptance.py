@@ -29,11 +29,12 @@ from sigmacell.lattice import (
     rationalize_direction,
     rotation_from_direction,
 )
-from sigmacell.oned import transition_bvp_energy
 from sigmacell.potential import checkerboard, homogeneous_quartic, striped
 from sigmacell.profile import Mollifier, TransitionProfile
 from sigmacell.surface import SigmaTable, convexity_check
 from sigmacell.tiling import subadditivity_gap
+
+from oned_reference import transition_bvp_energy
 
 F = Fraction
 QUARTIC = homogeneous_quartic()

@@ -20,9 +20,10 @@ from sigmacell.cell import (
     _prolong,
 )
 from sigmacell.lattice import RationalUnitVector, rotation_from_direction
-from sigmacell.oned import profile_energy_1d, transition_bvp_energy
 from sigmacell.potential import homogeneous_quartic, striped
 from sigmacell.profile import Mollifier, TransitionProfile
+
+from oned_reference import profile_energy_1d, transition_bvp_energy
 
 F = Fraction
 QUARTIC = homogeneous_quartic()
@@ -130,6 +131,31 @@ def test_minimize_quartic_matches_reference_interval(prof):
     assert 2.62 <= res.g <= 2.75
     oracle = transition_bvp_energy(QUARTIC, prof, 4.0)
     assert res.g == pytest.approx(oracle, rel=5e-3)
+
+
+@pytest.mark.parametrize("T", [4.0, 8.0])
+def test_normal_laminate_matches_1d_oracle(prof, T):
+    # stripes normal to nu = e2: the cell minimum is the optimal 1D transition
+    pot = striped(0.5, axis=1)
+    ref = estimate_g(None, T, pot, prof, h=1 / 32)
+    oracle = transition_bvp_energy(pot, prof, T)
+    assert abs(ref.g - oracle) <= ref.discretization_error
+    # the quadrature error is O(h^2), so the Richardson value lands much closer
+    assert abs(ref.fine.g + (ref.fine.g - ref.coarse.g) / 3 - oracle) <= 1e-6
+
+
+@pytest.mark.parametrize("T", [4.0, 8.0])
+def test_tangential_laminate_between_bounds(prof, T):
+    # stripes along nu = e2, weight f(y1)
+    pot = striped(0.5, axis=0)
+    g = estimate_g(None, T, pot, prof, h=1 / 32).g
+    # Modica (1987): f W0 + |grad u|^2 >= 2 sqrt(f W0) |d2 u|, so g >= mean(sqrt f) * 8/3
+    s = np.arange(64) / 64
+    lower = np.sqrt(pot.spatial_factor(np.stack([s, np.zeros_like(s)], axis=-1))).mean() * 8 / 3
+    # a field independent of y1 has the same energy under f and under 1: the cos
+    # sum over cell centres of whole periods vanishes, so g is below the quartic's
+    upper = estimate_g(None, T, QUARTIC, prof, h=1 / 32).g
+    assert lower < g < upper
 
 
 def test_minimize_monotone_descent(prof):

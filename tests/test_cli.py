@@ -355,6 +355,7 @@ BAD_CONFIGS = {
     "t-inf": ((("t = 2", "t = 2, inf"),), "schedule"),
     "direction-inf": ((("dir1 = 0, 1", "dir1 = inf, 1"),), "directions"),
     "rational-tol-tiny": ((("dir1 = 0, 1", "dir1 = 0.6, 0.8\nrational_tol = 1e-12"),), "directions"),
+    "rational-tol-exact-direction": ((("dir1 = 0, 1", "dir1 = 0, 1\nrational_tol = 0"),), "directions"),
     "uniform-fraction": ((("dir1 = 0, 1", "uniform = 2.5"),), "directions"),
     "sigma-coarse-mesh": ((("t = 2", "t = 1"), ("h = 1/16", "h = 1/8")), "schedule", "sigma"),
     "gamma-t-cell": ((("t = 2", "t = 2\nt_cell = 1/2"),), "schedule", "gamma"),

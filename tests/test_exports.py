@@ -30,9 +30,35 @@ def test_package_imports_exist():
         assert hasattr(sigmacell, alias.asname or alias.name), alias.name
 
 
-def test_package_and_cli_import_without_scipy():
-    code = "import sys, sigmacell, sigmacell.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports sigmacell from this checkout."""
     path = os.pathsep.join(filter(None, (str(Path(sigmacell.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+def test_package_and_cli_import_without_scipy():
+    code = "import sys, sigmacell, sigmacell.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# a sys.meta_path finder that refuses scipy, as if it were not installed
+BLOCK_SCIPY = """
+import importlib, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, BlockScipy())
+for name in sys.argv[1:]:
+    importlib.import_module(f"sigmacell.{name}")
+"""
+
+
+def test_every_module_imports_with_scipy_blocked():
+    out = _python(BLOCK_SCIPY, *MODULES)
+    assert out.returncode == 0, out.stderr

@@ -5,10 +5,11 @@ import pytest
 
 from sigmacell.cell import CellGrid, cell_model, initial_state, minimize_cell
 from sigmacell.lattice import RationalUnitVector, rotation_from_direction
-from sigmacell.oned import profile_energy_1d
 from sigmacell.potential import checkerboard, homogeneous_quartic
 from sigmacell.profile import Mollifier, TransitionProfile
 from sigmacell.tiling import TilingPlan, build_competitor, plan_tiling, subadditivity_gap
+
+from oned_reference import profile_energy_1d
 
 F = Fraction
 QUARTIC = homogeneous_quartic()
