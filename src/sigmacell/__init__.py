@@ -44,7 +44,6 @@ from .surface import (
     PolyFacet,
     PolyInterface,
     SigmaTable,
-    compare_interfaces,
     convexity_check,
     interface_energy,
     polygonal_approximation,

@@ -54,9 +54,9 @@ class CellGrid:
     are periodic by default (for lattice-aligned edges this matches the
     potential's exact periodicity along the rotated tangents and removes
     the O(1/T) lateral boundary layer); `tangential="dirichlet"` instead
-    pins the mollified-step data on every face.  The node grid `box` (which
-    checks the mesh) and the float `rotation_matrix` are built once, at
-    construction; `dataclasses.replace` builds them anew.
+    pins the mollified-step data on every face.  No rotation means the
+    identity.  The node grid `box` (which checks the mesh) and the float
+    `rotation_matrix` are built once; `dataclasses.replace` builds them anew.
     """
 
     dim: int
@@ -77,12 +77,13 @@ class CellGrid:
         object.__setattr__(self, "box", box)
         if self.n < 8:
             raise ValueError("grid needs at least 8 nodes per axis")
-        if self.rotation is not None and self.rotation.dim != self.dim:
+        if self.rotation is None:
+            object.__setattr__(self, "rotation", RationalRotation.identity(self.dim))
+        if self.rotation.dim != self.dim:
             raise ValueError("rotation dimension mismatch")
         if self.tangential not in ("periodic", "dirichlet"):
             raise ValueError("tangential policy must be 'periodic' or 'dirichlet'")
-        matrix = np.eye(self.dim) if self.rotation is None else self.rotation.as_float()
-        object.__setattr__(self, "rotation_matrix", matrix)
+        object.__setattr__(self, "rotation_matrix", self.rotation.as_float())
 
     @property
     def n(self) -> int:
@@ -90,13 +91,16 @@ class CellGrid:
         return self.box.shape[-1]
 
     @property
+    def area(self) -> float:
+        """The interface area T^(N-1) that g = E / area normalizes by."""
+        return self.T ** (self.dim - 1)
+
+    @property
     def nu(self) -> np.ndarray:
         """The interface normal: image of the last axis under the rotation."""
         return self.rotation_matrix[:, -1]
 
     def y_map(self, points: np.ndarray) -> np.ndarray:
-        if self.rotation is None:
-            return points
         return points @ self.rotation_matrix.T
 
 
@@ -182,8 +186,10 @@ def minimize_cell(
     """Descend the cell energy from the boundary profile (or a warm start).
 
     Returns (CellResult, CellState); a non-converged run is reported, not
-    raised, and carries the best state reached.
+    raised, and carries the best state reached.  A profile built for
+    another dimension or wells raises ValueError.
     """
+    profile.check_fits(grid.dim, pot.wells)
     model = cell_model(grid, pot)
     bmask = grid.box.boundary_mask()
     data = initial_state(grid, profile).u
@@ -205,9 +211,8 @@ def minimize_cell(
     )
     u = res.x.reshape(u0.shape)
     parts = model.energy_parts(u)
-    area = grid.T ** (grid.dim - 1)
     result = CellResult(
-        g=parts.total / area,
+        g=parts.total / grid.area,
         iterations=res.iterations,
         residual=res.grad_sup,
         potential_part=parts.potential,

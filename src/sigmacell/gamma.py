@@ -27,7 +27,7 @@ from .cell import CellState, SolverOptions, pinned_objective
 from .descent import lbfgs_descent
 from .grids import BoxGrid, EnergyModel, closed_nodes, node_quadrature_weights
 from .potential import Potential
-from .profile import TransitionProfile
+from .profile import TransitionProfile, step_field
 
 __all__ = [
     "FACE_POLICIES",
@@ -114,31 +114,24 @@ class PhaseField:
     h: float
     u: np.ndarray
 
-    def grid(self) -> BoxGrid:
-        return self.domain.grid(self.h)
-
 
 def _boundary_data(domain: DomainSpec, grid: BoxGrid, pot: Potential, profile: TransitionProfile, eps: float):
     """Fixed-node mask and the values pinned there; the step is the profile read at (x . nu) / eps."""
     pts = grid.node_points()
     data = np.zeros(grid.shape + (pot.d,))
-    mask = np.zeros(grid.shape, dtype=bool)
     nu = np.asarray(domain.nu)
     for ax, (p_lo, p_hi) in enumerate(domain.faces):
         for side, policy in ((0, p_lo), (-1, p_hi)):
             if policy == "periodic":
                 continue
-            sl = [slice(None)] * grid.dim
-            sl[ax] = side
-            sl = tuple(sl)
-            mask[sl] = True
+            sl = (slice(None),) * ax + (side,)
             if policy == "dirichlet-a":
                 data[sl] = pot.wells.a
             elif policy == "dirichlet-b":
                 data[sl] = pot.wells.b
             else:  # dirichlet-step
                 data[sl] = profile((1.0 / eps) * (pts[sl] @ nu))
-    return mask, data
+    return grid.boundary_mask(), data  # periodic faces pair up, so every other face is pinned
 
 
 def diffuse_model(grid: BoxGrid, pot: Potential, eps: float) -> EnergyModel:
@@ -181,8 +174,9 @@ def minimize_diffuse(
     The mass constraint is handled by projection along the well segment:
     search directions and gradients are projected onto the constraint
     tangent, and the iterate's quadrature integral is restored exactly
-    after every step.
+    after every step.  A profile built for another dimension or wells raises ValueError.
     """
+    profile.check_fits(domain.dim, pot.wells)
     grid = domain.grid(h)
     model = diffuse_model(grid, pot, eps)
     mask, data = _boundary_data(domain, grid, pot, profile, eps)
@@ -291,14 +285,14 @@ def build_recovery(cell_state: CellState, eps: float, domain: DomainSpec, h: flo
     u_cell = closed_nodes(cell_state.u, cg.box.periodic)
     cell_axes = [-T / 2.0 + cg.h * np.arange(n) for n in u_cell.shape[:-1]]
 
-    zeta = (grid.node_points() / eps) @ cg.rotation_matrix  # rotated-frame coordinates R^T x / eps
+    y = grid.node_points() / eps
+    zeta = y @ cg.rotation_matrix  # rotated-frame coordinates R^T x / eps
     # wrap tangential coordinates into [-T/2, T/2)
     zt = zeta.copy()
     zt[..., :-1] = np.mod(zeta[..., :-1] + T / 2.0, T) - T / 2.0
     inside = np.abs(zeta[..., -1]) <= T / 2.0
     vals = _multilinear(cell_axes, u_cell, np.clip(zt, -T / 2.0, T / 2.0))
-    step = np.where((zeta[..., -1] > 0.0)[..., None], pot.wells.b, pot.wells.a)
-    u = np.where(inside[..., None], vals, step)
+    u = np.where(inside[..., None], vals, step_field(cg.nu, y, pot.wells))
     return PhaseField(domain, eps, h, u)
 
 

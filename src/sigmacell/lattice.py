@@ -255,9 +255,6 @@ class PeriodicityReport:
     shifts: np.ndarray
     failures: list
 
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
-
 
 def check_periodicity(pot, rotation: RationalRotation, samples: int, seed: int) -> PeriodicityReport:
     """Verify W(x + period * R e_i, p) = W(x, p) on random samples.

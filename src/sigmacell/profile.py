@@ -168,6 +168,7 @@ class TransitionProfile:
 
     def __init__(self, wells: WellPair, mollifier: Mollifier, dim: int):
         self.wells = wells
+        self.dim = dim
         s, density = _marginal_table(mollifier, dim)
         self._table = s
         self._density = _monotone_cubic(s, density)
@@ -176,6 +177,13 @@ class TransitionProfile:
         if not self._normalization > 0:
             raise ValueError("mollifier has zero mass")
         self._support = mollifier.radius
+
+    def check_fits(self, dim: int, wells: WellPair) -> None:
+        """Raise ValueError unless the profile was built for dimension `dim` and for `wells`."""
+        if self.dim != dim:
+            raise ValueError(f"transition profile built for dimension {self.dim}, the grid has dimension {dim}")
+        if not (np.array_equal(self.wells.a, wells.a) and np.array_equal(self.wells.b, wells.b)):
+            raise ValueError("transition profile built for other wells than the potential's")
 
     def fraction(self, s) -> np.ndarray:
         """Phi(s): the b-phase fraction, clamped to exact tails."""

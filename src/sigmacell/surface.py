@@ -27,9 +27,6 @@ __all__ = [
     "polygonal_approximation",
     "convexity_check",
     "ConvexityViolation",
-    "compare_interfaces",
-    "read_vertices",
-    "write_vertices",
 ]
 
 
@@ -133,12 +130,6 @@ class SigmaTable:
     def err_at(self, nu) -> float:
         i, j, t = self._locate(nu)
         return (1 - t) * self.entries[i].err + t * self.entries[j].err
-
-    def rescaled(self, factor: float) -> "SigmaTable":
-        return SigmaTable(
-            [(r.nu, factor * r.sigma, factor * r.err) for r in self.entries],
-            self.potential_info,
-        )
 
     def to_json(self) -> str:
         doc = {
@@ -264,40 +255,3 @@ def convexity_check(table: SigmaTable) -> list:
             if lhs > rhs + slack:
                 violations.append(ConvexityViolation(recs[i].nu, recs[j].nu, lhs, rhs, slack))
     return violations
-
-
-@dataclass
-class InterfaceComparison:
-    energy_a: float
-    energy_b: float
-
-    @property
-    def smaller(self) -> str:
-        if self.energy_a < self.energy_b:
-            return "A"
-        if self.energy_b < self.energy_a:
-            return "B"
-        return "equal"
-
-
-def compare_interfaces(a: PolyInterface, b: PolyInterface, table: SigmaTable) -> InterfaceComparison:
-    """Rank two closed interfaces under the anisotropic energy."""
-    return InterfaceComparison(interface_energy(a, table), interface_energy(b, table))
-
-
-def read_vertices(path) -> np.ndarray:
-    """Plain-text vertex list: one vertex per line, comma-separated."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    return np.asarray(rows, dtype=float)
-
-
-def write_vertices(path, vertices: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(vertices, dtype=float):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")

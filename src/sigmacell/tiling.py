@@ -10,7 +10,8 @@ energy.  The construction yields an admissible S-cell field, hence an
 upper bound for g(S), and a measured subadditivity remainder.
 
 Copies paste the small-cube boundary traces, so the T-cell solve must use
-the all-faces Dirichlet class (`tangential="dirichlet"`).
+the all-faces Dirichlet class (`tangential="dirichlet"`); `build_competitor`
+refuses any other T-cell.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from .cell import CellGrid, CellState, SolverOptions, cell_model, initial_state, minimize_cell
-from .grids import closed_nodes
 from .lattice import RationalRotation
 from .potential import Potential
 from .profile import TransitionProfile
@@ -42,7 +42,7 @@ class TilingPlan:
     count: int
     centers: np.ndarray  # physical prism centers on the interface plane, (M, N)
     shifts: np.ndarray  # integer lattice points near the centers, (M, N)
-    rotation: Optional[RationalRotation]
+    rotation: RationalRotation
 
     @property
     def shell_width(self) -> float:
@@ -57,8 +57,6 @@ class TilingPlan:
 
     def reference_centers(self) -> np.ndarray:
         """Copy centers in reference coordinates (exact rational, as float)."""
-        if self.rotation is None:
-            return self.shifts.astype(float)
         out = np.empty_like(self.shifts, dtype=float)
         M = self.rotation.matrix
         n = self.rotation.dim
@@ -84,7 +82,8 @@ def plan_tiling(
 
     The number of copies per tangential axis is
     floor((S - 1/T) / (T + sqrt(N) + 2)); enlarged copies are validated
-    to be pairwise disjoint and contained in the shrunken cube.
+    to be pairwise disjoint and contained in the shrunken cube.  A missing
+    rotation is the identity.
     """
     root_n = float(np.sqrt(dim))
     if not tiles(T, S, dim):
@@ -94,7 +93,9 @@ def plan_tiling(
     pitch = T + root_n + 2.0
     per_axis = int(np.floor((S - 1.0 / T) / pitch))
     count = per_axis ** (dim - 1)
-    R = np.eye(dim) if rotation is None else rotation.as_float()
+    if rotation is None:
+        rotation = RationalRotation.identity(dim)
+    R = rotation.as_float()
 
     offsets = [(j - (per_axis - 1) / 2.0) * pitch for j in range(per_axis)]
     centers = [R @ np.array(list(combo) + [0.0]) for combo in product(offsets, repeat=dim - 1)]
@@ -119,12 +120,6 @@ def _validate_geometry(plan: TilingPlan) -> None:
                 raise ValueError(f"enlarged copies {i} and {j} overlap")
 
 
-@dataclass
-class CompetitorField:
-    state: CellState
-    copy_slices: list
-
-
 def _smooth_ramp(t: np.ndarray, inner: float, outer: float) -> np.ndarray:
     """1 inside `inner`, 0 beyond `outer`, cubic smoothstep between."""
     s = np.clip((t - inner) / (outer - inner), 0.0, 1.0)
@@ -136,15 +131,18 @@ def build_competitor(
     plan: TilingPlan,
     profile: TransitionProfile,
     s_grid: CellGrid,
-) -> CompetitorField:
+) -> CellState:
     """Assemble the S-cell competitor from the T-cell solution.
 
-    Copies are pasted node-for-node (grids must share the mesh and the
-    copy centers must land on grid nodes); the shell around each copy
-    blends the normally-shifted mollified step into the ambient one with
-    a cutoff whose gradient is bounded by 3m.
+    Copies are pasted node-for-node (the T-cell must have Dirichlet faces,
+    grids must share the mesh and the copy centers must land on grid
+    nodes; `plan.corner_nodes(s_grid)` gives each copy's low corner); the
+    shell around each copy blends the normally-shifted mollified step into
+    the ambient one with a cutoff whose gradient is bounded by 3m.
     """
     t_grid = u_T.grid
+    if t_grid.tangential != "dirichlet":
+        raise ValueError("tiling pastes boundary traces: the T-cell needs tangential='dirichlet'")
     if abs(t_grid.h - s_grid.h) > 1e-12:
         raise ValueError("copy and target grids must share the mesh size")
     if abs(t_grid.T - plan.T) > 1e-12 or abs(s_grid.T - plan.S) > 1e-12:
@@ -157,16 +155,11 @@ def build_competitor(
     ambient = initial_state(s_grid, profile).u
     u = ambient.copy()
 
-    u_copy = closed_nodes(u_T.u, t_grid.box.periodic)
-    n_copy = u_copy.shape[0]
     refs = plan.reference_centers()
     half_in = plan.T / 2.0
     half_out = (plan.T + plan.shell_width) / 2.0
-    copy_slices = []
     for c, corner in zip(refs, plan.corner_nodes(s_grid)):
-        block = tuple(slice(i, i + n_copy) for i in corner)
-        u[block] = u_copy
-        copy_slices.append(block)
+        u[tuple(slice(i, i + t_grid.n) for i in corner)] = u_T.u
 
         # blend shell: between the copy face and the enlarged face
         dist = np.max(np.abs(pts - c), axis=-1)
@@ -182,7 +175,7 @@ def build_competitor(
     # exact boundary data on the non-periodic faces
     bmask = s_grid.box.boundary_mask()
     u[bmask] = ambient[bmask]
-    return CompetitorField(CellState(s_grid, u), copy_slices)
+    return CellState(s_grid, u)
 
 
 @dataclass
@@ -216,9 +209,7 @@ def subadditivity_gap(
     plan = plan_tiling(T, S, m, t_grid.rotation, t_grid.dim)
     s_grid = CellGrid(t_grid.dim, S, t_grid.h, t_grid.rotation, t_grid.tangential)
     comp = build_competitor(u_T, plan, profile, s_grid)
-    area_S = S ** (t_grid.dim - 1)
-    area_T = T ** (t_grid.dim - 1)
-    g_T = cell_model(t_grid, pot).energy_parts(u_T.u).total / area_T
-    res, _ = minimize_cell(s_grid, pot, profile, opts, init=comp.state)
-    e_S = res.trace[0] / area_S  # the solve starts at the competitor
+    g_T = cell_model(t_grid, pot).energy_parts(u_T.u).total / t_grid.area
+    res, _ = minimize_cell(s_grid, pot, profile, opts, init=comp)
+    e_S = res.trace[0] / s_grid.area  # the solve starts at the competitor
     return SubadditivityReport(T, S, m, e_S, res.g, g_T, e_S - g_T, res.converged)

@@ -25,7 +25,8 @@ __all__ = ["transition_bvp_energy", "profile_energy_1d"]
 
 # Collocation starts tanh(s - c): a layer centred on a weight crest is a
 # critical point, not the minimum, so the layer centre is scanned over
-# one unit period of the weight.
+# one unit period of the weight.  A weight constant along the normal has
+# no crest, and only the centred start runs.
 LAYER_CENTRES = tuple(k / 8 for k in range(8))
 
 
@@ -44,7 +45,8 @@ def transition_bvp_energy(pot: Potential, profile: TransitionProfile, T: float) 
     """Energy per unit area of the optimal 1D transition on [-T/2, T/2].
 
     Solves 2 u'' = f(s) W0'(u) with the mollified-step boundary values by
-    collocation from each start tanh(s - c), c in LAYER_CENTRES, then
+    collocation from each start tanh(s - c), c in LAYER_CENTRES (c = 0
+    alone when f is constant on the collocation mesh), then
     integrates f(s) W0(u) + u'^2 on 801 points and returns the lowest
     energy.  Starts whose collocation fails are skipped.  Only scalar
     phases are supported (the oracle use case).
@@ -67,8 +69,10 @@ def transition_bvp_energy(pot: Potential, profile: TransitionProfile, T: float) 
 
     s0 = np.linspace(-half, half, 41)
     s = np.linspace(-half, half, 801)
+    w0 = f(s0)
+    centres = (0.0,) if np.all(w0 == w0[0]) else LAYER_CENTRES
     energies, messages = [], []
-    for c in LAYER_CENTRES:
+    for c in centres:
         y0 = np.vstack([np.tanh(s0 - c), 1.0 / np.cosh(s0 - c) ** 2])
         sol = solve_bvp(rhs, bc, s0, y0, tol=1e-10, max_nodes=20000)
         if not sol.success:

@@ -20,7 +20,7 @@ from sigmacell.cell import (
     _prolong,
 )
 from sigmacell.lattice import RationalUnitVector, rotation_from_direction
-from sigmacell.potential import homogeneous_quartic, striped
+from sigmacell.potential import WellPair, homogeneous_quartic, striped
 from sigmacell.profile import Mollifier, TransitionProfile
 
 from oned_reference import profile_energy_1d, transition_bvp_energy
@@ -330,6 +330,18 @@ def test_minimize_cell_keeps_pinned_nodes_3d(prof3):
     bmask = grid.box.boundary_mask()
     assert res.iterations > 0
     assert state.u[bmask].tobytes() == initial_state(grid, prof3).u[bmask].tobytes()
+
+
+def test_profile_of_another_dimension_rejected(prof):
+    # a 2D profile is not the 3D mollified step: the solve would converge to another g
+    with pytest.raises(ValueError, match="dimension 2"):
+        minimize_cell(CellGrid(3, 2.0, 2 / 8, tangential="dirichlet"), QUARTIC, prof)
+
+
+def test_profile_of_other_wells_rejected():
+    other = TransitionProfile(WellPair(0.0, 2.0), Mollifier("bump", 0.5), dim=2)
+    with pytest.raises(ValueError, match="other wells"):
+        minimize_cell(CellGrid(2, 2.0, 1 / 8), QUARTIC, other)
 
 
 def test_grid_validation():

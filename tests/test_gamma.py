@@ -14,7 +14,7 @@ from sigmacell.gamma import (
     minimize_diffuse,
 )
 from sigmacell.grids import node_quadrature_weights
-from sigmacell.potential import homogeneous_quartic, striped
+from sigmacell.potential import WellPair, homogeneous_quartic, striped
 from sigmacell.profile import Mollifier, TransitionProfile
 
 QUARTIC = homogeneous_quartic()
@@ -46,7 +46,7 @@ def test_matches_cell_energy_at_unit_scale(prof):
     st = initial_state(grid, prof)
     dom = _all_step_domain()
     field = PhaseField(dom, 1.0, 1 / 16, st.u)
-    e_diffuse = diffuse_model(field.grid(), QUARTIC, field.eps).energy_parts(field.u).total
+    e_diffuse = diffuse_model(field.domain.grid(field.h), QUARTIC, field.eps).energy_parts(field.u).total
     assert abs(e_diffuse - cell_model(grid, QUARTIC).energy_parts(st.u).total) <= 1e-12
 
 
@@ -149,7 +149,7 @@ def test_recovery_tangential_periodicity(prof, strip, cell_state):
 def test_recovery_energy_matches_cell_density(prof, strip, cell_state):
     for eps in (1 / 8, 1 / 16):
         rec = build_recovery(cell_state, eps, strip, eps / 8, QUARTIC)
-        e = diffuse_model(rec.grid(), QUARTIC, eps).energy_parts(rec.u).total
+        e = diffuse_model(rec.domain.grid(rec.h), QUARTIC, eps).energy_parts(rec.u).total
         g_cell = cell_model(cell_state.grid, QUARTIC).energy_parts(cell_state.u).total / 4.0
         assert e == pytest.approx(g_cell * strip.interface_area(), rel=0.02)
 
@@ -203,6 +203,15 @@ def test_warm_start_dominance_striped(prof, strip):
     rows = gamma_gap(strip, [1 / 4, 1 / 8], pot, prof, 2.66, state)
     for r in rows:
         assert r.min_energy <= r.recovery_energy + 1e-10
+
+
+def test_mismatched_profile_rejected(strip):
+    prof3 = TransitionProfile(QUARTIC.wells, Mollifier("bump", 0.5), dim=3)
+    with pytest.raises(ValueError, match="dimension 3"):
+        minimize_diffuse(strip, QUARTIC, 0.25, 1 / 16, prof3)
+    other = TransitionProfile(WellPair(0.0, 2.0), Mollifier("bump", 0.5), dim=2)
+    with pytest.raises(ValueError, match="other wells"):
+        minimize_diffuse(strip, QUARTIC, 0.25, 1 / 16, other)
 
 
 def test_domain_validation():

@@ -186,7 +186,7 @@ def test_check_periodicity_fake_rotation_fails():
 
     report = check_periodicity(pot, FakeRot(), 500, seed=2)
     assert not report.passed
-    assert report.first_failure() is not None
+    assert report.failures
 
 
 def test_check_periodicity_homogeneous_any_rotation():

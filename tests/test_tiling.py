@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sigmacell.cell import CellGrid, cell_model, initial_state, minimize_cell
-from sigmacell.lattice import RationalUnitVector, rotation_from_direction
+from sigmacell.lattice import RationalRotation, RationalUnitVector, rotation_from_direction
 from sigmacell.potential import checkerboard, homogeneous_quartic
 from sigmacell.profile import Mollifier, TransitionProfile
 from sigmacell.tiling import TilingPlan, build_competitor, plan_tiling, subadditivity_gap
@@ -55,22 +55,23 @@ def test_competitor_boundary_trace_exact(u_T, prof):
     comp = build_competitor(u_T, plan, prof, s_grid)
     bmask = s_grid.box.boundary_mask()
     data = initial_state(s_grid, prof).u
-    assert comp.state.u[bmask].tobytes() == data[bmask].tobytes()
+    assert comp.u[bmask].tobytes() == data[bmask].tobytes()
 
 
 def test_competitor_copy_fidelity_bit_exact(u_T, prof):
     plan = plan_tiling(4.0, 16.0, 3)
     s_grid = CellGrid(2, 16.0, 1 / 16, tangential="dirichlet")
     comp = build_competitor(u_T, plan, prof, s_grid)
-    for block in comp.copy_slices:
-        assert np.array_equal(comp.state.u[block], u_T.u)
+    n = u_T.grid.n
+    for corner in plan.corner_nodes(s_grid):
+        assert np.array_equal(comp.u[tuple(slice(i, i + n) for i in corner)], u_T.u)
 
 
 def test_competitor_energy_bounds(u_T, prof):
     plan = plan_tiling(4.0, 16.0, 3)
     s_grid = CellGrid(2, 16.0, 1 / 16, tangential="dirichlet")
     comp = build_competitor(u_T, plan, prof, s_grid)
-    e_S = cell_model(s_grid, QUARTIC).energy_parts(comp.state.u).total / 16.0
+    e_S = cell_model(s_grid, QUARTIC).energy_parts(comp.u).total / 16.0
     g_T = cell_model(u_T.grid, QUARTIC).energy_parts(u_T.u).total / 4.0
     ratio = plan.count * 4.0 / 16.0
     assert np.isfinite(e_S)
@@ -80,13 +81,13 @@ def test_competitor_energy_bounds(u_T, prof):
 def test_degenerate_plan_yields_pure_step(prof):
     plan = TilingPlan(
         dim=2, T=4.0, S=16.0, m=3, count=0,
-        centers=np.zeros((0, 2)), shifts=np.zeros((0, 2), dtype=np.int64), rotation=None,
+        centers=np.zeros((0, 2)), shifts=np.zeros((0, 2), dtype=np.int64), rotation=RationalRotation.identity(2),
     )
     grid = CellGrid(2, 4.0, 1 / 16, tangential="dirichlet")
     u_T0 = initial_state(grid, prof)
     s_grid = CellGrid(2, 16.0, 1 / 16, tangential="dirichlet")
     comp = build_competitor(u_T0, plan, prof, s_grid)
-    e_S = cell_model(s_grid, QUARTIC).energy_parts(comp.state.u).total / 16.0
+    e_S = cell_model(s_grid, QUARTIC).energy_parts(comp.u).total / 16.0
     e_step = profile_energy_1d(QUARTIC, prof, 16.0)
     assert e_S == pytest.approx(e_step, rel=0.01)
 
@@ -96,6 +97,13 @@ def test_mesh_mismatch_rejected(u_T, prof):
     s_grid = CellGrid(2, 16.0, 1 / 8, tangential="dirichlet")
     with pytest.raises(ValueError, match="mesh"):
         build_competitor(u_T, plan, prof, s_grid)
+
+
+def test_periodic_t_cell_rejected(prof):
+    # copies paste the T-cell's boundary traces, which a periodic cell does not pin
+    periodic = initial_state(CellGrid(2, 4.0, 1 / 16), prof)
+    with pytest.raises(ValueError, match="dirichlet"):
+        subadditivity_gap(periodic, 4.0, 16.0, 3, QUARTIC, prof)
 
 
 def test_subadditivity_gap_quartic(u_T, prof):
