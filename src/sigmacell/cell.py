@@ -158,14 +158,15 @@ def initial_state(grid: CellGrid, profile: TransitionProfile, offset: float = 0.
     return CellState(grid, profile(pts[..., -1] - offset))
 
 
-def pinned_objective(model: EnergyModel, pinned: np.ndarray):
+def pinned_objective(model: EnergyModel):
     """f_g(x) -> (energy, gradient) on the flat node vector x, for lbfgs_descent.
 
-    The gradient is zero on the `pinned` nodes (a boolean node mask), so
-    a descent that steps along combinations of gradients never moves them.
+    The gradient is zero on the pinned nodes, the grid's non-periodic
+    boundary (`boundary_mask`), where `model.precondition` is zero too, so
+    a descent that steps along combinations of the two never moves them.
     """
     shape = model.grid.shape + (model.pot.d,)
-    flat = np.flatnonzero(np.broadcast_to(pinned[..., None], shape))
+    flat = np.flatnonzero(np.broadcast_to(model.grid.boundary_mask()[..., None], shape))
 
     def f_g(x: np.ndarray):
         parts, g = model.gradient(x.reshape(shape))
@@ -200,14 +201,13 @@ def minimize_cell(
             raise ValueError("warm start does not match the grid")
         u0 = init.u.copy()
         u0[bmask] = data[bmask]  # keep the warm start admissible
-    f_g = pinned_objective(model, bmask)
-    tol = opts.resolved_tolerance(pot)
     res = lbfgs_descent(
-        f_g,
+        pinned_objective(model),
         u0.ravel(),
-        sup_tol=tol,
+        sup_tol=opts.resolved_tolerance(pot),
         max_iterations=opts.resolved_max_iterations(grid.box.shape),
         memory=opts.memory,
+        precondition=model.precondition,
     )
     u = res.x.reshape(u0.shape)
     parts = model.energy_parts(u)

@@ -6,21 +6,29 @@ decrease, so the energy trace is monotone non-increasing; termination is
 on the sup-norm of the gradient.
 
 The inverse Hessian estimate is the compact limited-memory BFGS
-representation of Byrd, Nocedal & Schnabel (1994):
+representation of Byrd, Nocedal & Schnabel (1994) with a fixed initial
+matrix H0:
 
-    H = gamma I + [S  gamma Y] M [S^T; gamma Y^T]
+    H = H0 + [S  H0 Y] M [S^T; Y^T H0]
 
 with S, Y the last `memory` secant pairs and M built from the small
 matrices R^-1 (R the upper triangle of S^T Y), D = diag(s_i . y_i) and
-Y^T Y, updated incrementally as pairs come and go.  The pairs live in
-one preallocated array, which each iteration reads twice: one
-matrix-vector product gives S^T g and Y^T g, and one gives the search
-direction.  The new entries of S^T Y and Y^T Y are differences of
-successive S^T g and Y^T g, so no third pass is needed.
+Y^T H0 Y, updated incrementally as pairs come and go.  Without
+`precondition`, H0 = gamma I with gamma = s . y / y . y of the newest
+pair, and the history stores y_j.  With it, H0 is the given symmetric
+positive semi-definite operator (a fixed approximate inverse Hessian),
+gamma stays 1 and the history stores the rows z_j = H0 y_j = H0 g_new -
+H0 g, differences of the H0 g that each iteration applies once: no H0
+application per backtrack and none per kept pair.  The first step is
+-H0 g.  The pairs live in one preallocated array, which each iteration
+reads twice: one matrix-vector product gives S^T g and Z^T g (Z = H0 Y,
+or Y), and one gives the search direction -H0 g - S top + Z r1.  The new
+entries of S^T Y and Y^T H0 Y are differences of successive S^T g and
+Z^T g, so no third pass is needed.
 
 The line search halves the step at most MAX_BACKTRACKS times; when the
 quasi-Newton direction finds no decrease, one steepest-descent search
-follows before the descent stops.
+(along -H0 g with `precondition`) follows before the descent stops.
 
 Trial points are written into two reused buffers, so `f_g` must not keep
 a reference to its argument after it returns.
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -56,28 +64,35 @@ def lbfgs_descent(
     sup_tol: float,
     max_iterations: int,
     memory: int = 10,
+    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> DescentResult:
-    """Minimize f from x0 until the gradient sup-norm drops below sup_tol."""
+    """Minimize f from x0 until the gradient sup-norm drops below sup_tol.
+
+    `precondition(v)` applies the initial matrix H0 and returns an array
+    that later calls leave alone; without it H0 = gamma I.
+    """
     if memory < 1:
         raise ValueError(f"memory must be at least 1, got {memory}")
     x = np.array(x0, dtype=float)
     x_trial = np.empty_like(x)
     p = np.empty_like(x)
-    # slot j holds s_j in row 2j and y_j in row 2j + 1 of `flat`; one slot
-    # more than `memory` takes each new pair, so a rejected pair never
-    # overwrites a kept one.  Slots never written cost no memory (calloc).
+    # slot j holds s_j in row 2j and y_j (z_j = H0 y_j with `precondition`)
+    # in row 2j + 1 of `flat`; one slot more than `memory` takes each new
+    # pair, so a rejected pair never overwrites a kept one.  Slots never
+    # written cost no memory (calloc).
     buf = np.zeros((memory + 1, 2, x.size))
     flat = buf.reshape(2 * (memory + 1), x.size)
     kept: list = []  # slots of the kept pairs, oldest first
     spare = used = 0  # the slot the next pair goes to; slots written so far
-    # R^-1, Y^T Y and D indexed by slot.  Rows and columns of R^-1 are 0 on
-    # slots not kept, which leaves those slots out of the direction; the
-    # other two are read there only through those zeros.
+    # R^-1, Y^T H0 Y / gamma and D indexed by slot.  Rows and columns of
+    # R^-1 are 0 on slots not kept, which leaves those slots out of the
+    # direction; the other two are read there only through those zeros.
     r_inv = np.zeros((memory + 1, memory + 1))
     yty = np.zeros((memory + 1, memory + 1))
     d = np.zeros(memory + 1)
     gamma = 1.0
     pending = None  # (slot, s.y, y.y) of a pair added last iteration, awaiting its cross products
+    hg = None  # H0 g, or g itself without `precondition` (H0 = gamma I then multiplies it by gamma)
     proj_old = np.zeros((0, 2))
 
     f, g = f_g(x)
@@ -98,13 +113,20 @@ def lbfgs_descent(
 
     sup = float(max(g.max(), -g.min())) if g.size else 0.0
     while sup > sup_tol and iterations < max_iterations:
+        hg_old, hg = hg, g if precondition is None else precondition(g)
+        if precondition is not None and pending is not None:
+            j, sy, _ = pending
+            z = flat[2 * j + 1]  # holds y_j until now
+            np.subtract(hg, hg_old, out=p)
+            pending = (j, sy, float(z @ p))  # y_j . H0 y_j
+            np.copyto(z, p)
         steepest = not kept
         if kept:
-            proj = (flat[: 2 * used] @ g).reshape(used, 2)  # (s_j . g, y_j . g) by slot
+            proj = (flat[: 2 * used] @ g).reshape(used, 2)  # (s_j . g, z_j . g) by slot
             if pending is not None:
                 j, sy, yy = pending
                 n_old = len(proj_old)
-                # s_i . y_j and y_i . y_j by slot, as y_j is the change of g
+                # s_i . y_j and z_i . y_j by slot, as y_j is the change of g
                 cross = proj[:n_old] - proj_old
                 # the new column of R^-1 is -R^-1 (S^T y_j) / s_j . y_j
                 r_inv[:, j] = r_inv[:, :n_old] @ cross[:, 0] / -sy
@@ -121,22 +143,22 @@ def lbfgs_descent(
             coef = np.empty((used, 2))
             coef[:, 0] = -top
             coef[:, 1] = gamma * r1
-            # p = -H g = -gamma g - S top + gamma Y r1
+            # p = -H g = -gamma hg - S top + gamma Z r1
             np.dot(coef.reshape(-1), flat[: 2 * used], out=p)
-            np.multiply(g, gamma, out=x_trial)
+            np.multiply(hg, gamma, out=x_trial)
             p -= x_trial
             gp = float(g @ p)
             steepest = gp >= 0.0
         if steepest:
-            np.negative(g, out=p)
+            np.negative(hg, out=p)
             gp = float(g @ p)
         if gp == 0.0:
             break
 
         found = line_search(gp)
         if found is None and not steepest:
-            # try plain steepest descent once before giving up
-            np.negative(g, out=p)
+            # try (preconditioned) steepest descent once before giving up
+            np.negative(hg, out=p)
             found = line_search(float(g @ p))
         if found is None:
             break
@@ -157,7 +179,8 @@ def lbfgs_descent(
             else:
                 spare += 1
             pending = (kept[-1], sy, yy)
-            gamma = sy / yy
+            if precondition is None:
+                gamma = sy / yy
         elif not math.isfinite(sy):
             buf[spare] = 0.0  # enters the direction product with coefficient 0, and 0 * inf is NaN
 

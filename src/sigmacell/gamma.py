@@ -190,7 +190,7 @@ def minimize_diffuse(
             raise ValueError("init does not match the grid")
     u0[mask] = data[mask]
     d = pot.d
-    energy_gradient = pinned_objective(model, mask)
+    energy_gradient = pinned_objective(model)
 
     if mass_target is not None:
         target = np.asarray(mass_target, dtype=float).reshape(d)
@@ -228,6 +228,7 @@ def minimize_diffuse(
         sup_tol=opts.resolved_tolerance(pot),
         max_iterations=opts.resolved_max_iterations(grid.shape),
         memory=opts.memory,
+        precondition=model.precondition,
     )
     x_final = restore(res.x) if restore is not None else res.x
     u0 = x_final.reshape(u0.shape)

@@ -15,11 +15,31 @@ serve the center value and every partial derivative.  Its transpose,
 applied once to the cell derivatives, gives the exact gradient, and
 applied to the cell volumes, the node quadrature weights.  Periodic axes
 omit the duplicate endpoint node; each axis step wraps around.
+
+`EnergyModel.precondition` applies P^-1, the inverse of the energy
+Hessian at a well with the spatial weight replaced by its mean:
+
+    P = 2 wG h^N slope^2 sum_ax K_ax (x) prod_other M  +  wW h^N mean^2 c f_mean prod M
+
+on the free nodes, with K = D^T D and M = S^T S for the 1D difference
+D = [-1 1] and corner sum S = [1 1], and c the isotropic well curvature
+of W0.  The DFT (periodic axes, theta = 2 pi k / n) and the DST-I (the m
+free nodes of a Dirichlet axis, theta = pi k / (m + 1)) diagonalize both
+1D operators, with symbols 2 - 2 cos(theta) and 2 + 2 cos(theta): the
+fast Poisson solver of Hockney (1965) and Swarztrauber (1977).  One real
+FFT of the field, extended oddly to length 2(m + 1) along each Dirichlet
+axis, applies it.  M vanishes at theta = pi on an even periodic axis, so
+P is singular on the modes at theta = pi along two periodic axes (in 3D
+cells, the (pi, pi, .) modes).  The discrete energy is flat along them,
+so the gradient has no component there; P^-1 maps them, like the pinned
+nodes, to 0.  numpy's FFT runs on one thread, so P^-1 v is the same at
+any BLAS thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -154,6 +174,63 @@ def _sweep_adjoint(grid: BoxGrid, r: np.ndarray, diffs=()) -> np.ndarray:
     return r
 
 
+class _WellInverse:
+    """v -> P^-1 v for P = a sum_ax K_ax (x) prod_other M + b prod M on the free nodes of a grid (module docstring).
+
+    The field is copied into a preallocated buffer that is periodic of
+    length 2(n - 1) along each Dirichlet axis of n nodes, extended oddly
+    about the pinned nodes 0 and n - 1, which stay 0.  On odd fields the
+    periodic stencils of K and M equal their Dirichlet restrictions, so
+    one real FFT, a division by the symbol and the inverse FFT apply P^-1.
+    """
+
+    def __init__(self, grid: BoxGrid, d: int, a: float, b: float):
+        self._shape = grid.shape + (d,)
+        ext = tuple(n if per else 2 * (n - 1) for n, per in zip(grid.shape, grid.periodic))
+        self._free = tuple(slice(None) if per else slice(1, n - 1) for n, per in zip(grid.shape, grid.periodic))
+        # one Dirichlet axis at a time, e[n:] = -e[n - 2:0:-1] over the nodes filled so far
+        self._mirrors = []
+        filled = [slice(None) if per else slice(0, n) for n, per in zip(grid.shape, grid.periodic)]
+        for ax, (n, per) in enumerate(zip(grid.shape, grid.periodic)):
+            if not per:
+                head, tail = tuple(filled[:ax]), tuple(filled[ax + 1 :])
+                self._mirrors.append((head + (slice(n, None),) + tail, head + (slice(n - 2, 0, -1),) + tail))
+                filled[ax] = slice(None)
+        kk, mm = [], []  # the 1D symbols of K and M, shaped to broadcast along their axis
+        for ax, L in enumerate(ext):
+            k = np.arange(L // 2 + 1 if ax == grid.dim - 1 else L)  # rfftn halves the last axis
+            half_theta = np.pi * k / L
+            along = (-1,) + (1,) * (grid.dim - 1 - ax)
+            kk.append((4.0 * np.sin(half_theta) ** 2).reshape(along))  # 2 - 2 cos(theta)
+            mm.append(np.where(2 * k == L, 0.0, 4.0 * np.cos(half_theta) ** 2).reshape(along))  # exactly 0 at pi
+        symbol = b * reduce(np.multiply, mm)
+        for ax in range(grid.dim):
+            symbol = symbol + a * reduce(np.multiply, mm[:ax] + [kk[ax]] + mm[ax + 1 :])
+        inverse = np.zeros(symbol.shape)
+        np.divide(1.0, symbol, out=inverse, where=symbol > 0.0)
+        self._inverse = inverse[..., None]
+        self._ext = np.zeros(ext + (d,))
+        self._spec = np.empty(inverse.shape + (d,), dtype=complex)
+        self._back = np.empty_like(self._ext)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        e = self._ext
+        e[self._free] = v.reshape(self._shape)[self._free]
+        for dst, src in self._mirrors:
+            np.negative(e[src], out=e[dst])
+        spec, last = self._spec, len(self._shape) - 2  # rfftn and irfftn, an axis at a time and in place
+        np.fft.rfft(e, axis=last, out=spec)
+        for ax in range(last):
+            np.fft.fft(spec, axis=ax, out=spec)
+        spec *= self._inverse
+        for ax in range(last):
+            np.fft.ifft(spec, axis=ax, out=spec)
+        np.fft.irfft(spec, n=e.shape[last], axis=last, out=self._back)
+        out = np.zeros(self._shape)
+        out[self._free] = self._back[self._free]
+        return out.reshape(np.shape(v))
+
+
 @dataclass(frozen=True)
 class EnergyParts:
     total: float
@@ -216,6 +293,18 @@ class EnergyModel:
             du *= 2.0 * self._grad_scale
         g = _sweep_adjoint(self.grid, r, dus)
         return parts, g
+
+    @cached_property
+    def _well_inverse(self) -> _WellInverse:
+        well = self._pot_scale * self._mean**2 * self.pot.base.well_curvature * float(self._factor.mean())
+        return _WellInverse(self.grid, self.pot.d, 2.0 * self._grad_scale, well)
+
+    def precondition(self, v: np.ndarray) -> np.ndarray:
+        """P^-1 v (module docstring) as a fresh array of v's shape: 0 on pinned nodes and on the null modes of P.
+
+        The symbol and the transform buffers are built at the first call.
+        """
+        return self._well_inverse(v)
 
 
 def node_quadrature_weights(grid: BoxGrid) -> np.ndarray:

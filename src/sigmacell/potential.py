@@ -92,6 +92,11 @@ class QuarticBase:
 
     wells: WellPair
 
+    @property
+    def well_curvature(self) -> float:
+        """c = 2 |b - a|^2: the Hessian of W0 at either well is c times the identity."""
+        return 2.0 * self.wells.separation**2
+
     def _offsets(self, p: np.ndarray):
         """p - a, p - b and their squared norms."""
         p = np.asarray(p, dtype=float)

@@ -144,10 +144,24 @@ def _antiderivative(coef: np.ndarray, x) -> np.ndarray:
     return out
 
 
+def _interval(x, p):
+    """The interval x[i] <= p < x[i+1] on the uniform breakpoints x, clipped to the end intervals.
+
+    The index (p - x[0]) / step is off by at most one from the breakpoints' rounding, and one
+    comparison each way corrects it: the same i as `searchsorted(x, p, side="right") - 1`, clipped.
+    """
+    last = x.size - 2
+    step = (x[-1] - x[0]) / (last + 1)
+    i = np.fmin(np.fmax(np.floor((p - x[0]) / step), 0.0), last).astype(np.intp)  # fmax sends NaN to 0
+    i -= (p < x[i]) & (i > 0)
+    i += (p >= x[i + 1]) & (i < last)
+    return i
+
+
 def _evaluate(coef: np.ndarray, x, p):
     """The piecewise polynomial `coef` on breakpoints x read at p, in the interval x[i] <= p < x[i+1] clipped to
     the end intervals, summed from the constant term up with the powers of s = p - x[i] built by repeated products."""
-    i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, x.size - 2)
+    i = _interval(x, p)
     s = p - x[i]
     out, z = 0.0 + coef[-1, i], 1.0
     for row in coef[-2::-1]:

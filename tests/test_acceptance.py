@@ -103,7 +103,7 @@ def test_criterion_02_gradient_correctness():
         T = 2.0
         grid = CellGrid(dim, T, T / (n - 1), tangential="dirichlet")
         pot = STRIPED if dim == 2 else QUARTIC
-        f_g = pinned_objective(cell_model(grid, pot), grid.box.boundary_mask())
+        f_g = pinned_objective(cell_model(grid, pot))
         for _ in range(count):
             u = rng.uniform(-1.3, 1.3, size=grid.box.shape + (1,))
             g = f_g(u.ravel())[1].reshape(u.shape)

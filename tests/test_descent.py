@@ -5,13 +5,15 @@ from sigmacell import descent
 from sigmacell.descent import lbfgs_descent
 
 
-def two_loop_descent(f_g, x0, sup_tol, max_iterations, memory=10, armijo=1e-4, max_backtracks=60):
+def two_loop_descent(f_g, x0, sup_tol, max_iterations, memory=10, armijo=1e-4, max_backtracks=60, precondition=None):
     """Reference L-BFGS: the two-loop recursion over lists of secant pairs.
 
     Same step rule, steepest-descent retry and curvature rule as
     `lbfgs_descent`; returns (x, trace, number of pairs rejected while the
-    history held pairs).
+    history held pairs).  `precondition` is the fixed initial matrix H0 in
+    place of the scaling s.y / y.y, and the steepest direction is -H0 g.
     """
+    h0 = precondition or (lambda v: v)
     x = np.asarray(x0, dtype=float).copy()
     f, g = f_g(x)
     trace = [f]
@@ -35,7 +37,9 @@ def two_loop_descent(f_g, x0, sup_tol, max_iterations, memory=10, armijo=1e-4, m
             a = rho * float(s @ q)
             alphas.append(a)
             q -= a * y
-        if y_list:
+        if precondition is not None:
+            q = precondition(q)
+        elif y_list:
             q *= float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
         for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
             b = rho * float(y @ q)
@@ -43,13 +47,13 @@ def two_loop_descent(f_g, x0, sup_tol, max_iterations, memory=10, armijo=1e-4, m
         p = -q
         gp = float(g @ p)
         if gp >= 0.0:
-            p = -g
+            p = -h0(g)
             gp = float(g @ p)
         if gp == 0.0:
             break
         found = line_search(p, gp)
-        if found is None and not np.array_equal(p, -g):
-            p = -g
+        if found is None and not np.array_equal(p, -h0(g)):
+            p = -h0(g)
             found = line_search(p, float(g @ p))
         if found is None:
             break
@@ -131,6 +135,22 @@ def test_matches_two_loop_when_curvature_rule_rejects_pairs(memory):
     x0 = 0.05 * np.sin(np.arange(30.0))
     rejected = assert_matches_reference(double_well, x0, 15, memory, rtol=1e-8)
     assert rejected >= 1
+
+
+@pytest.mark.parametrize("memory", [1, 3, 10])
+def test_preconditioned_matches_two_loop_with_the_same_h0(memory):
+    # H0 the inverse of the Hessian's diagonal: a rough preconditioner, so 40 iterations still wrap the history
+    f_g, x0 = spd_quadratic(200, seed=memory)
+    diag = np.diag([f_g(e)[1] for e in np.eye(200)]) - f_g(np.zeros(200))[1]  # A e_i = g(e_i) - g(0)
+
+    def h0(v):
+        return v / diag
+
+    x_ref, trace_ref, _ = two_loop_descent(f_g, x0, 0.0, 40, memory=memory, precondition=h0)
+    res = lbfgs_descent(f_g, x0, sup_tol=0.0, max_iterations=40, memory=memory, precondition=h0)
+    assert res.iterations == len(trace_ref) - 1 == 40
+    np.testing.assert_allclose(res.trace, trace_ref, rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(res.x, x_ref, rtol=1e-8, atol=1e-8 * float(np.abs(x_ref).max()))
 
 
 def test_memory_must_be_positive():

@@ -8,6 +8,7 @@ from sigmacell.profile import (
     Mollifier,
     TransitionProfile,
     _evaluate,
+    _interval,
     _marginal_table,
     step_field,
 )
@@ -150,3 +151,14 @@ def test_monotone_cubic_equals_scipy_pchip(shape, radius, dim):
         assert_bitwise_equal(prof.fraction(points), np.where(points >= radius, 1.0, inner))
         slope = np.where(np.abs(points) < radius, spline(clipped), 0.0) / norm
         assert_bitwise_equal(prof.slope(points), slope[..., None] * (WELLS.b - WELLS.a))
+
+
+def test_interval_index_matches_searchsorted():
+    x = np.linspace(-0.5, 0.5, 4097)  # the uniform table of a radius-1/2 mollifier
+    rng = np.random.default_rng(12)
+    p = np.concatenate(
+        [x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf), rng.uniform(-0.6, 0.6, 100_000), [np.inf, -np.inf]]
+    )
+    expected = np.clip(np.searchsorted(x, p, side="right") - 1, 0, x.size - 2)
+    assert np.array_equal(_interval(x, p), expected)
+    assert _interval(x, x[-1]) == x.size - 2
