@@ -23,7 +23,7 @@ import numpy as np
 
 from .descent import lbfgs_descent
 from .grids import BoxGrid, EnergyModel, _along
-from .lattice import RationalRotation
+from .lattice import RationalRotation, normal_fixing_images
 from .potential import Potential
 from .profile import TransitionProfile
 
@@ -41,6 +41,7 @@ __all__ = [
     "estimate_g",
     "check_schedule",
     "estimate_sigma",
+    "orbit_representatives",
     "SOLVE_CSV_COLUMNS",
     "solve_csv_row",
 ]
@@ -387,6 +388,59 @@ def estimate_sigma(
         error_bar=t_term + last.discretization_error,
         refinements=refinements,
     )
+
+
+# Smooth weights of two cells that are images of each other agree to rounding.
+IMAGE_WEIGHT_RTOL = 1e-12
+
+
+def _image_weights(weight: np.ndarray, image) -> np.ndarray:
+    """weight[D c] over the cell centres c, for D given as rows (axis, sign) (`normal_fixing_images`).
+
+    The cube is centred, so x -> -x along an axis reverses its cells.
+    """
+    flipped = np.flip(weight, [i for i, (_, sign) in enumerate(image) if sign < 0])
+    return np.transpose(flipped, np.argsort([axis for axis, _ in image]))
+
+
+def orbit_representatives(
+    rotations,
+    schedule,
+    pot: Potential,
+    h: float,
+    dim: int = 2,
+    tangential: str = "periodic",
+) -> list:
+    """For each rotation, the index of the representative whose `estimate_sigma` it shares.
+
+    sigma(G nu) = sigma(nu) for a signed permutation G that leaves the
+    weight unchanged.  A rotation joins the first earlier representative
+    for which some D of `normal_fixing_images` maps the representative's
+    weight at the cell centres onto its own on every mesh solved (bitwise
+    for piecewise weights, IMAGE_WEIGHT_RTOL relative otherwise): its
+    discrete cell problems are then the representative's, carried over by
+    x -> D x.  A rotation that joins none represents itself.
+    """
+    schedule = check_schedule(schedule)
+    weights = {}
+
+    def weights_of(k):
+        """The weight at the cell centres of every mesh `estimate_sigma` solves, as `cell_model` evaluates it."""
+        if k not in weights:
+            grids = [g for T in schedule for g in _mesh_levels(CellGrid(dim, T, h, rotations[k], tangential))]
+            weights[k] = [np.asarray(pot.spatial_factor(g.y_map(g.box.cell_centers())), dtype=float) for g in grids]
+        return weights[k]
+
+    def is_image(k, rep, image):
+        pairs = zip(weights_of(k), weights_of(rep))
+        return not any(pot.differs(w, _image_weights(w_rep, image), IMAGE_WEIGHT_RTOL).any() for w, w_rep in pairs)
+
+    reps = []
+    for k, rotation in enumerate(rotations):
+        candidates = (r for r in range(k) if reps[r] == r)
+        match = (r for r in candidates if any(is_image(k, r, D) for D in normal_fixing_images(rotations[r], rotation)))
+        reps.append(next(match, k))
+    return reps
 
 
 SOLVE_CSV_COLUMNS = ("T", "h", "g", "potential_part", "gradient_part", "iterations", "residual")

@@ -3,7 +3,12 @@
 Subcommands:
 
     sigma     estimate the surface tension on the configured directions;
-              emits a JSON direction table and a per-solve CSV
+              emits a JSON direction table and a per-solve CSV.  One
+              direction per symmetry orbit is solved (the first in config
+              order); a direction whose cell problems are the exact image
+              of an earlier one's under a signed permutation
+              (`cell.orbit_representatives`) gets its table entry and CSV
+              rows with its own nu and the representative's numbers
     polar     render an existing sigma table as a polar SVG
     gamma     diffuse-interface gap study on a flat strip, solved at its
               normal e2 whatever the directions; emits CSV
@@ -13,9 +18,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 4 validation failure; a config error writes nothing, not even the output
-directory.  Outputs are byte-deterministic for a fixed
-config, seed and worker count; every file is listed in the run manifest
-with its content hash (the manifest itself carries a timestamp).
+directory.  Outputs are byte-deterministic for a fixed config and seed
+at a fixed BLAS thread count, whatever the worker count (`--workers`
+splits the representatives' solves); every file is listed in the run
+manifest with its content hash (the manifest itself carries a timestamp).
 """
 
 from __future__ import annotations
@@ -32,7 +38,15 @@ import time
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .cell import SOLVE_CSV_COLUMNS, CellGrid, check_schedule, estimate_sigma, minimize_cell, solve_csv_row
+from .cell import (
+    SOLVE_CSV_COLUMNS,
+    CellGrid,
+    check_schedule,
+    estimate_sigma,
+    minimize_cell,
+    orbit_representatives,
+    solve_csv_row,
+)
 from .config import DIM, Config, ConfigError, _section, parse_config
 from .gamma import GAP_CSV_COLUMNS, DomainSpec, check_recovery_layer, default_gamma_mesh, gamma_gap
 from .lattice import check_periodicity, rotation_from_direction
@@ -112,21 +126,20 @@ def _profile(cfg: Config) -> TransitionProfile:
     return TransitionProfile(cfg.potential.wells, cfg.mollifier, dim=DIM)
 
 
-def _check_refinements(cfg: Config, directions) -> None:
+def _check_refinements(cfg: Config, rotations) -> None:
     """Build the coarse cell of every T's (2h, h) refinement and, on a lattice-aligned run, check T
-    against the period of each direction solved; a refusal is a [schedule] error."""
+    against the period of each rotation solved; a refusal is a [schedule] error."""
     with _section("schedule"):
         if cfg.lattice_aligned:
-            for nu in directions:
-                check_schedule(cfg.T_schedule, rotation_from_direction(nu), lattice_aligned=True)
+            for rotation in rotations:
+                check_schedule(cfg.T_schedule, rotation, lattice_aligned=True)
         for T in cfg.T_schedule:
             CellGrid(DIM, T, 2 * cfg.h, tangential=cfg.tangential)
 
 
 def _sigma_task(args):
-    cfg, nu, profile = args
-    rotation = rotation_from_direction(nu)
-    est = estimate_sigma(
+    cfg, rotation, profile = args
+    return estimate_sigma(
         rotation,
         cfg.T_schedule,
         cfg.potential,
@@ -137,25 +150,30 @@ def _sigma_task(args):
         lattice_aligned=cfg.lattice_aligned,
         tangential=cfg.tangential,
     )
-    return est
 
 
 def run_sigma(cfg: Config, run: _Run) -> int:
     repeated = [nu for k, nu in enumerate(cfg.directions) if nu in cfg.directions[:k]]
     if repeated:
         raise ConfigError(f"[directions]: direction {repeated[0]} is given more than once")
-    _check_refinements(cfg, cfg.directions)
+    rotations = [rotation_from_direction(nu) for nu in cfg.directions]
+    _check_refinements(cfg, rotations)
+    reps = orbit_representatives(rotations, cfg.T_schedule, cfg.potential, cfg.h, DIM, cfg.tangential)
+    solved = sorted(set(reps))
     profile = _profile(cfg)
-    tasks = [(cfg, nu, profile) for nu in cfg.directions]
+    tasks = [(cfg, rotations[k], profile) for k in solved]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            estimates = list(pool.map(_sigma_task, tasks))
+            results = list(pool.map(_sigma_task, tasks))
     else:
-        estimates = [_sigma_task(t) for t in tasks]
+        results = [_sigma_task(t) for t in tasks]
+    by_rep = dict(zip(solved, results))
+    # a member of an orbit carries its own normal and its representative's numbers
+    estimates = [(rotation.as_float()[:, -1], by_rep[rep]) for rotation, rep in zip(rotations, reps)]
 
     rows = [
-        solve_csv_row(est.nu, ref.T, h, result)
-        for est in estimates
+        solve_csv_row(nu, ref.T, h, result)
+        for nu, est in estimates
         for ref in est.refinements
         for result, h in ((ref.coarse, 2 * ref.h), (ref.fine, ref.h))
     ]
@@ -164,19 +182,20 @@ def run_sigma(cfg: Config, run: _Run) -> int:
         run.write_csv("solves.csv", header, rows)
 
     table = SigmaTable(
-        [(est.nu, est.sigma_hat, est.error_bar) for est in estimates],
+        [(nu, est.sigma_hat, est.error_bar) for nu, est in estimates],
         potential_info=cfg.potential.describe(),
     )
     if "json" in cfg.formats:
         run.write_text(cfg.sigma_table_name, table.to_json() + "\n")
 
-    all_converged = all(est.converged for est in estimates)
+    all_converged = all(est.converged for est in results)
     run.outcomes.append(
         {
             "kind": "sigma",
             "directions": len(estimates),
+            "solved": len(solved),
             "converged": all_converged,
-            "sigma_hat": [est.sigma_hat for est in estimates],
+            "sigma_hat": [est.sigma_hat for _, est in estimates],
         }
     )
     return EXIT_OK if all_converged else EXIT_NONCONVERGED

@@ -275,13 +275,16 @@ class Potential:
         growth = GrowthCertificate(max(4.0, 4.0 / scale), 4.0)
         return Potential("lower-envelope", self.wells, growth, ConstantWeight(scale), self.base)
 
-    def shift_defects(self, y: np.ndarray, p: np.ndarray, w: np.ndarray, shift, rtol: float) -> np.ndarray:
-        """Mask of the samples where W(y + shift, p) differs from w = W(y, p): bitwise for piecewise
-        weights, beyond `rtol` relative otherwise."""
-        ws = self(y + shift, p)
+    def differs(self, a: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
+        """Mask where values a of this potential (or of its weight) differ from their expected values b:
+        bitwise for piecewise weights, beyond `rtol` relative otherwise."""
         if self.piecewise:
-            return ws != w
-        return np.abs(ws - w) > rtol * np.maximum(1.0, np.abs(w))
+            return a != b
+        return np.abs(a - b) > rtol * np.maximum(1.0, np.abs(b))
+
+    def shift_defects(self, y: np.ndarray, p: np.ndarray, w: np.ndarray, shift, rtol: float) -> np.ndarray:
+        """Mask of the samples where W(y + shift, p) differs from w = W(y, p), by `differs`."""
+        return self.differs(self(y + shift, p), w, rtol)
 
     def describe(self) -> dict:
         """JSON-ready description (kind, parameters, wells, growth)."""

@@ -16,6 +16,7 @@ from sigmacell.cell import (
     estimate_sigma,
     initial_state,
     minimize_cell,
+    orbit_representatives,
     pinned_objective,
     _prolong,
 )
@@ -395,3 +396,20 @@ def test_energy_parts_sum(prof):
     st = initial_state(grid, prof)
     parts = cell_model(grid, QUARTIC).energy_parts(st.u)
     assert parts.total == pytest.approx(parts.potential + parts.gradient, rel=1e-14)
+
+
+def test_orbit_members_solve_their_representatives_problem_3d():
+    # striped(0.5) along y1 is even in every axis and blind to swapping y2, y3.  (2/3, 1/3, 2/3) is
+    # no image of (1/3, 2/3, 2/3); (1/3, 2/3, -2/3) is, under G = diag(1, 1, -1), but rotation_from_direction
+    # frames its tangent plane by no signed permutation of the representative's, so it is solved on its own.
+    pot = striped(0.5)
+    prof3 = TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=3)
+    dirs = [(1, 2, 2), (-1, 2, 2), (1, -2, 2), (2, 1, 2), (1, 2, -2)]
+    rotations = [rotation_from_direction(RationalUnitVector(tuple(F(c, 3) for c in v))) for v in dirs]
+    reps = orbit_representatives(rotations, [4.0], pot, 1 / 4, dim=3)
+    assert reps == [0, 0, 0, 3, 4]
+    estimates = [estimate_sigma(R, [4.0], pot, prof3, 1 / 4, dim=3) for R in rotations]
+    for est, rep in zip(estimates, reps):
+        assert est.sigma_hat == pytest.approx(estimates[rep].sigma_hat, rel=1e-12, abs=0)
+        assert est.error_bar == pytest.approx(estimates[rep].error_bar, rel=1e-12, abs=0)
+    assert abs(estimates[4].sigma_hat - estimates[0].sigma_hat) > 1e-3

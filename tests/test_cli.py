@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmacell.cell import SolverOptions
+from sigmacell import cli
+from sigmacell.cell import SolverOptions, estimate_sigma
 from sigmacell.cli import main, run_command
 from sigmacell.config import _KIND_KEYS, ConfigError, parse_config
+from sigmacell.lattice import rotation_from_direction
 from sigmacell.potential import POTENTIAL_KINDS
+from sigmacell.profile import TransitionProfile
 from sigmacell.surface import SigmaTable
 
 MINIMAL = """
@@ -153,6 +156,99 @@ def test_sigma_worker_pool_deterministic(tmp_path):
     for name in ("solves.csv", "sigma_table.json"):
         with open(os.path.join(out_a, name), "rb") as fa, open(os.path.join(out_b, name), "rb") as fb:
             assert fa.read() == fb.read()
+
+
+RING = """
+[potential]
+kind = striped
+alpha = 0.5
+
+[directions]
+uniform = 8
+rational_tol = 1e-2
+
+[schedule]
+t = 2, 4
+h = 1/8
+
+[output]
+dir = out
+"""
+
+
+def _count_solves(monkeypatch):
+    """Count the calls of `estimate_sigma` that run_sigma makes (in this process)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return estimate_sigma(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_sigma", counted)
+    return calls
+
+
+def _library_estimates(cfg):
+    profile = TransitionProfile(cfg.potential.wells, cfg.mollifier, dim=2)
+    return [
+        estimate_sigma(rotation_from_direction(nu), cfg.T_schedule, cfg.potential, profile, cfg.h, dim=2)
+        for nu in cfg.directions
+    ]
+
+
+def _table_by_normal(out):
+    entries = json.loads((out / "sigma_table.json").read_text())["entries"]
+    return {tuple(entry["nu"]): entry for entry in entries}
+
+
+def test_sigma_solves_one_direction_per_orbit(tmp_path, monkeypatch):
+    # striped(0.5) is even in y1 and constant in y2: the 8 ring directions form 4 orbits under (±n1, ±n2)
+    path = write(tmp_path, RING)
+    cfg = parse_config(path)
+    calls = _count_solves(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["sigma", "--config", path, "--out", str(out)]) == 0
+    assert len(calls) == 4
+    entries = _table_by_normal(out)
+    rows = (out / "solves.csv").read_text().splitlines()[1:]
+    expected = _library_estimates(cfg)
+    assert len(entries) == len(expected) == 8 and len(rows) == 8 * 2 * 2
+    for k, est in enumerate(expected):
+        entry = entries[tuple(est.nu.tolist())]  # the member's own normal, to the last bit
+        assert entry["sigma"] == pytest.approx(est.sigma_hat, rel=1e-12, abs=0)
+        assert entry["err"] == pytest.approx(est.error_bar, rel=1e-12, abs=0)
+        for row in rows[4 * k : 4 * k + 4]:
+            assert row.split(",")[:2] == [repr(float(c)) for c in est.nu]
+    outcome = json.loads((out / "manifest.json").read_text())["outcomes"][0]
+    assert (outcome["directions"], outcome["solved"]) == (8, 4)
+
+
+def test_sigma_solves_a_direction_whose_mirror_breaks_the_weight(tmp_path, monkeypatch):
+    # (-3/5, 4/5) = diag(-1, 1) (3/5, 4/5), but these factors are not even in y1
+    text = MINIMAL.replace("kind = homogeneous-quartic", "kind = piecewise-cells\nfactors = 1, 2, 3; 4, 5, 6; 9, 7, 8")
+    text = text.replace("dir1 = 0, 1", "dir1 = 3/5, 4/5\ndir2 = -3/5, 4/5").replace("h = 1/16", "h = 1/8")
+    path = write(tmp_path, text)
+    cfg = parse_config(path)
+    calls = _count_solves(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["sigma", "--config", path, "--out", str(out)]) == 0
+    assert len(calls) == 2
+    entries = _table_by_normal(out)
+    expected = _library_estimates(cfg)
+    assert len(entries) == len(expected) == 2
+    for est in expected:
+        entry = entries[tuple(est.nu.tolist())]
+        assert (entry["sigma"], entry["err"]) == (est.sigma_hat, est.error_bar)
+    assert json.loads((out / "manifest.json").read_text())["outcomes"][0]["solved"] == 2
+
+
+def test_sigma_bytes_do_not_depend_on_the_worker_count(tmp_path):
+    path = write(tmp_path, RING)
+    outs = [tmp_path / f"w{k}" for k in (1, 2)]
+    for k, out in zip((1, 2), outs):
+        assert main(["sigma", "--config", path, "--out", str(out), "--workers", str(k)]) == 0
+    for name in ("solves.csv", "sigma_table.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_polar_requires_table(tmp_path, capsys):
