@@ -121,6 +121,8 @@ class CellResult:
     potential_part: float
     gradient_part: float
     converged: bool
+    evaluations: int  # energy and gradient evaluations of the descent
+    backtracks: int  # of those, the trial points its line search rejected
     trace: list = field(default_factory=list)
 
 
@@ -153,14 +155,15 @@ def initial_state(grid: CellGrid, profile: TransitionProfile, offset: float = 0.
 
     At offset 0 it is the boundary data.  Other offsets probe the potential
     phase so descent is not trapped at a symmetric saddle; `minimize_cell`
-    pins the boundary rows to the data.
+    pins the boundary rows to the data.  The profile is read once per
+    node of the normal axis and copied across the tangential ones.
     """
-    pts = grid.box.node_points()
-    return CellState(grid, profile(pts[..., -1] - offset))
+    column = profile(grid.box.node_axes()[-1] - offset)
+    return CellState(grid, np.broadcast_to(column, grid.box.shape + column.shape[-1:]).copy())
 
 
 def pinned_objective(model: EnergyModel):
-    """f_g(x) -> (energy, gradient) on the flat node vector x, for lbfgs_descent.
+    """f_g(x) -> (energy, gradient, EnergyParts) on the flat node vector x, for lbfgs_descent.
 
     The gradient is zero on the pinned nodes, the grid's non-periodic
     boundary (`boundary_mask`), where `model.precondition` is zero too, so
@@ -173,7 +176,7 @@ def pinned_objective(model: EnergyModel):
         parts, g = model.gradient(x.reshape(shape))
         g = g.reshape(-1)
         g[flat] = 0.0
-        return parts.total, g
+        return parts.total, g, parts
 
     return f_g
 
@@ -189,17 +192,19 @@ def minimize_cell(
 
     Returns (CellResult, CellState); a non-converged run is reported, not
     raised, and carries the best state reached.  A profile built for
-    another dimension or wells raises ValueError.
+    another dimension or wells, or a warm start of another shape than
+    the grid's nodes times the potential's components, raises ValueError.
+    The energy parts are those the descent evaluated at the returned state.
     """
     profile.check_fits(grid.dim, pot.wells)
+    if init is not None and init.u.shape != grid.box.shape + (pot.d,):
+        raise ValueError("warm start does not match the grid")
     model = cell_model(grid, pot)
     bmask = grid.box.boundary_mask()
     data = initial_state(grid, profile).u
     if init is None:
         u0 = data
     else:
-        if init.u.shape[:-1] != grid.box.shape:
-            raise ValueError("warm start does not match the grid")
         u0 = init.u.copy()
         u0[bmask] = data[bmask]  # keep the warm start admissible
     res = lbfgs_descent(
@@ -210,8 +215,7 @@ def minimize_cell(
         memory=opts.memory,
         precondition=model.precondition,
     )
-    u = res.x.reshape(u0.shape)
-    parts = model.energy_parts(u)
+    parts = res.info
     result = CellResult(
         g=parts.total / grid.area,
         iterations=res.iterations,
@@ -219,9 +223,11 @@ def minimize_cell(
         potential_part=parts.potential,
         gradient_part=parts.gradient,
         converged=res.converged,
+        evaluations=res.evaluations,
+        backtracks=res.backtracks,
         trace=res.trace,
     )
-    return result, CellState(grid, u)
+    return result, CellState(grid, res.x.reshape(u0.shape))
 
 
 def _prolong(u: np.ndarray, periodic) -> np.ndarray:

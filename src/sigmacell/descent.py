@@ -31,14 +31,16 @@ quasi-Newton direction finds no decrease, one steepest-descent search
 (along -H0 g with `precondition`) follows before the descent stops.
 
 Trial points are written into two reused buffers, so `f_g` must not keep
-a reference to its argument after it returns.
+a reference to its argument after it returns.  `f_g` may return a third
+item beside (f, g), say the parts of f; the result carries the one that
+came with the returned x, so the caller need not evaluate there again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -55,11 +57,14 @@ class DescentResult:
     grad_sup: float
     iterations: int
     converged: bool
+    evaluations: int  # f_g calls: 1 + iterations + backtracks
+    backtracks: int  # trial points the line search rejected, a failed search's included
+    info: Any = None  # the third item f_g returned at x, if it returns one
     trace: list = field(default_factory=list)
 
 
 def lbfgs_descent(
-    f_g: Callable[[np.ndarray], Tuple[float, np.ndarray]],
+    f_g: Callable[[np.ndarray], Tuple],
     x0: np.ndarray,
     sup_tol: float,
     max_iterations: int,
@@ -95,19 +100,24 @@ def lbfgs_descent(
     hg = None  # H0 g, or g itself without `precondition` (H0 = gamma I then multiplies it by gamma)
     proj_old = np.zeros((0, 2))
 
-    f, g = f_g(x)
+    f, g, *info = f_g(x)
     trace = [f]
-    iterations = 0
+    iterations = backtracks = 0
+    evaluations = 1
 
     def line_search(gp):
-        """(f_new, g_new) at the first x_trial = x + step p, step 1, 1/2, 1/4, ..., with an Armijo decrease, or None."""
+        """(f_new, g_new, info_new) at the first x_trial = x + step p, step 1, 1/2, 1/4, ..., with an Armijo
+        decrease, or None."""
+        nonlocal backtracks, evaluations
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
             np.multiply(p, step, out=x_trial)
             np.add(x_trial, x, out=x_trial)
-            f_new, g_new = f_g(x_trial)
+            f_new, g_new, *info_new = f_g(x_trial)
+            evaluations += 1
             if np.isfinite(f_new) and f_new <= f + ARMIJO * step * gp:
-                return f_new, g_new
+                return f_new, g_new, info_new
+            backtracks += 1
             step *= 0.5
         return None
 
@@ -162,7 +172,7 @@ def lbfgs_descent(
             found = line_search(float(g @ p))
         if found is None:
             break
-        f_new, g_new = found
+        f_new, g_new, info_new = found
 
         s, y = buf[spare]
         np.subtract(x_trial, x, out=s)
@@ -185,9 +195,10 @@ def lbfgs_descent(
             buf[spare] = 0.0  # enters the direction product with coefficient 0, and 0 * inf is NaN
 
         x, x_trial = x_trial, x
-        f, g = f_new, g_new
+        f, g, info = f_new, g_new, info_new
         iterations += 1
         trace.append(f)
         sup = float(max(g.max(), -g.min())) if g.size else 0.0
 
-    return DescentResult(x, f, sup, iterations, sup <= sup_tol, trace)
+    info = info[0] if info else None
+    return DescentResult(x, f, sup, iterations, sup <= sup_tol, evaluations, backtracks, info, trace)

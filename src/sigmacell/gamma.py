@@ -27,7 +27,7 @@ from .cell import CellState, SolverOptions, pinned_objective
 from .descent import lbfgs_descent
 from .grids import BoxGrid, EnergyModel, closed_nodes, node_quadrature_weights
 from .potential import Potential
-from .profile import TransitionProfile, step_field
+from .profile import TransitionProfile, _interval, step_field
 
 __all__ = [
     "FACE_POLICIES",
@@ -117,7 +117,7 @@ class PhaseField:
 
 def _boundary_data(domain: DomainSpec, grid: BoxGrid, pot: Potential, profile: TransitionProfile, eps: float):
     """Fixed-node mask and the values pinned there; the step is the profile read at (x . nu) / eps."""
-    pts = grid.node_points()
+    axes = grid.node_axes()
     data = np.zeros(grid.shape + (pot.d,))
     nu = np.asarray(domain.nu)
     for ax, (p_lo, p_hi) in enumerate(domain.faces):
@@ -129,8 +129,10 @@ def _boundary_data(domain: DomainSpec, grid: BoxGrid, pot: Potential, profile: T
                 data[sl] = pot.wells.a
             elif policy == "dirichlet-b":
                 data[sl] = pot.wells.b
-            else:  # dirichlet-step
-                data[sl] = profile((1.0 / eps) * (pts[sl] @ nu))
+            else:  # dirichlet-step: the node points of this face alone
+                face = axes[:ax] + [axes[ax][[side]]] + axes[ax + 1 :]
+                pts = np.stack(np.meshgrid(*face, indexing="ij"), axis=-1)[sl]
+                data[sl] = profile((1.0 / eps) * (pts @ nu))
     return grid.boundary_mask(), data  # periodic faces pair up, so every other face is pinned
 
 
@@ -175,6 +177,7 @@ def minimize_diffuse(
     search directions and gradients are projected onto the constraint
     tangent, and the iterate's quadrature integral is restored exactly
     after every step.  A profile built for another dimension or wells raises ValueError.
+    The energy parts are those the descent evaluated at the returned field.
     """
     profile.check_fits(domain.dim, pot.wells)
     grid = domain.grid(h)
@@ -210,11 +213,11 @@ def minimize_diffuse(
             return x + (drift / w_sum) * shift
 
         def f_g(x):
-            f, g = energy_gradient(restore(x))
+            f, g, parts = energy_gradient(restore(x))
             # exact gradient of E(restore(.)): the restoring shift is affine
             comp = float((g.reshape(-1, d) @ e_hat).sum()) / w_sum
             g -= comp * w_shift
-            return f, g
+            return f, g, parts
 
         x0 = restore(u0.ravel())
     else:
@@ -231,10 +234,8 @@ def minimize_diffuse(
         precondition=model.precondition,
     )
     x_final = restore(res.x) if restore is not None else res.x
-    u0 = x_final.reshape(u0.shape)
-    fieldv = PhaseField(domain, eps, h, u0.copy())
-    parts = model.energy_parts(u0)
-    return fieldv, parts, res
+    fieldv = PhaseField(domain, eps, h, x_final.reshape(u0.shape).copy())
+    return fieldv, res.info, res
 
 
 def check_recovery_layer(domain: DomainSpec, eps: float, T: float) -> None:
@@ -249,13 +250,14 @@ def check_recovery_layer(domain: DomainSpec, eps: float, T: float) -> None:
 def _multilinear(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Multilinear lookup of `values` (grid shape + trailing axes) on the grid `axes` at `pts` (..., ndim).
 
-    Per axis the interval has x[i] <= p < x[i+1], clipped to the end intervals (outside points extrapolate);
-    the corners are summed from 0 in `itertools.product` order, weighted by products of `1 - y` or `y`.
+    The axes are uniform.  Per axis the interval has x[i] <= p < x[i+1], clipped to the end intervals (outside
+    points extrapolate); the corners are summed from 0 in `itertools.product` order, weighted by products of `1 - y`
+    or `y`.
     """
     flat = pts.reshape(-1, len(axes))
     lower, frac = [], []
     for x, p in zip(axes, flat.T):
-        i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, x.size - 2)
+        i = _interval(x, p)
         lower.append(i)
         frac.append((p - x[i]) / (x[i + 1] - x[i]))
     trailing = (slice(None),) + (None,) * (values.ndim - len(axes))

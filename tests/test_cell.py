@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmacell import cell
+from sigmacell import cell, descent
 from sigmacell.cell import (
     CellGrid,
     CellState,
@@ -25,6 +25,7 @@ from sigmacell.potential import WellPair, homogeneous_quartic, striped
 from sigmacell.profile import Mollifier, TransitionProfile
 
 from oned_reference import profile_energy_1d, transition_bvp_energy
+from solve_checks import STOPS, check_stop, new_models_left_after, record_last_point
 
 F = Fraction
 QUARTIC = homogeneous_quartic()
@@ -45,7 +46,7 @@ def test_constant_well_field_has_zero_energy(prof):
     u = np.broadcast_to(QUARTIC.wells.a, grid.box.shape + (1,)).copy()
     model = cell_model(grid, QUARTIC)
     assert model.energy_parts(u).total == 0.0
-    _, g = pinned_objective(model)(u.ravel())
+    g = pinned_objective(model)(u.ravel())[1]
     assert np.abs(g).max() == 0.0
 
 
@@ -413,3 +414,46 @@ def test_orbit_members_solve_their_representatives_problem_3d():
         assert est.sigma_hat == pytest.approx(estimates[rep].sigma_hat, rel=1e-12, abs=0)
         assert est.error_bar == pytest.approx(estimates[rep].error_bar, rel=1e-12, abs=0)
     assert abs(estimates[4].sigma_hat - estimates[0].sigma_hat) > 1e-3
+
+
+@pytest.mark.parametrize("stop", list(STOPS))
+def test_reported_parts_are_the_energy_at_the_returned_state(monkeypatch, prof, stop):
+    opts, backtracks = STOPS[stop]
+    monkeypatch.setattr(descent, "MAX_BACKTRACKS", backtracks)
+    seen = record_last_point(monkeypatch, cell)
+    grid = CellGrid(2, 2.0, 1 / 8)
+    res, state = minimize_cell(grid, QUARTIC, prof, opts, init=initial_state(grid, prof, 0.25))
+    check_stop(stop, res, state.u.ravel(), seen["x"], opts.resolved_max_iterations(grid.box.shape))
+    parts = cell_model(grid, QUARTIC).energy_parts(state.u)
+    assert (res.potential_part, res.gradient_part, res.g) == (parts.potential, parts.gradient, parts.total / grid.area)
+    assert res.evaluations == 1 + res.iterations + res.backtracks
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("tangential", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_initial_state_is_the_profile_at_every_node(dim, tangential, d):
+    pot = homogeneous_quartic(d=d)
+    profile = TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=dim)
+    grid = CellGrid(dim, 2.0, 1 / 8, tangential=tangential)
+    for offset in (0.0, 0.25, 0.5, 0.75):
+        u = initial_state(grid, profile, offset).u
+        want = profile(grid.box.node_points()[..., -1] - offset)
+        assert u.shape == want.shape == grid.box.shape + (d,)
+        assert u.tobytes() == want.tobytes()
+        assert u.flags.writeable and u.flags.c_contiguous
+
+
+def test_warm_start_with_another_component_count_rejected(prof):
+    grid = CellGrid(2, 1.0, 1 / 8)
+    two = homogeneous_quartic(d=2)
+    prof_two = TransitionProfile(two.wells, Mollifier("bump", 0.5), dim=2)
+    for pot, profile, d in ((QUARTIC, prof, 2), (two, prof_two, 1)):
+        warm = CellState(grid, np.zeros(grid.box.shape + (d,)))
+        with pytest.raises(ValueError, match="warm start does not match the grid"):
+            minimize_cell(grid, pot, profile, init=warm)
+
+
+def test_cell_solve_frees_its_model_without_the_cyclic_collector(prof):
+    grid = CellGrid(2, 2.0, 1 / 8)
+    assert new_models_left_after(lambda: minimize_cell(grid, QUARTIC, prof)) == []

@@ -187,3 +187,67 @@ def test_steepest_descent_fallback_when_quasi_newton_search_fails(monkeypatch):
     assert res.iterations == 20
     assert all(b < a for a, b in zip(res.trace, res.trace[1:]))
     assert res.f < 0.1
+
+
+def recording(f_g):
+    """f_g that also returns a copy of its argument, and the list of the points it was called at."""
+    calls = []
+
+    def f_g_x(x):
+        calls.append(x.copy())
+        f, g = f_g(x)
+        return f, g, x.copy()
+
+    return f_g_x, calls
+
+
+def rotated_gradient(x):
+    # f = |x|^2 / 2 with the gradient rotated: -M x still descends f, but only by steps below 1/5
+    M = np.array([[1.0, 3.0], [-3.0, 1.0]])
+    return 0.5 * float(x @ x), M @ x
+
+
+@pytest.mark.parametrize(
+    "f_g,x0,sup_tol,max_iterations,backtracks_max,search_fails",
+    [
+        pytest.param(*spd_quadratic(20, seed=3), 1e-8, 500, 60, False, id="converged"),
+        pytest.param(rosenbrock, np.array([-1.2, 1.0, 0.5]), 0.0, 6, 60, False, id="max-iterations"),
+        pytest.param(*spd_quadratic(20, seed=3), 0.0, 1000, 1, True, id="line-search-failed"),
+        pytest.param(rotated_gradient, np.array([1.0, 0.0]), 0.0, 20, 2, True, id="first-line-search-failed"),
+        pytest.param(rosenbrock, np.array([-1.2, 1.0, 0.5]), 1e9, 6, 60, False, id="zero-iterations"),
+    ],
+)
+def test_info_comes_from_the_evaluation_at_the_returned_point(
+    monkeypatch, f_g, x0, sup_tol, max_iterations, backtracks_max, search_fails
+):
+    monkeypatch.setattr(descent, "MAX_BACKTRACKS", backtracks_max)
+    f_g_x, calls = recording(f_g)
+    res = lbfgs_descent(f_g_x, x0, sup_tol=sup_tol, max_iterations=max_iterations)
+    assert res.info.tobytes() == res.x.tobytes()
+    assert res.f == f_g(res.x)[0]
+    assert res.evaluations == len(calls)
+    # a failed last line search stops the descent early, its last evaluation at a rejected trial point
+    assert (not res.converged and res.iterations < max_iterations) == search_fails
+    if search_fails:
+        assert calls[-1].tobytes() != res.x.tobytes()
+
+
+def test_info_is_none_without_a_third_item():
+    f_g, x0 = spd_quadratic(10, seed=1)
+    assert lbfgs_descent(f_g, x0, sup_tol=1e-8, max_iterations=100).info is None
+
+
+@pytest.mark.parametrize("f_g,x0", [(rosenbrock, np.array([-1.2, 1.0, 0.5, 0.0])), (double_well, np.full(8, 0.01))])
+def test_evaluations_are_the_start_the_iterations_and_the_backtracks(f_g, x0):
+    f_g_x, calls = recording(f_g)
+    res = lbfgs_descent(f_g_x, x0, sup_tol=1e-8, max_iterations=300)
+    assert res.converged and res.backtracks > 0
+    assert res.evaluations == len(calls) == 1 + res.iterations + res.backtracks
+
+
+def test_evaluations_count_the_steepest_descent_retry(monkeypatch):
+    monkeypatch.setattr(descent, "MAX_BACKTRACKS", 5)
+    f_g_x, calls = recording(rotated_gradient)
+    res = lbfgs_descent(f_g_x, np.array([1.0, 0.0]), sup_tol=1e-8, max_iterations=20)
+    assert res.backtracks >= 5 * (res.iterations - 1)  # every quasi-Newton search after the first fails
+    assert res.evaluations == len(calls) == 1 + res.iterations + res.backtracks

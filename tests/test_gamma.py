@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
+from sigmacell import descent, gamma
 from sigmacell.cell import CellGrid, SolverOptions, cell_model, initial_state, minimize_cell
 from sigmacell.gamma import (
     DomainSpec,
@@ -16,6 +17,8 @@ from sigmacell.gamma import (
 from sigmacell.grids import node_quadrature_weights
 from sigmacell.potential import WellPair, homogeneous_quartic, striped
 from sigmacell.profile import Mollifier, TransitionProfile
+
+from solve_checks import STOPS, check_stop, new_models_left_after, record_last_point
 
 QUARTIC = homogeneous_quartic()
 
@@ -219,3 +222,55 @@ def test_domain_validation():
         DomainSpec(lo=(0, 0), hi=(1, 1), faces=(("periodic", "dirichlet-a"), ("dirichlet-a", "dirichlet-a")), nu=(0, 1))
     with pytest.raises(ValueError):
         DomainSpec(lo=(0, 0), hi=(1, 1), faces=(("periodic", "periodic"), ("periodic", "periodic")), nu=(0, 2))
+
+
+def _mass_target(domain, fraction=0.4):
+    wells = QUARTIC.wells
+    return domain.volume * (wells.a + fraction * (wells.b - wells.a))
+
+
+@pytest.mark.parametrize("mass", [False, True])
+@pytest.mark.parametrize("stop", list(STOPS))
+def test_reported_parts_are_the_energy_at_the_returned_field(monkeypatch, prof, strip, stop, mass):
+    opts, backtracks = STOPS[stop]
+    monkeypatch.setattr(descent, "MAX_BACKTRACKS", backtracks)
+    seen = record_last_point(monkeypatch, gamma)
+    eps, h = 1 / 2, 1 / 8
+    target = _mass_target(strip) if mass else None
+    field, parts, res = minimize_diffuse(strip, QUARTIC, eps, h, prof, mass_target=target, opts=opts)
+    check_stop(stop, res, res.x, seen["x"], opts.resolved_max_iterations(strip.grid(h).shape))
+    assert parts == diffuse_model(strip.grid(h), QUARTIC, eps).energy_parts(field.u)
+    assert res.evaluations == 1 + res.iterations + res.backtracks
+
+
+@pytest.mark.parametrize(
+    "faces,nu",
+    [
+        ((("dirichlet-step",) * 2,) * 2, (0.6, 0.8)),
+        ((("dirichlet-a", "dirichlet-step"), ("dirichlet-step", "dirichlet-b")), (-0.8, 0.6)),
+        ((("periodic",) * 2, ("dirichlet-step",) * 2, ("dirichlet-step",) * 2), (2 / 3, 1 / 3, 2 / 3)),
+    ],
+)
+def test_boundary_data_equals_the_profile_at_the_face_nodes(prof, faces, nu):
+    dom = DomainSpec(lo=(-0.5,) * len(nu), hi=(0.5,) * len(nu), faces=faces, nu=nu)
+    grid, eps = dom.grid(1 / 16), 1 / 4
+    profile = prof if len(nu) == 2 else TransitionProfile(QUARTIC.wells, Mollifier("bump", 0.5), dim=3)
+    mask, data = _boundary_data(dom, grid, QUARTIC, profile, eps)
+    pts = grid.node_points()
+    want = np.zeros_like(data)  # each face in turn, from the points of the whole grid
+    for ax, pair in enumerate(faces):
+        for side, policy in zip((0, -1), pair):
+            sl = (slice(None),) * ax + (side,)
+            if policy == "dirichlet-step":
+                want[sl] = profile((1.0 / eps) * (pts[sl] @ np.asarray(nu)))
+            elif policy != "periodic":
+                want[sl] = QUARTIC.wells.a if policy == "dirichlet-a" else QUARTIC.wells.b
+    assert np.array_equal(mask, grid.boundary_mask())
+    assert data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mass", [False, True])
+def test_diffuse_solve_frees_its_model_without_the_cyclic_collector(prof, strip, mass):
+    target = _mass_target(strip) if mass else None
+    run = lambda: minimize_diffuse(strip, QUARTIC, 1 / 2, 1 / 8, prof, mass_target=target)  # noqa: E731
+    assert new_models_left_after(run) == []
