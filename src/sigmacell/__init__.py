@@ -15,7 +15,6 @@ from .gamma import (
     DomainSpec,
     PhaseField,
     build_recovery,
-    diffuse_model,
     gamma_gap,
     minimize_diffuse,
 )

@@ -4,36 +4,34 @@ The scaled functional
 
     (1/eps) W(x/eps, u) + eps |grad u|^2
 
-is assembled with the same midpoint kernel as the cell problem (at eps=1
-on a matching box the two energies agree bit-for-bit).  Minimizers over a
-flat-interface strip converge, as eps shrinks, to the surface tension
-times the interface area; the recovery construction tiles a rescaled cell
-minimizer along the interface plane through the origin and provides both
-a warm start and an upper bound whose energy reproduces the cell value.
-It reads the cell solution by a numpy multilinear lookup in the steps of
-scipy's linear `RegularGridInterpolator`, so the recovery field equals
-scipy's bitwise.
+on the flat strip is, in y = x/eps, the unit-weight cell energy divided
+by the area eps^(1-N), so `minimize_diffuse` solves the cell energy on
+the strip's own nodes in y units.  Minimizers converge, as eps shrinks,
+to the surface tension times the interface area; the recovery
+construction tiles a rescaled cell minimizer along the interface plane
+through the origin and provides both a warm start and an upper bound
+whose energy reproduces the cell value.  It reads the cell solution by a
+numpy multilinear lookup in the steps of scipy's linear
+`RegularGridInterpolator`, so the recovery field equals scipy's bitwise.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .cell import CellState, SolverOptions, pinned_objective
 from .descent import lbfgs_descent
-from .grids import BoxGrid, EnergyModel, closed_nodes, node_quadrature_weights
+from .grids import BoxGrid, EnergyModel, EnergyParts, closed_nodes, node_quadrature_weights
 from .potential import Potential
 from .profile import TransitionProfile, _interval, step_field
 
 __all__ = [
-    "FACE_POLICIES",
     "DomainSpec",
     "PhaseField",
-    "diffuse_model",
     "minimize_diffuse",
     "check_recovery_layer",
     "build_recovery",
@@ -42,67 +40,29 @@ __all__ = [
     "GAP_CSV_COLUMNS",
 ]
 
-FACE_POLICIES = ("dirichlet-a", "dirichlet-b", "dirichlet-step", "periodic")
-
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Rectangular domain with a per-face boundary policy.
+    """The flat strip [0, 1)^(N-1) x [-1/2, 1/2]: laterally periodic, normal e_N, phase a below and b above."""
 
-    `faces[axis] = (low policy, high policy)`; periodic faces must pair
-    up.  `nu` is the normal of the interface plane x . nu = 0, used by
-    the dirichlet-step policy and by flat-interface studies.
-    """
-
-    lo: tuple
-    hi: tuple
-    faces: tuple
-    nu: tuple
-
-    def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
-        faces = tuple(tuple(f) for f in self.faces)
-        nu = tuple(float(v) for v in self.nu)
-        if not (len(lo) == len(hi) == len(faces) == len(nu)):
-            raise ValueError("lo, hi, faces, nu must share the dimension")
-        for pair in faces:
-            if len(pair) != 2 or any(p not in FACE_POLICIES for p in pair):
-                raise ValueError(f"face policies must be pairs from {FACE_POLICIES}")
-            if ("periodic" in pair) and pair != ("periodic", "periodic"):
-                raise ValueError("periodic faces must pair up on an axis")
-        if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
-            raise ValueError("interface normal must be a unit vector")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "nu", nu)
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
+    dim: int = 2
 
     @property
     def volume(self) -> float:
-        return float(np.prod([b - a for a, b in zip(self.lo, self.hi)]))
+        return 1.0
 
     def interface_area(self) -> float:
-        """Product of the extents transverse to the dominant normal axis."""
-        ax = int(np.argmax(np.abs(self.nu)))
-        return float(np.prod([b - a for i, (a, b) in enumerate(zip(self.lo, self.hi)) if i != ax]))
+        """The lateral extent of the strip."""
+        return 1.0
 
     def grid(self, h: float) -> BoxGrid:
-        periodic = tuple(pair == ("periodic", "periodic") for pair in self.faces)
-        return BoxGrid(self.lo, self.hi, h, periodic)
+        lo = (0.0,) * (self.dim - 1) + (-0.5,)
+        hi = (1.0,) * (self.dim - 1) + (0.5,)
+        return BoxGrid(lo, hi, h, (True,) * (self.dim - 1) + (False,))
 
     @classmethod
     def flat_strip(cls, dim: int = 2) -> "DomainSpec":
-        """Lateral-periodic unit strip with normal e_N, pure phases top and bottom."""
-        lo = (0.0,) * (dim - 1) + (-0.5,)
-        hi = (1.0,) * (dim - 1) + (0.5,)
-        faces = (("periodic", "periodic"),) * (dim - 1) + ((("dirichlet-a", "dirichlet-b")),)
-        nu = (0.0,) * (dim - 1) + (1.0,)
-        return cls(lo, hi, faces, nu)
+        return cls(dim)
 
 
 @dataclass
@@ -113,40 +73,6 @@ class PhaseField:
     eps: float
     h: float
     u: np.ndarray
-
-
-def _boundary_data(domain: DomainSpec, grid: BoxGrid, pot: Potential, profile: TransitionProfile, eps: float):
-    """Fixed-node mask and the values pinned there; the step is the profile read at (x . nu) / eps."""
-    axes = grid.node_axes()
-    data = np.zeros(grid.shape + (pot.d,))
-    nu = np.asarray(domain.nu)
-    for ax, (p_lo, p_hi) in enumerate(domain.faces):
-        for side, policy in ((0, p_lo), (-1, p_hi)):
-            if policy == "periodic":
-                continue
-            sl = (slice(None),) * ax + (side,)
-            if policy == "dirichlet-a":
-                data[sl] = pot.wells.a
-            elif policy == "dirichlet-b":
-                data[sl] = pot.wells.b
-            else:  # dirichlet-step: the node points of this face alone
-                face = axes[:ax] + [axes[ax][[side]]] + axes[ax + 1 :]
-                pts = np.stack(np.meshgrid(*face, indexing="ij"), axis=-1)[sl]
-                data[sl] = profile((1.0 / eps) * (pts @ nu))
-    return grid.boundary_mask(), data  # periodic faces pair up, so every other face is pinned
-
-
-def diffuse_model(grid: BoxGrid, pot: Potential, eps: float) -> EnergyModel:
-    """Midpoint quadrature of (1/eps) W(x/eps, u) + eps |grad u|^2 on the grid."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return EnergyModel(
-        grid,
-        pot,
-        y_map=lambda pts: pts / eps,
-        weight_potential=1.0 / eps,
-        weight_gradient=eps,
-    )
 
 
 def _mass_target_valid(domain: DomainSpec, pot: Potential, target: np.ndarray) -> None:
@@ -171,7 +97,13 @@ def minimize_diffuse(
     mass_target: Optional[np.ndarray] = None,
     opts: SolverOptions = SolverOptions(),
 ):
-    """Descend the scaled energy; optionally conserve the field integral.
+    """Descend the scaled energy on the strip; optionally conserve the field integral.
+
+    In y = x/eps the scaled energy is the unit-weight cell energy divided
+    by area = eps^(1-N), so the solve runs on the strip's own nodes in y
+    units: the descent stops at the tolerance times area, and energies
+    and gradient norms come back divided by area.  The two normal faces
+    are pinned to the wells; the default start is profile(y_N).
 
     The mass constraint is handled by projection along the well segment:
     search directions and gradients are projected onto the constraint
@@ -180,28 +112,32 @@ def minimize_diffuse(
     The energy parts are those the descent evaluated at the returned field.
     """
     profile.check_fits(domain.dim, pot.wells)
-    grid = domain.grid(h)
-    model = diffuse_model(grid, pot, eps)
-    mask, data = _boundary_data(domain, grid, pot, profile, eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    x_grid = domain.grid(h)
+    grid = BoxGrid(np.divide(x_grid.lo, eps), np.divide(x_grid.hi, eps), h / eps, x_grid.periodic)
+    model = EnergyModel(grid, pot, y_map=lambda pts: pts)
+    area = eps ** (1 - domain.dim)
+    d = pot.d
     if init is None:
-        pts = grid.node_points()
-        nu = np.asarray(domain.nu)
-        u0 = profile((1.0 / eps) * (pts @ nu))
+        column = profile(grid.node_axes()[-1])
+        u0 = np.broadcast_to(column, grid.shape + (d,)).copy()
     else:
         u0 = np.array(init, dtype=float)
-        if u0.shape != grid.shape + (pot.d,):
+        if u0.shape != grid.shape + (d,):
             raise ValueError("init does not match the grid")
-    u0[mask] = data[mask]
-    d = pot.d
+    u0[..., 0, :] = pot.wells.a
+    u0[..., -1, :] = pot.wells.b
     energy_gradient = pinned_objective(model)
 
     if mass_target is not None:
         target = np.asarray(mass_target, dtype=float).reshape(d)
         _mass_target_valid(domain, pot, target)
+        target = eps ** -domain.dim * target  # the integral over the strip in y units
         wq = node_quadrature_weights(grid).reshape(-1)
         seg = pot.wells.b - pot.wells.a
         e_hat = seg / np.linalg.norm(seg)
-        free = ~mask.reshape(-1)
+        free = ~grid.boundary_mask().reshape(-1)
         w_sum = float(wq[free].sum())
         shift = np.outer(free, e_hat).ravel()  # the restoring direction, zero on pinned nodes
         w_shift = np.outer(np.where(free, wq, 0.0), e_hat).ravel()
@@ -228,10 +164,18 @@ def minimize_diffuse(
     res = lbfgs_descent(
         f_g,
         x0,
-        sup_tol=opts.resolved_tolerance(pot),
+        sup_tol=opts.resolved_tolerance(pot) * area,
         max_iterations=opts.resolved_max_iterations(grid.shape),
         memory=opts.memory,
         precondition=model.precondition,
+    )
+    p = res.info  # back to strip units
+    res = replace(
+        res,
+        f=res.f / area,
+        grad_sup=res.grad_sup / area,
+        info=EnergyParts(p.total / area, p.potential / area, p.gradient / area),
+        trace=[f / area for f in res.trace],
     )
     x_final = restore(res.x) if restore is not None else res.x
     fieldv = PhaseField(domain, eps, h, x_final.reshape(u0.shape).copy())
@@ -239,11 +183,8 @@ def minimize_diffuse(
 
 
 def check_recovery_layer(domain: DomainSpec, eps: float, T: float) -> None:
-    """Raise ValueError unless the recovery layer, half-width eps*T/2 around the origin, fits in the domain along the normal."""
-    nu = np.asarray(domain.nu)
-    corners = np.array(list(np.ndindex(*(2,) * domain.dim)))
-    span = (np.array(domain.lo) + corners * (np.array(domain.hi) - np.array(domain.lo))) @ nu
-    if -eps * T / 2.0 < span.min() - 1e-12 or eps * T / 2.0 > span.max() + 1e-12:
+    """Raise ValueError unless the recovery layer, eps*T wide around the origin, fits in the strip's unit height."""
+    if eps * T > 1.0:
         raise ValueError("recovery layer exceeds the domain along the normal")
 
 

@@ -2,13 +2,13 @@
 
 A field lives on the nodes of a uniform grid; the energy
 
-    sum_cells  h^N [ wW * f(y(x_c)) * W0(u_c) + wG * |grad u_c|^2 ]
+    sum_cells  h^N [ f(y(x_c)) * W0(u_c) + |grad u_c|^2 ]
 
 takes the field value at each cell center as the corner average and the
 gradient as first-order edge differences averaged to the center.  The
 spatial weight f is evaluated once per model at the (mapped) cell
-centers and cached; the map carries either a rotation (cell problems) or
-a 1/eps dilation (diffuse-interface energies).
+centers and cached; the map carries the cell problem's rotation (the
+identity for the diffuse strip, which is solved in y = x/eps).
 
 One forward sweep, an axis at a time, gives the energy: its partial sums
 serve the center value and every partial derivative.  Its transpose,
@@ -19,7 +19,7 @@ omit the duplicate endpoint node; each axis step wraps around.
 `EnergyModel.precondition` applies P^-1, the inverse of the energy
 Hessian at a well with the spatial weight replaced by its mean:
 
-    P = 2 wG h^N slope^2 sum_ax K_ax (x) prod_other M  +  wW h^N mean^2 c f_mean prod M
+    P = 2 h^N slope^2 sum_ax K_ax (x) prod_other M  +  h^N mean^2 c f_mean prod M
 
 on the free nodes, with K = D^T D and M = S^T S for the 1D difference
 D = [-1 1] and corner sum S = [1 1], and c the isotropic well curvature
@@ -241,23 +241,14 @@ class EnergyParts:
 class EnergyModel:
     """Discrete energy and its exact gradient on a BoxGrid."""
 
-    def __init__(
-        self,
-        grid: BoxGrid,
-        pot,
-        y_map: Callable[[np.ndarray], np.ndarray],
-        weight_potential: float = 1.0,
-        weight_gradient: float = 1.0,
-    ):
+    def __init__(self, grid: BoxGrid, pot, y_map: Callable[[np.ndarray], np.ndarray]):
         self.grid = grid
         self.pot = pot
-        self.wW = float(weight_potential)
-        self.wG = float(weight_gradient)
         self._factor = np.asarray(pot.spatial_factor(y_map(grid.cell_centers())), dtype=float)
         n, hN = grid.dim, grid.h**grid.dim
         self._mean = 1.0 / (1 << n)  # corner sum -> center value
         slope = 1.0 / ((1 << (n - 1)) * grid.h)  # signed corner sum -> averaged edge difference
-        self._pot_scale, self._grad_scale = self.wW * hN, self.wG * hN * slope * slope
+        self._pot_scale, self._grad_scale = hN, hN * slope * slope
         self._dp_factor = (self._pot_scale * self._mean) * self._factor[..., None]
 
     def _centers(self, u: np.ndarray):

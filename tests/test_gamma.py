@@ -3,18 +3,15 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 from sigmacell import descent, gamma
-from sigmacell.cell import CellGrid, SolverOptions, cell_model, initial_state, minimize_cell
+from sigmacell.cell import CellGrid, SolverOptions, cell_model, minimize_cell
 from sigmacell.gamma import (
     DomainSpec,
-    _boundary_data,
     _multilinear,
-    PhaseField,
     build_recovery,
-    diffuse_model,
     gamma_gap,
     minimize_diffuse,
 )
-from sigmacell.grids import node_quadrature_weights
+from sigmacell.grids import BoxGrid, EnergyModel, EnergyParts, node_quadrature_weights
 from sigmacell.potential import WellPair, homogeneous_quartic, striped
 from sigmacell.profile import Mollifier, TransitionProfile
 
@@ -39,40 +36,64 @@ def cell_state(prof):
     return state
 
 
-def _all_step_domain():
-    faces = (("dirichlet-step", "dirichlet-step"), ("dirichlet-step", "dirichlet-step"))
-    return DomainSpec(lo=(-0.5, -0.5), hi=(0.5, 0.5), faces=faces, nu=(0.0, 1.0))
+def _strip_energy(strip, pot, eps, h, u) -> EnergyParts:
+    """The unit-weight energy of u on the strip's nodes in y = x/eps, divided by the area eps^(1-N)."""
+    x = strip.grid(h)
+    y_box = BoxGrid(np.divide(x.lo, eps), np.divide(x.hi, eps), h / eps, x.periodic)
+    parts, area = EnergyModel(y_box, pot, lambda p: p).energy_parts(u), eps ** (1 - strip.dim)
+    return EnergyParts(parts.total / area, parts.potential / area, parts.gradient / area)
 
 
-def test_matches_cell_energy_at_unit_scale(prof):
-    grid = CellGrid(2, 1.0, 1 / 16, tangential="dirichlet")
-    st = initial_state(grid, prof)
-    dom = _all_step_domain()
-    field = PhaseField(dom, 1.0, 1 / 16, st.u)
-    e_diffuse = diffuse_model(field.domain.grid(field.h), QUARTIC, field.eps).energy_parts(field.u).total
-    assert abs(e_diffuse - cell_model(grid, QUARTIC).energy_parts(st.u).total) <= 1e-12
+@pytest.mark.parametrize("dim", [2, 3])
+def test_interface_area_is_the_strip_width(dim):
+    strip = DomainSpec.flat_strip(dim)
+    assert strip.interface_area() == strip.volume == 1.0
+    grid = strip.grid(1 / 4)
+    assert grid.shape == (4,) * (dim - 1) + (5,)
+    assert grid.periodic == (True,) * (dim - 1) + (False,)
 
 
-def test_pure_phase_has_zero_energy(strip):
-    grid = strip.grid(1 / 16)
-    u = np.broadcast_to(QUARTIC.wells.a, grid.shape + (1,)).copy()
-    dom = DomainSpec(strip.lo, strip.hi, (("periodic", "periodic"), ("dirichlet-a", "dirichlet-a")), strip.nu)
-    assert diffuse_model(dom.grid(1 / 16), QUARTIC, 0.25).energy_parts(u).total == 0.0
+@pytest.mark.parametrize("dim,h", [(2, 1 / 16), (3, 1 / 8)])
+@pytest.mark.parametrize("pot", [QUARTIC, striped(0.5)], ids=["quartic", "striped"])
+def test_strip_is_the_cell_at_T_one_over_eps(pot, dim, h):
+    eps, profile = 1 / 4, TransitionProfile(QUARTIC.wells, Mollifier("bump", 0.5), dim=dim)
+    strip, area = DomainSpec.flat_strip(dim), eps ** (1 - dim)
+    cell, _ = minimize_cell(CellGrid(dim, 1 / eps, h / eps), pot, profile)
+    assert cell.converged
+    # at the cell's stopping rule in y units the two solves are the same, bit for bit
+    same_stop = SolverOptions(tolerance=SolverOptions().resolved_tolerance(pot) / area)
+    assert minimize_diffuse(strip, pot, eps, h, profile, opts=same_stop)[1].total == cell.g
+    # by default it stops at area times that rule, and the energies differ by less than 1e-9 * area / 4
+    _, parts, res = minimize_diffuse(strip, pot, eps, h, profile)
+    assert res.converged
+    assert abs(parts.total - cell.g) <= 1e-9 * area / 4
 
 
-def test_constant_midpoint_value():
-    dom = _all_step_domain()
-    u = np.zeros((17, 17, 1))
-    assert diffuse_model(dom.grid(1 / 16), QUARTIC, 0.5).energy_parts(u).total == pytest.approx(2.0)
-
-
-def test_trivial_minimize_zero_iterations(prof):
-    faces = (("dirichlet-a", "dirichlet-a"), ("dirichlet-a", "dirichlet-a"))
-    dom = DomainSpec(lo=(0.0, 0.0), hi=(1.0, 1.0), faces=faces, nu=(0.0, 1.0))
-    init = np.broadcast_to(QUARTIC.wells.a, (17, 17, 1)).copy()
-    _, parts, res = minimize_diffuse(dom, QUARTIC, 0.5, 1 / 16, prof, init=init)
-    assert parts.total == 0.0
+@pytest.mark.parametrize("pot", [QUARTIC, striped(0.5)], ids=["quartic", "striped"])
+def test_energy_is_the_scaled_functional_in_x(prof, strip, pot):
+    # midpoint quadrature of (1/eps) W(x/eps, u) + eps |grad u|^2 on the x-unit nodes, written out for 2D
+    eps, h = 1 / 3, 1 / 12
+    grid = strip.grid(h)
+    u = np.random.default_rng(4).uniform(-1.2, 1.2, grid.shape + (1,))
+    u[:, 0], u[:, -1] = QUARTIC.wells.a, QUARTIC.wells.b
+    closed = np.concatenate([u, u[:1]], axis=0)  # the periodic lateral axis
+    c00, c10, c01, c11 = closed[:-1, :-1], closed[1:, :-1], closed[:-1, 1:], closed[1:, 1:]
+    center = (c00 + c10 + c01 + c11) / 4.0
+    du_x = (c10 + c11 - c00 - c01) / (2.0 * h)
+    du_y = (c01 + c11 - c00 - c10) / (2.0 * h)
+    w = pot(grid.cell_centers() / eps, center)
+    want = h * h * ((w / eps).sum() + eps * (du_x**2 + du_y**2).sum())
+    _, parts, res = minimize_diffuse(strip, pot, eps, h, prof, init=u, opts=SolverOptions(max_iterations=0))
     assert res.iterations == 0
+    assert parts.total == pytest.approx(want, rel=1e-12)
+
+
+def test_trivial_minimize_zero_iterations(prof, strip):
+    field, parts, _ = minimize_diffuse(strip, QUARTIC, 0.5, 1 / 16, prof)
+    again, parts_again, res = minimize_diffuse(strip, QUARTIC, 0.5, 1 / 16, prof, init=field.u)
+    assert res.iterations == 0
+    assert parts_again == parts
+    assert again.u.tobytes() == field.u.tobytes()
 
 
 def test_strip_energies_decrease_toward_sigma(prof, strip):
@@ -87,47 +108,45 @@ def test_strip_energies_decrease_toward_sigma(prof, strip):
     assert gaps[2] < gaps[0]
 
 
-def test_mass_constraint_exact(prof):
-    faces = (("periodic", "periodic"), ("periodic", "periodic"))
-    dom = DomainSpec(lo=(0.0, 0.0), hi=(1.0, 1.0), faces=faces, nu=(0.0, 1.0))
+def test_mass_constraint_exact(prof, strip):
     target = np.array([0.0])  # midpoint mass
-    fieldv, parts, res = minimize_diffuse(dom, QUARTIC, 0.25, 1 / 32, prof, mass_target=target)
-    wq = node_quadrature_weights(dom.grid(1 / 32))
+    fieldv, parts, res = minimize_diffuse(strip, QUARTIC, 0.25, 1 / 32, prof, mass_target=target)
+    wq = node_quadrature_weights(strip.grid(1 / 32))
     mass = (wq[..., None] * fieldv.u).sum(axis=(0, 1))
+    assert res.converged
     assert abs(mass - target).max() <= 1e-10
 
 
 @pytest.mark.parametrize("mass_target", [None, np.array([0.1])])
-def test_minimize_diffuse_keeps_pinned_nodes(prof, mass_target):
-    dom = _all_step_domain()  # every node on the boundary is pinned
+def test_minimize_diffuse_keeps_pinned_nodes(prof, strip, mass_target):
     eps, h = 0.25, 1 / 16
-    grid = dom.grid(h)
-    init = np.random.default_rng(9).uniform(-1.2, 1.2, grid.shape + (1,))
-    fieldv, parts, res = minimize_diffuse(dom, QUARTIC, eps, h, prof, init=init, mass_target=mass_target)
-    mask, data = _boundary_data(dom, grid, QUARTIC, prof, eps)
+    init = np.random.default_rng(9).uniform(-1.2, 1.2, strip.grid(h).shape + (1,))
+    fieldv, parts, res = minimize_diffuse(strip, QUARTIC, eps, h, prof, init=init, mass_target=mass_target)
     assert res.iterations > 0
-    assert fieldv.u[mask].tobytes() == data[mask].tobytes()
+    bottom, top = fieldv.u[:, 0], fieldv.u[:, -1]
+    assert bottom.tobytes() == np.broadcast_to(QUARTIC.wells.a, bottom.shape).tobytes()
+    assert top.tobytes() == np.broadcast_to(QUARTIC.wells.b, top.shape).tobytes()
 
 
-def test_step_data_is_the_unit_profile_at_x_over_eps(prof):
-    faces = (("dirichlet-step", "dirichlet-step"), ("dirichlet-step", "dirichlet-step"))
-    dom = DomainSpec(lo=(-0.5, -0.5), hi=(0.5, 0.5), faces=faces, nu=(0.6, 0.8))
+def test_step_data_is_the_unit_profile_at_x_over_eps(prof, strip):
     eps, h = 1 / 8, 1 / 64
-    grid = dom.grid(h)
-    fieldv, _, res = minimize_diffuse(dom, QUARTIC, eps, h, prof, opts=SolverOptions(max_iterations=0))
-    expected = prof((1.0 / eps) * (grid.node_points() @ np.asarray(dom.nu)))
-    mask, data = _boundary_data(dom, grid, QUARTIC, prof, eps)
+    pts = strip.grid(h).node_points()
+    fieldv, _, res = minimize_diffuse(strip, QUARTIC, eps, h, prof, opts=SolverOptions(max_iterations=0))
+    expected = prof((1.0 / eps) * pts[..., -1])
+    expected[:, 0], expected[:, -1] = QUARTIC.wells.a, QUARTIC.wells.b
     assert res.iterations == 0
-    assert len(np.unique(data[mask])) > 2  # the faces cross the transition
-    assert data[mask].tobytes() == expected[mask].tobytes()
+    assert len(np.unique(expected)) > 2  # the strip crosses the transition
     assert fieldv.u.tobytes() == expected.tobytes()
 
 
-def test_mass_target_validation(prof):
-    faces = (("periodic", "periodic"), ("periodic", "periodic"))
-    dom = DomainSpec(lo=(0.0, 0.0), hi=(1.0, 1.0), faces=faces, nu=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        minimize_diffuse(dom, QUARTIC, 0.25, 1 / 16, prof, mass_target=np.array([2.0]))
+def test_mass_target_validation(prof, strip):
+    for target in ([2.0], [-1.0], [1.0]):
+        with pytest.raises(ValueError, match="strictly between"):
+            minimize_diffuse(strip, QUARTIC, 0.25, 1 / 16, prof, mass_target=np.array(target))
+    plane = homogeneous_quartic(d=2)
+    prof2 = TransitionProfile(plane.wells, Mollifier("bump", 0.5), dim=2)
+    with pytest.raises(ValueError, match="on the segment"):
+        minimize_diffuse(strip, plane, 0.25, 1 / 16, prof2, mass_target=np.array([0.0, 0.5]))
 
 
 def test_recovery_far_field_exact(prof, strip, cell_state):
@@ -152,16 +171,15 @@ def test_recovery_tangential_periodicity(prof, strip, cell_state):
 def test_recovery_energy_matches_cell_density(prof, strip, cell_state):
     for eps in (1 / 8, 1 / 16):
         rec = build_recovery(cell_state, eps, strip, eps / 8, QUARTIC)
-        e = diffuse_model(rec.domain.grid(rec.h), QUARTIC, eps).energy_parts(rec.u).total
+        e = _strip_energy(strip, QUARTIC, eps, rec.h, rec.u).total
         g_cell = cell_model(cell_state.grid, QUARTIC).energy_parts(cell_state.u).total / 4.0
         assert e == pytest.approx(g_cell * strip.interface_area(), rel=0.02)
 
 
-def test_recovery_layer_must_fit(prof, cell_state):
-    faces = (("periodic", "periodic"), ("dirichlet-a", "dirichlet-b"))
-    small = DomainSpec(lo=(0.0, -0.125), hi=(1.0, 0.125), faces=faces, nu=(0.0, 1.0))
+def test_recovery_layer_must_fit(prof, strip, cell_state):
+    build_recovery(cell_state, 1 / 4, strip, 1 / 32, QUARTIC)  # eps T = 1: the layer fills the strip
     with pytest.raises(ValueError, match="layer"):
-        build_recovery(cell_state, 1 / 4, small, 1 / 32, QUARTIC)
+        build_recovery(cell_state, 1 / 2, strip, 1 / 32, QUARTIC)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -217,13 +235,6 @@ def test_mismatched_profile_rejected(strip):
         minimize_diffuse(strip, QUARTIC, 0.25, 1 / 16, other)
 
 
-def test_domain_validation():
-    with pytest.raises(ValueError):
-        DomainSpec(lo=(0, 0), hi=(1, 1), faces=(("periodic", "dirichlet-a"), ("dirichlet-a", "dirichlet-a")), nu=(0, 1))
-    with pytest.raises(ValueError):
-        DomainSpec(lo=(0, 0), hi=(1, 1), faces=(("periodic", "periodic"), ("periodic", "periodic")), nu=(0, 2))
-
-
 def _mass_target(domain, fraction=0.4):
     wells = QUARTIC.wells
     return domain.volume * (wells.a + fraction * (wells.b - wells.a))
@@ -239,34 +250,8 @@ def test_reported_parts_are_the_energy_at_the_returned_field(monkeypatch, prof, 
     target = _mass_target(strip) if mass else None
     field, parts, res = minimize_diffuse(strip, QUARTIC, eps, h, prof, mass_target=target, opts=opts)
     check_stop(stop, res, res.x, seen["x"], opts.resolved_max_iterations(strip.grid(h).shape))
-    assert parts == diffuse_model(strip.grid(h), QUARTIC, eps).energy_parts(field.u)
+    assert parts == _strip_energy(strip, QUARTIC, eps, h, field.u)
     assert res.evaluations == 1 + res.iterations + res.backtracks
-
-
-@pytest.mark.parametrize(
-    "faces,nu",
-    [
-        ((("dirichlet-step",) * 2,) * 2, (0.6, 0.8)),
-        ((("dirichlet-a", "dirichlet-step"), ("dirichlet-step", "dirichlet-b")), (-0.8, 0.6)),
-        ((("periodic",) * 2, ("dirichlet-step",) * 2, ("dirichlet-step",) * 2), (2 / 3, 1 / 3, 2 / 3)),
-    ],
-)
-def test_boundary_data_equals_the_profile_at_the_face_nodes(prof, faces, nu):
-    dom = DomainSpec(lo=(-0.5,) * len(nu), hi=(0.5,) * len(nu), faces=faces, nu=nu)
-    grid, eps = dom.grid(1 / 16), 1 / 4
-    profile = prof if len(nu) == 2 else TransitionProfile(QUARTIC.wells, Mollifier("bump", 0.5), dim=3)
-    mask, data = _boundary_data(dom, grid, QUARTIC, profile, eps)
-    pts = grid.node_points()
-    want = np.zeros_like(data)  # each face in turn, from the points of the whole grid
-    for ax, pair in enumerate(faces):
-        for side, policy in zip((0, -1), pair):
-            sl = (slice(None),) * ax + (side,)
-            if policy == "dirichlet-step":
-                want[sl] = profile((1.0 / eps) * (pts[sl] @ np.asarray(nu)))
-            elif policy != "periodic":
-                want[sl] = QUARTIC.wells.a if policy == "dirichlet-a" else QUARTIC.wells.b
-    assert np.array_equal(mask, grid.boundary_mask())
-    assert data.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("mass", [False, True])
