@@ -216,7 +216,7 @@ def run_gamma(cfg: Config, run: _Run) -> int:
         cell_grid = CellGrid(DIM, cfg.T_cell, cfg.h, None, cfg.tangential)
         for eps in cfg.eps_schedule:
             domain.grid(default_gamma_mesh(eps))
-            check_recovery_layer(domain, eps, cfg.T_cell)
+            check_recovery_layer(eps, cfg.T_cell)
     profile = _profile(cfg)
     est = estimate_sigma(
         None, cfg.T_schedule, cfg.potential, profile, cfg.h,

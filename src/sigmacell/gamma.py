@@ -182,7 +182,7 @@ def minimize_diffuse(
     return fieldv, res.info, res
 
 
-def check_recovery_layer(domain: DomainSpec, eps: float, T: float) -> None:
+def check_recovery_layer(eps: float, T: float) -> None:
     """Raise ValueError unless the recovery layer, eps*T wide around the origin, fits in the strip's unit height."""
     if eps * T > 1.0:
         raise ValueError("recovery layer exceeds the domain along the normal")
@@ -214,16 +214,17 @@ def _multilinear(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def build_recovery(cell_state: CellState, eps: float, domain: DomainSpec, h: float, pot: Potential) -> PhaseField:
     """Tile the rescaled cell minimizer `cell_state` along the interface plane through the origin.
 
-    Outside the layer of half-width eps*T/2 the field is the pure step;
-    inside, the cell solution is evaluated at x/eps, extended periodically
-    in the rotated tangential coordinates.  The layer is anchored at the
-    origin: the cell point R^T x / eps reads the potential at y = x / eps,
-    where the cell solve evaluated it.
+    The field is the pure step, and the cell solution is read only on the
+    layer band of half-width eps*T/2: there it is evaluated at x/eps,
+    extended periodically in the rotated tangential coordinates, and
+    written over the step.  The layer is anchored at the origin: the cell
+    point R^T x / eps reads the potential at y = x / eps, where the cell
+    solve evaluated it.
     """
     grid = domain.grid(h)
     cg = cell_state.grid
     T = cg.T
-    check_recovery_layer(domain, eps, T)
+    check_recovery_layer(eps, T)
 
     # closed node array of the cell solution for interpolation
     u_cell = closed_nodes(cell_state.u, cg.box.periodic)
@@ -231,12 +232,12 @@ def build_recovery(cell_state: CellState, eps: float, domain: DomainSpec, h: flo
 
     y = grid.node_points() / eps
     zeta = y @ cg.rotation_matrix  # rotated-frame coordinates R^T x / eps
+    band = np.abs(zeta[..., -1]) <= T / 2.0
+    zt = zeta[band]
     # wrap tangential coordinates into [-T/2, T/2)
-    zt = zeta.copy()
-    zt[..., :-1] = np.mod(zeta[..., :-1] + T / 2.0, T) - T / 2.0
-    inside = np.abs(zeta[..., -1]) <= T / 2.0
-    vals = _multilinear(cell_axes, u_cell, np.clip(zt, -T / 2.0, T / 2.0))
-    u = np.where(inside[..., None], vals, step_field(cg.nu, y, pot.wells))
+    zt[:, :-1] = np.mod(zt[:, :-1] + T / 2.0, T) - T / 2.0
+    u = step_field(cg.nu, y, pot.wells)
+    u[band] = _multilinear(cell_axes, u_cell, np.clip(zt, -T / 2.0, T / 2.0))
     return PhaseField(domain, eps, h, u)
 
 

@@ -138,7 +138,9 @@ def build_competitor(
     grids must share the mesh and the copy centers must land on grid
     nodes; `plan.corner_nodes(s_grid)` gives each copy's low corner); the
     shell around each copy blends the normally-shifted mollified step into
-    the ambient one with a cutoff whose gradient is bounded by 3m.
+    the ambient one with a cutoff whose gradient is bounded by 3m.  The
+    blend runs only inside the node box of each enlarged copy; the
+    mollified step is left as it is elsewhere.
     """
     t_grid = u_T.grid
     if t_grid.tangential != "dirichlet":
@@ -158,19 +160,23 @@ def build_competitor(
     refs = plan.reference_centers()
     half_in = plan.T / 2.0
     half_out = (plan.T + plan.shell_width) / 2.0
+    pad = int(plan.shell_width / (2.0 * s_grid.h) + 1e-9)  # shell nodes beyond each copy face
+    normal_axis = s_grid.box.node_axes()[-1]
     for c, corner in zip(refs, plan.corner_nodes(s_grid)):
         u[tuple(slice(i, i + t_grid.n) for i in corner)] = u_T.u
 
-        # blend shell: between the copy face and the enlarged face
-        dist = np.max(np.abs(pts - c), axis=-1)
+        # blend shell: between the copy face and the enlarged face, inside the enlarged copy's node box
+        box = tuple(slice(i - pad, i + t_grid.n + pad) for i in corner)
+        near = pts[box]
+        dist = np.max(np.abs(near - c), axis=-1)
         shell = (dist > half_in) & (dist <= half_out + 1e-15)
         if shell.any():
             w = np.ones_like(dist)
             for ax in range(dim):
-                w = w * _smooth_ramp(np.abs(pts[..., ax] - c[ax]), half_in, half_out)
-            shifted = initial_state(s_grid, profile, c[-1]).u
-            blend = w[..., None] * shifted + (1.0 - w[..., None]) * ambient
-            u[shell] = blend[shell]
+                w = w * _smooth_ramp(np.abs(near[..., ax] - c[ax]), half_in, half_out)
+            shifted = profile(normal_axis[box[-1]] - c[-1])
+            blend = w[..., None] * shifted + (1.0 - w[..., None]) * ambient[box]
+            u[box][shell] = blend[shell]
 
     # exact boundary data on the non-periodic faces
     bmask = s_grid.box.boundary_mask()

@@ -1,19 +1,23 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 from sigmacell import descent, gamma
-from sigmacell.cell import CellGrid, SolverOptions, cell_model, minimize_cell
+from sigmacell.cell import CellGrid, CellState, SolverOptions, cell_model, initial_state, minimize_cell
 from sigmacell.gamma import (
     DomainSpec,
     _multilinear,
     build_recovery,
+    default_gamma_mesh,
     gamma_gap,
     minimize_diffuse,
 )
-from sigmacell.grids import BoxGrid, EnergyModel, EnergyParts, node_quadrature_weights
+from sigmacell.grids import BoxGrid, EnergyModel, EnergyParts, closed_nodes, node_quadrature_weights
+from sigmacell.lattice import RationalUnitVector, rotation_from_direction
 from sigmacell.potential import WellPair, homogeneous_quartic, striped
-from sigmacell.profile import Mollifier, TransitionProfile
+from sigmacell.profile import Mollifier, TransitionProfile, step_field
 
 from solve_checks import STOPS, check_stop, new_models_left_after, record_last_point
 
@@ -180,6 +184,45 @@ def test_recovery_layer_must_fit(prof, strip, cell_state):
     build_recovery(cell_state, 1 / 4, strip, 1 / 32, QUARTIC)  # eps T = 1: the layer fills the strip
     with pytest.raises(ValueError, match="layer"):
         build_recovery(cell_state, 1 / 2, strip, 1 / 32, QUARTIC)
+
+
+def _full_grid_recovery(cell_state, eps, strip, h, pot) -> np.ndarray:
+    """The recovery field by interpolating at every strip node and keeping the step outside the layer."""
+    cg, T = cell_state.grid, cell_state.grid.T
+    u_cell = closed_nodes(cell_state.u, cg.box.periodic)
+    cell_axes = [-T / 2.0 + cg.h * np.arange(n) for n in u_cell.shape[:-1]]
+    y = strip.grid(h).node_points() / eps
+    zeta = y @ cg.rotation_matrix
+    zt = zeta.copy()
+    zt[..., :-1] = np.mod(zeta[..., :-1] + T / 2.0, T) - T / 2.0
+    inside = np.abs(zeta[..., -1]) <= T / 2.0
+    vals = _multilinear(cell_axes, u_cell, np.clip(zt, -T / 2.0, T / 2.0))
+    return np.where(inside[..., None], vals, step_field(cg.nu, y, pot.wells))
+
+
+def _rotated_cell_state(prof) -> CellState:
+    """A perturbed step on the T = 5 cell at nu = (3/5, 4/5)."""
+    rotation = rotation_from_direction(RationalUnitVector((Fraction(3, 5), Fraction(4, 5))))
+    state = initial_state(CellGrid(2, 5.0, 1 / 4, rotation), prof)
+    return CellState(state.grid, state.u + 0.1 * np.random.default_rng(3).standard_normal(state.u.shape))
+
+
+@pytest.mark.parametrize(
+    "case,eps,h",
+    [
+        ("identity", 1 / 4, default_gamma_mesh(1 / 4)),
+        ("identity", 1 / 8, default_gamma_mesh(1 / 8)),
+        ("identity", 1 / 32, default_gamma_mesh(1 / 32)),
+        ("identity", 1 / 5, 1 / 64),  # the strip's nodes do not nest with the cell's
+        ("rotated", 1 / 8, 1 / 64),
+    ],
+)
+def test_recovery_is_the_full_grid_formula_bit_for_bit(prof, strip, cell_state, case, eps, h):
+    state = cell_state if case == "identity" else _rotated_cell_state(prof)
+    rec = build_recovery(state, eps, strip, h, QUARTIC)
+    want = _full_grid_recovery(state, eps, strip, h, QUARTIC)
+    assert len(np.unique(want)) > 2  # the layer holds cell values
+    assert rec.u.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3])

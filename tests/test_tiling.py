@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sigmacell.cell import CellGrid, cell_model, initial_state, minimize_cell
+from sigmacell.cell import CellGrid, CellState, cell_model, initial_state, minimize_cell
 from sigmacell.lattice import RationalRotation, RationalUnitVector, rotation_from_direction
 from sigmacell.potential import checkerboard, homogeneous_quartic
 from sigmacell.profile import Mollifier, TransitionProfile
-from sigmacell.tiling import TilingPlan, build_competitor, plan_tiling, subadditivity_gap
+from sigmacell.tiling import TilingPlan, _smooth_ramp, build_competitor, plan_tiling, subadditivity_gap
 
 from oned_reference import profile_energy_1d
 
@@ -76,6 +76,38 @@ def test_competitor_energy_bounds(u_T, prof):
     ratio = plan.count * 4.0 / 16.0
     assert np.isfinite(e_S)
     assert e_S >= g_T * ratio  # copies alone already carry this much
+
+
+def _full_grid_competitor(u_T, plan, prof, s_grid) -> np.ndarray:
+    """The competitor with each copy's shell blend computed over the whole S-grid."""
+    pts = s_grid.box.node_points()
+    ambient = initial_state(s_grid, prof).u
+    u = ambient.copy()
+    half_in, half_out = plan.T / 2.0, (plan.T + plan.shell_width) / 2.0
+    for c, corner in zip(plan.reference_centers(), plan.corner_nodes(s_grid)):
+        u[tuple(slice(i, i + u_T.grid.n) for i in corner)] = u_T.u
+        dist = np.max(np.abs(pts - c), axis=-1)
+        shell = (dist > half_in) & (dist <= half_out + 1e-15)
+        w = np.ones_like(dist)
+        for ax in range(plan.dim):
+            w = w * _smooth_ramp(np.abs(pts[..., ax] - c[ax]), half_in, half_out)
+        blend = w[..., None] * initial_state(s_grid, prof, c[-1]).u + (1.0 - w[..., None]) * ambient
+        u[shell] = blend[shell]
+    bmask = s_grid.box.boundary_mask()
+    u[bmask] = ambient[bmask]
+    return u
+
+
+@pytest.mark.parametrize("dim,T,S,m,h", [(2, 4.0, 16.0, 3, 1 / 16), (3, 4.0, 9.0, 3, 1 / 8)])
+def test_competitor_is_the_full_grid_formula_bit_for_bit(dim, T, S, m, h):
+    profile = TransitionProfile(QUARTIC.wells, Mollifier("bump", 0.5), dim=dim)
+    state = initial_state(CellGrid(dim, T, h, tangential="dirichlet"), profile)
+    u_T = CellState(state.grid, state.u + 0.1 * np.random.default_rng(dim).standard_normal(state.u.shape))
+    plan = plan_tiling(T, S, m, dim=dim)
+    s_grid = CellGrid(dim, S, h, tangential="dirichlet")
+    assert plan.count == (2 if dim == 2 else 1)
+    comp = build_competitor(u_T, plan, profile, s_grid)
+    assert comp.u.tobytes() == _full_grid_competitor(u_T, plan, profile, s_grid).tobytes()
 
 
 def test_degenerate_plan_yields_pure_step(prof):
