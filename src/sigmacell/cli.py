@@ -118,7 +118,7 @@ class _Run:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return SigmaTable.from_json(fh.read())
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"[output] sigma_table: cannot read {path}: {exc}") from exc
 
 

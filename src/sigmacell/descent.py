@@ -6,41 +6,40 @@ decrease, so the energy trace is monotone non-increasing; termination is
 on the sup-norm of the gradient.
 
 The inverse Hessian estimate is the compact limited-memory BFGS
-representation of Byrd, Nocedal & Schnabel (1994) with a fixed initial
-matrix H0:
+representation of Byrd, Nocedal & Schnabel (1994) with the fixed initial
+matrix H0 that the caller passes as `precondition`, a symmetric positive
+semi-definite operator (an approximate inverse Hessian):
 
     H = H0 + [S  H0 Y] M [S^T; Y^T H0]
 
 with S, Y the last `memory` secant pairs and M built from the small
 matrices R^-1 (R the upper triangle of S^T Y), D = diag(s_i . y_i) and
-Y^T H0 Y, updated incrementally as pairs come and go.  Without
-`precondition`, H0 = gamma I with gamma = s . y / y . y of the newest
-pair, and the history stores y_j.  With it, H0 is the given symmetric
-positive semi-definite operator (a fixed approximate inverse Hessian),
-gamma stays 1 and the history stores the rows z_j = H0 y_j = H0 g_new -
-H0 g, differences of the H0 g that each iteration applies once: no H0
-application per backtrack and none per kept pair.  The first step is
--H0 g.  The pairs live in one preallocated array, which each iteration
-reads twice: one matrix-vector product gives S^T g and Z^T g (Z = H0 Y,
-or Y), and one gives the search direction -H0 g - S top + Z r1.  The new
-entries of S^T Y and Y^T H0 Y are differences of successive S^T g and
-Z^T g, so no third pass is needed.
+Y^T H0 Y, updated incrementally as pairs come and go.  The history
+stores s_j and the rows z_j = H0 y_j = H0 g_new - H0 g, differences of
+the H0 g that each iteration applies once: no H0 application per
+backtrack and none per kept pair.  The first step is -H0 g.  The pairs
+live in one preallocated array, which each iteration reads twice: one
+matrix-vector product gives S^T g and Z^T g (Z = H0 Y), and one gives
+the search direction -H0 g - S top + Z r1.  The new entries of S^T Y and
+Y^T H0 Y are differences of successive S^T g and Z^T g, so no third
+pass is needed.
 
 The line search halves the step at most MAX_BACKTRACKS times; when the
-quasi-Newton direction finds no decrease, one steepest-descent search
-(along -H0 g with `precondition`) follows before the descent stops.
+quasi-Newton direction finds no decrease, one search along -H0 g
+follows before the descent stops.
 
-Trial points are written into two reused buffers, so `f_g` must not keep
-a reference to its argument after it returns.  `f_g` may return a third
-item beside (f, g), say the parts of f; the result carries the one that
-came with the returned x, so the caller need not evaluate there again.
+`f_g(x)` returns (f, g, info), info being anything the caller wants
+back from an evaluation, say the parts of f; the result carries the one
+that came with the returned x, so the caller need not evaluate there
+again.  Trial points are written into two reused buffers, so `f_g` must
+not keep a reference to its argument after it returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 import numpy as np
 
@@ -59,7 +58,7 @@ class DescentResult:
     converged: bool
     evaluations: int  # f_g calls: 1 + iterations + backtracks
     backtracks: int  # trial points the line search rejected, a failed search's included
-    info: Any = None  # the third item f_g returned at x, if it returns one
+    info: Any  # the third item f_g returned at x
     trace: list = field(default_factory=list)
 
 
@@ -68,39 +67,38 @@ def lbfgs_descent(
     x0: np.ndarray,
     sup_tol: float,
     max_iterations: int,
+    precondition: Callable[[np.ndarray], np.ndarray],
     memory: int = 10,
-    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> DescentResult:
     """Minimize f from x0 until the gradient sup-norm drops below sup_tol.
 
     `precondition(v)` applies the initial matrix H0 and returns an array
-    that later calls leave alone; without it H0 = gamma I.
+    that later calls leave alone.
     """
     if memory < 1:
         raise ValueError(f"memory must be at least 1, got {memory}")
     x = np.array(x0, dtype=float)
     x_trial = np.empty_like(x)
     p = np.empty_like(x)
-    # slot j holds s_j in row 2j and y_j (z_j = H0 y_j with `precondition`)
-    # in row 2j + 1 of `flat`; one slot more than `memory` takes each new
-    # pair, so a rejected pair never overwrites a kept one.  Slots never
-    # written cost no memory (calloc).
+    # slot j holds s_j in row 2j and z_j = H0 y_j in row 2j + 1 of `flat`
+    # (y_j until the next iteration applies H0); one slot more than
+    # `memory` takes each new pair, so a rejected pair never overwrites a
+    # kept one.  Slots never written cost no memory (calloc).
     buf = np.zeros((memory + 1, 2, x.size))
     flat = buf.reshape(2 * (memory + 1), x.size)
     kept: list = []  # slots of the kept pairs, oldest first
     spare = used = 0  # the slot the next pair goes to; slots written so far
-    # R^-1, Y^T H0 Y / gamma and D indexed by slot.  Rows and columns of
+    # R^-1, Y^T H0 Y and D indexed by slot.  Rows and columns of
     # R^-1 are 0 on slots not kept, which leaves those slots out of the
     # direction; the other two are read there only through those zeros.
     r_inv = np.zeros((memory + 1, memory + 1))
     yty = np.zeros((memory + 1, memory + 1))
     d = np.zeros(memory + 1)
-    gamma = 1.0
-    pending = None  # (slot, s.y, y.y) of a pair added last iteration, awaiting its cross products
-    hg = None  # H0 g, or g itself without `precondition` (H0 = gamma I then multiplies it by gamma)
+    pending = None  # (slot, s.y, y.y) of a pair added last iteration, awaiting z_j and its cross products
+    hg = None  # H0 g
     proj_old = np.zeros((0, 2))
 
-    f, g, *info = f_g(x)
+    f, g, info = f_g(x)
     trace = [f]
     iterations = backtracks = 0
     evaluations = 1
@@ -113,7 +111,7 @@ def lbfgs_descent(
         for _ in range(MAX_BACKTRACKS):
             np.multiply(p, step, out=x_trial)
             np.add(x_trial, x, out=x_trial)
-            f_new, g_new, *info_new = f_g(x_trial)
+            f_new, g_new, info_new = f_g(x_trial)
             evaluations += 1
             if np.isfinite(f_new) and f_new <= f + ARMIJO * step * gp:
                 return f_new, g_new, info_new
@@ -123,8 +121,8 @@ def lbfgs_descent(
 
     sup = float(max(g.max(), -g.min())) if g.size else 0.0
     while sup > sup_tol and iterations < max_iterations:
-        hg_old, hg = hg, g if precondition is None else precondition(g)
-        if precondition is not None and pending is not None:
+        hg_old, hg = hg, precondition(g)
+        if pending is not None:
             j, sy, _ = pending
             z = flat[2 * j + 1]  # holds y_j until now
             np.subtract(hg, hg_old, out=p)
@@ -149,14 +147,13 @@ def lbfgs_descent(
             sg, yg = proj.T
             r = r_inv[:used, :used]
             r1 = r @ sg
-            top = r.T @ (d[:used] * r1 + gamma * (yty[:used, :used] @ r1 - yg))
+            top = r.T @ (d[:used] * r1 + (yty[:used, :used] @ r1 - yg))
             coef = np.empty((used, 2))
             coef[:, 0] = -top
-            coef[:, 1] = gamma * r1
-            # p = -H g = -gamma hg - S top + gamma Z r1
+            coef[:, 1] = r1
+            # p = -H g = -H0 g - S top + Z r1
             np.dot(coef.reshape(-1), flat[: 2 * used], out=p)
-            np.multiply(hg, gamma, out=x_trial)
-            p -= x_trial
+            p -= hg
             gp = float(g @ p)
             steepest = gp >= 0.0
         if steepest:
@@ -167,7 +164,7 @@ def lbfgs_descent(
 
         found = line_search(gp)
         if found is None and not steepest:
-            # try (preconditioned) steepest descent once before giving up
+            # try -H0 g once before giving up
             np.negative(hg, out=p)
             found = line_search(float(g @ p))
         if found is None:
@@ -189,8 +186,6 @@ def lbfgs_descent(
             else:
                 spare += 1
             pending = (kept[-1], sy, yy)
-            if precondition is None:
-                gamma = sy / yy
         elif not math.isfinite(sy):
             buf[spare] = 0.0  # enters the direction product with coefficient 0, and 0 * inf is NaN
 
@@ -200,5 +195,4 @@ def lbfgs_descent(
         trace.append(f)
         sup = float(max(g.max(), -g.min())) if g.size else 0.0
 
-    info = info[0] if info else None
     return DescentResult(x, f, sup, iterations, sup <= sup_tol, evaluations, backtracks, info, trace)

@@ -78,21 +78,22 @@ class SigmaEntryRecord:
 class SigmaTable:
     """Directional surface-tension table with angular interpolation (2D).
 
-    Entries are (unit direction, value, error bar).  Lookup interpolates
-    linearly in angle between the bracketing entries; directions farther
-    from the nearest entry than the table's angular mesh (the median
-    consecutive gap) raise instead of extrapolating.
+    Entries are (unit 2-vector direction, value, error bar), the value
+    and error bar finite and nonnegative.  Lookup interpolates linearly
+    in angle between the bracketing entries; directions farther from the
+    nearest entry than the table's angular mesh (the median consecutive
+    gap) raise instead of extrapolating.
     """
 
     def __init__(self, entries: Iterable, potential_info: Optional[dict] = None):
         recs = []
         for nu, sigma, err in entries:
-            nu = np.asarray(nu, dtype=float)
-            if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
-                raise ValueError("table directions must be unit vectors")
-            if sigma < 0:
-                raise ValueError("surface tension values must be nonnegative")
-            recs.append(SigmaEntryRecord(nu, float(sigma), float(err)))
+            nu, sigma, err = np.asarray(nu, dtype=float), float(sigma), float(err)
+            if nu.shape != (2,) or not abs(np.linalg.norm(nu) - 1.0) <= 1e-9:
+                raise ValueError(f"table directions must be unit 2-vectors, got {nu.tolist()}")
+            if not (np.isfinite([sigma, err]).all() and min(sigma, err) >= 0):
+                raise ValueError(f"surface tension and error bar must be finite and nonnegative, got {sigma}, {err}")
+            recs.append(SigmaEntryRecord(nu, sigma, err))
         if not recs:
             raise ValueError("table must contain at least one direction")
         self.potential_info = potential_info or {}
@@ -145,9 +146,12 @@ class SigmaTable:
     @classmethod
     def from_json(cls, text: str) -> "SigmaTable":
         doc = json.loads(text)
+        entries = doc.get("entries") if isinstance(doc, dict) else None
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("a sigma table is a JSON object whose entries are a list of objects")
         if doc.get("dimension", 2) != 2:
             raise ValueError("angular interpolation is implemented for dimension 2")
-        entries = [(e["nu"], e["sigma"], e["err"]) for e in doc["entries"]]
+        entries = [(e["nu"], e["sigma"], e["err"]) for e in entries]
         return cls(entries, doc.get("potential", {}))
 
 

@@ -20,7 +20,7 @@ from sigmacell.cell import (
     pinned_objective,
     _prolong,
 )
-from sigmacell.lattice import RationalUnitVector, rotation_from_direction
+from sigmacell.lattice import RationalUnitVector, random_rational_directions, rotation_from_direction
 from sigmacell.potential import WellPair, homogeneous_quartic, striped
 from sigmacell.profile import Mollifier, TransitionProfile
 
@@ -190,6 +190,21 @@ def test_envelope_lower_bound(prof):
     res_w, _ = minimize_cell(grid, pot, prof)
     res_e, _ = minimize_cell(grid, env, prof)
     assert res_w.g >= res_e.g - 1e-8
+
+
+@pytest.mark.parametrize("dim, count, schedule, h", [(2, 6, [2.0, 4.0], 1 / 8), (3, 3, [4.0], 1 / 4)], ids=["2d", "3d"])
+def test_quartic_sigma_does_not_depend_on_the_direction_bit_for_bit(dim, count, schedule, h):
+    # the rotation enters the cell energy only through the weight, which is constant for the quartic
+    profile = TransitionProfile(QUARTIC.wells, Mollifier("bump", 0.5), dim=dim)
+
+    def fingerprint(R):
+        est = estimate_sigma(R, schedule, QUARTIC, profile, h=h, dim=dim)
+        refinements = [(r.phase_offset, r.state.u.tobytes()) for r in est.refinements]
+        return est.sigma_hat, est.error_bar, est.per_T, refinements
+
+    reference = fingerprint(None)
+    for nu in random_rational_directions(dim, count, seed=dim):
+        assert fingerprint(rotation_from_direction(nu)) == reference, nu
 
 
 def test_homogeneous_g_is_rotation_invariant(prof):

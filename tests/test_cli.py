@@ -277,6 +277,44 @@ def test_validate_refuses_unreadable_table(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def table_doc(**first):
+    """A three-direction sigma table document whose first entry takes the given fields."""
+    entries = [{"nu": nu, "sigma": 1.0, "err": 0.0} for nu in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])]
+    entries[0].update(first)
+    return {"dimension": 2, "potential": {}, "entries": entries}
+
+
+@pytest.mark.parametrize("command", ["validate", "polar"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        table_doc(sigma=float("nan")),
+        {"entries": 5},
+        [table_doc()],
+        table_doc(nu=1.0),
+        table_doc(nu=[1.0, 0.0, 0.0]),
+        table_doc(err=None),
+        table_doc(nu={"x": 1.0}),
+    ],
+    ids=["nan-sigma", "entries-not-a-list", "top-level-list", "scalar-nu", "three-component-nu", "null-err", "object-nu"],
+)
+def test_malformed_table_exits_2(tmp_path, capsys, command, doc):
+    path = write(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sigma_table.json").write_text(json.dumps(doc))
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert "config error: [output] sigma_table:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_well_formed_table_doc_passes_validate(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sigma_table.json").write_text(json.dumps(table_doc()))
+    assert main(["validate", "--config", write(tmp_path, MINIMAL), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("command, flag, value", [("sigma", "--workers", "0"), ("validate", "--seed", "-1")])
 def test_cli_override_meets_key_checks(tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"

@@ -5,15 +5,14 @@ from sigmacell import descent
 from sigmacell.descent import lbfgs_descent
 
 
-def two_loop_descent(f_g, x0, sup_tol, max_iterations, memory=10, armijo=1e-4, max_backtracks=60, precondition=None):
+def two_loop_descent(f_g, x0, sup_tol, max_iterations, h0, memory=10, armijo=1e-4, max_backtracks=60):
     """Reference L-BFGS: the two-loop recursion over lists of secant pairs.
 
-    Same step rule, steepest-descent retry and curvature rule as
-    `lbfgs_descent`; returns (x, trace, number of pairs rejected while the
-    history held pairs).  `precondition` is the fixed initial matrix H0 in
-    place of the scaling s.y / y.y, and the steepest direction is -H0 g.
+    Same step rule, retry along -H0 g and curvature rule as
+    `lbfgs_descent`, with h0 the fixed initial matrix H0;
+    `f_g` returns (f, g).  Returns (x, trace, number of pairs rejected
+    while the history held pairs).
     """
-    h0 = precondition or (lambda v: v)
     x = np.asarray(x0, dtype=float).copy()
     f, g = f_g(x)
     trace = [f]
@@ -37,10 +36,7 @@ def two_loop_descent(f_g, x0, sup_tol, max_iterations, memory=10, armijo=1e-4, m
             a = rho * float(s @ q)
             alphas.append(a)
             q -= a * y
-        if precondition is not None:
-            q = precondition(q)
-        elif y_list:
-            q *= float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
+        q = h0(q)
         for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
             b = rho * float(y @ q)
             q += (a - b) * s
@@ -76,6 +72,19 @@ def two_loop_descent(f_g, x0, sup_tol, max_iterations, memory=10, armijo=1e-4, m
     return x, trace, rejected
 
 
+def scaled_identity(c):
+    """H0 = c I."""
+    return lambda v: c * v
+
+
+IDENTITY = scaled_identity(1.0)
+
+
+def with_info(f_g):
+    """The (f, g) objective f_g as lbfgs_descent takes it: (f, g, None)."""
+    return lambda x: (*f_g(x), None)
+
+
 def spd_quadratic(n, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -109,9 +118,9 @@ def double_well(x):
     return f, g
 
 
-def assert_matches_reference(f_g, x0, iterations, memory, rtol):
-    x_ref, trace_ref, rejected = two_loop_descent(f_g, x0, 0.0, iterations, memory=memory)
-    res = lbfgs_descent(f_g, x0, sup_tol=0.0, max_iterations=iterations, memory=memory)
+def assert_matches_reference(f_g, x0, iterations, memory, rtol, h0=IDENTITY):
+    x_ref, trace_ref, rejected = two_loop_descent(f_g, x0, 0.0, iterations, h0, memory=memory)
+    res = lbfgs_descent(with_info(f_g), x0, sup_tol=0.0, max_iterations=iterations, precondition=h0, memory=memory)
     assert res.iterations == len(trace_ref) - 1 == iterations
     np.testing.assert_allclose(res.trace, trace_ref, rtol=rtol, atol=0.0)
     np.testing.assert_allclose(res.x, x_ref, rtol=rtol, atol=rtol * float(np.abs(x_ref).max()))
@@ -132,8 +141,10 @@ def test_matches_two_loop_on_rosenbrock():
 
 @pytest.mark.parametrize("memory", [2, 10])
 def test_matches_two_loop_when_curvature_rule_rejects_pairs(memory):
-    x0 = 0.05 * np.sin(np.arange(30.0))
-    rejected = assert_matches_reference(double_well, x0, 15, memory, rtol=1e-8)
+    # from this start with H0 = I/2 the rule rejects 3 pairs at memory 2 and 4 at memory 10
+    # (with H0 = I and x0 = 0.05 sin, none at memory 10)
+    x0 = 0.2 * np.sin(np.arange(30.0))
+    rejected = assert_matches_reference(double_well, x0, 15, memory, rtol=1e-8, h0=scaled_identity(0.5))
     assert rejected >= 1
 
 
@@ -142,29 +153,21 @@ def test_preconditioned_matches_two_loop_with_the_same_h0(memory):
     # H0 the inverse of the Hessian's diagonal: a rough preconditioner, so 40 iterations still wrap the history
     f_g, x0 = spd_quadratic(200, seed=memory)
     diag = np.diag([f_g(e)[1] for e in np.eye(200)]) - f_g(np.zeros(200))[1]  # A e_i = g(e_i) - g(0)
-
-    def h0(v):
-        return v / diag
-
-    x_ref, trace_ref, _ = two_loop_descent(f_g, x0, 0.0, 40, memory=memory, precondition=h0)
-    res = lbfgs_descent(f_g, x0, sup_tol=0.0, max_iterations=40, memory=memory, precondition=h0)
-    assert res.iterations == len(trace_ref) - 1 == 40
-    np.testing.assert_allclose(res.trace, trace_ref, rtol=1e-8, atol=0.0)
-    np.testing.assert_allclose(res.x, x_ref, rtol=1e-8, atol=1e-8 * float(np.abs(x_ref).max()))
+    assert_matches_reference(f_g, x0, 40, memory, rtol=1e-8, h0=lambda v: v / diag)
 
 
 def test_memory_must_be_positive():
     f_g, x0 = spd_quadratic(5, seed=0)
     for memory in (0, -1):
         with pytest.raises(ValueError, match="memory"):
-            lbfgs_descent(f_g, x0, sup_tol=1e-8, max_iterations=5, memory=memory)
+            lbfgs_descent(with_info(f_g), x0, sup_tol=1e-8, max_iterations=5, precondition=IDENTITY, memory=memory)
 
 
 def test_buffers_do_not_leak():
     f_g, x0 = spd_quadratic(50, seed=7)
     before = x0.copy()
-    a = lbfgs_descent(f_g, x0, sup_tol=1e-10, max_iterations=30, memory=3)
-    b = lbfgs_descent(f_g, x0, sup_tol=1e-10, max_iterations=30, memory=3)
+    a = lbfgs_descent(with_info(f_g), x0, sup_tol=1e-10, max_iterations=30, precondition=IDENTITY, memory=3)
+    b = lbfgs_descent(with_info(f_g), x0, sup_tol=1e-10, max_iterations=30, precondition=IDENTITY, memory=3)
     assert x0.tobytes() == before.tobytes()
     assert not np.shares_memory(a.x, x0)
     assert not np.shares_memory(a.x, b.x)
@@ -183,7 +186,7 @@ def test_steepest_descent_fallback_when_quasi_newton_search_fails(monkeypatch):
         return 0.5 * float(x @ x), M @ x
 
     monkeypatch.setattr(descent, "MAX_BACKTRACKS", 5)
-    res = lbfgs_descent(f_g, np.array([1.0, 0.0]), sup_tol=1e-8, max_iterations=20)
+    res = lbfgs_descent(with_info(f_g), np.array([1.0, 0.0]), sup_tol=1e-8, max_iterations=20, precondition=IDENTITY)
     assert res.iterations == 20
     assert all(b < a for a, b in zip(res.trace, res.trace[1:]))
     assert res.f < 0.1
@@ -222,7 +225,7 @@ def test_info_comes_from_the_evaluation_at_the_returned_point(
 ):
     monkeypatch.setattr(descent, "MAX_BACKTRACKS", backtracks_max)
     f_g_x, calls = recording(f_g)
-    res = lbfgs_descent(f_g_x, x0, sup_tol=sup_tol, max_iterations=max_iterations)
+    res = lbfgs_descent(f_g_x, x0, sup_tol=sup_tol, max_iterations=max_iterations, precondition=IDENTITY)
     assert res.info.tobytes() == res.x.tobytes()
     assert res.f == f_g(res.x)[0]
     assert res.evaluations == len(calls)
@@ -232,15 +235,10 @@ def test_info_comes_from_the_evaluation_at_the_returned_point(
         assert calls[-1].tobytes() != res.x.tobytes()
 
 
-def test_info_is_none_without_a_third_item():
-    f_g, x0 = spd_quadratic(10, seed=1)
-    assert lbfgs_descent(f_g, x0, sup_tol=1e-8, max_iterations=100).info is None
-
-
 @pytest.mark.parametrize("f_g,x0", [(rosenbrock, np.array([-1.2, 1.0, 0.5, 0.0])), (double_well, np.full(8, 0.01))])
 def test_evaluations_are_the_start_the_iterations_and_the_backtracks(f_g, x0):
     f_g_x, calls = recording(f_g)
-    res = lbfgs_descent(f_g_x, x0, sup_tol=1e-8, max_iterations=300)
+    res = lbfgs_descent(f_g_x, x0, sup_tol=1e-8, max_iterations=300, precondition=IDENTITY)
     assert res.converged and res.backtracks > 0
     assert res.evaluations == len(calls) == 1 + res.iterations + res.backtracks
 
@@ -248,6 +246,6 @@ def test_evaluations_are_the_start_the_iterations_and_the_backtracks(f_g, x0):
 def test_evaluations_count_the_steepest_descent_retry(monkeypatch):
     monkeypatch.setattr(descent, "MAX_BACKTRACKS", 5)
     f_g_x, calls = recording(rotated_gradient)
-    res = lbfgs_descent(f_g_x, np.array([1.0, 0.0]), sup_tol=1e-8, max_iterations=20)
+    res = lbfgs_descent(f_g_x, np.array([1.0, 0.0]), sup_tol=1e-8, max_iterations=20, precondition=IDENTITY)
     assert res.backtracks >= 5 * (res.iterations - 1)  # every quasi-Newton search after the first fails
     assert res.evaluations == len(calls) == 1 + res.iterations + res.backtracks

@@ -166,6 +166,34 @@ def test_json_round_trip():
         SigmaTable.from_json(text.replace('"dimension": 2', '"dimension": 3'))
 
 
+@pytest.mark.parametrize(
+    "entry, match",
+    [
+        (((1, 0), float("nan"), 0.0), "finite and nonnegative"),
+        (((1, 0), float("inf"), 0.0), "finite and nonnegative"),
+        (((1, 0), -1.0, 0.0), "finite and nonnegative"),
+        (((1, 0), 1.0, float("nan")), "finite and nonnegative"),
+        (((1, 0), 1.0, float("inf")), "finite and nonnegative"),
+        (((1, 0), 1.0, -0.1), "finite and nonnegative"),
+        ((1.0, 1.0, 0.0), "unit 2-vectors"),
+        (((1, 0, 0), 1.0, 0.0), "unit 2-vectors"),
+        (((float("nan"), 1), 1.0, 0.0), "unit 2-vectors"),
+        (((0.6, 0.6), 1.0, 0.0), "unit 2-vectors"),
+    ],
+)
+def test_table_rejects_malformed_entries(entry, match):
+    with pytest.raises(ValueError, match=match):
+        SigmaTable([entry, ((0, 1), 1.0, 0.0)])
+
+
+@pytest.mark.parametrize(
+    "text", ["[]", "5", '"table"', "{}", '{"entries": 5}', '{"entries": {"nu": [1, 0]}}', '{"entries": [5]}']
+)
+def test_from_json_rejects_malformed_documents(text):
+    with pytest.raises(ValueError, match="JSON object whose entries are a list of objects"):
+        SigmaTable.from_json(text)
+
+
 def test_facet_validation():
     with pytest.raises(ValueError):
         PolyFacet(E1, 0.0)
