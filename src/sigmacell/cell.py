@@ -17,13 +17,14 @@ estimate extrapolates a T-schedule with a conservative error bar.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import permutations, product
 from typing import Optional
 
 import numpy as np
 
 from .descent import lbfgs_descent
 from .grids import BoxGrid, EnergyModel, _along
-from .lattice import RationalRotation, normal_fixing_images
+from .lattice import RationalRotation
 from .potential import Potential
 from .profile import TransitionProfile
 
@@ -401,7 +402,7 @@ IMAGE_WEIGHT_RTOL = 1e-12
 
 
 def _image_weights(weight: np.ndarray, image) -> np.ndarray:
-    """weight[D c] over the cell centres c, for D given as rows (axis, sign) (`normal_fixing_images`).
+    """weight[D c] over the cell centres c, for D given as rows (axis, sign): (D x)_i = sign * x_axis.
 
     The cube is centred, so x -> -x along an axis reverses its cells.
     """
@@ -414,26 +415,36 @@ def orbit_representatives(
     schedule,
     pot: Potential,
     h: float,
-    dim: int = 2,
     tangential: str = "periodic",
 ) -> list:
     """For each rotation, the index of the representative whose `estimate_sigma` it shares.
 
-    sigma(G nu) = sigma(nu) for a signed permutation G that leaves the
-    weight unchanged.  A rotation joins the first earlier representative
-    for which some D of `normal_fixing_images` maps the representative's
+    A rotation joins the first earlier representative for which some
+    signed permutation D of the tangential axes maps the representative's
     weight at the cell centres onto its own on every mesh solved (bitwise
-    for piecewise weights, IMAGE_WEIGHT_RTOL relative otherwise): its
-    discrete cell problems are then the representative's, carried over by
-    x -> D x.  A rotation that joins none represents itself.
+    for piecewise weights, IMAGE_WEIGHT_RTOL relative otherwise).  D fixes
+    e_N, so x -> D x maps the centred cube, its grid, the boundary data
+    and the phase-offset starts onto themselves: the discrete cell
+    problems are the representative's, carried over by D.  A rotation
+    that joins none represents itself.  Mixed dimensions raise ValueError.
     """
     schedule = check_schedule(schedule)
+    dims = {rotation.dim for rotation in rotations}
+    if len(dims) > 1:
+        raise ValueError(f"rotations of mixed dimensions {sorted(dims)}")
+    images = [  # the D, as rows (axis, sign), with D e_N = e_N
+        tuple(zip(perm, signs)) + ((dim - 1, 1),)
+        for dim in dims
+        for perm in permutations(range(dim - 1))
+        for signs in product((1, -1), repeat=dim - 1)
+    ]
     weights = {}
 
     def weights_of(k):
         """The weight at the cell centres of every mesh `estimate_sigma` solves, as `cell_model` evaluates it."""
         if k not in weights:
-            grids = [g for T in schedule for g in _mesh_levels(CellGrid(dim, T, h, rotations[k], tangential))]
+            R = rotations[k]
+            grids = [g for T in schedule for g in _mesh_levels(CellGrid(R.dim, T, h, R, tangential))]
             weights[k] = [np.asarray(pot.spatial_factor(g.y_map(g.box.cell_centers())), dtype=float) for g in grids]
         return weights[k]
 
@@ -442,9 +453,9 @@ def orbit_representatives(
         return not any(pot.differs(w, _image_weights(w_rep, image), IMAGE_WEIGHT_RTOL).any() for w, w_rep in pairs)
 
     reps = []
-    for k, rotation in enumerate(rotations):
+    for k in range(len(rotations)):
         candidates = (r for r in range(k) if reps[r] == r)
-        match = (r for r in candidates if any(is_image(k, r, D) for D in normal_fixing_images(rotations[r], rotation)))
+        match = (r for r in candidates if any(is_image(k, r, D) for D in images))
         reps.append(next(match, k))
     return reps
 

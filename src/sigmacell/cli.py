@@ -4,9 +4,9 @@ Subcommands:
 
     sigma     estimate the surface tension on the configured directions;
               emits a JSON direction table and a per-solve CSV.  One
-              direction per symmetry orbit is solved (the first in config
-              order); a direction whose cell problems are the exact image
-              of an earlier one's under a signed permutation
+              direction per orbit is solved (the first in config order);
+              a direction whose cell weights on every mesh are an earlier
+              one's under a signed permutation of the tangential axes
               (`cell.orbit_representatives`) gets its table entry and CSV
               rows with its own nu and the representative's numbers
     polar     render an existing sigma table as a polar SVG
@@ -21,7 +21,8 @@ Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 directory.  Outputs are byte-deterministic for a fixed config and seed
 at a fixed BLAS thread count, whatever the worker count (`--workers`
 splits the representatives' solves); every file is listed in the run
-manifest with its content hash (the manifest itself carries a timestamp).
+manifest with its content hash (the manifest itself carries a timestamp
+and the environment: Python, numpy, CPU count and thread variables).
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import __version__
 from .cell import (
@@ -101,6 +104,12 @@ class _Run:
             "command": command,
             "config_sha256": hashlib.sha256(self.cfg.raw_text.encode("utf-8")).hexdigest(),
             "created_unix": time.time(),
+            "environment": {
+                "cpu_count": os.cpu_count(),
+                "numpy": np.__version__,
+                "python": sys.version.split()[0],
+                "threads": {k: os.getenv(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            },
             "exit_code": exit_code,
             "outcomes": self.outcomes,
             "outputs": self.outputs,
@@ -108,8 +117,8 @@ class _Run:
         self._write("manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     def sigma_table(self, required: bool):
-        """The sigma table in the output directory; an unreadable one, or a `required` one that is missing,
-        is an [output] error, and a missing one that is not required is None."""
+        """The sigma table in the output directory; an unreadable one, one of another potential, or a `required`
+        one that is missing, is an [output] error, and a missing one that is not required is None."""
         path = os.path.join(self.out_dir, self.cfg.sigma_table_name)
         if not os.path.exists(path):
             if required:
@@ -117,9 +126,13 @@ class _Run:
             return None
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return SigmaTable.from_json(fh.read())
+                table = SigmaTable.from_json(fh.read())
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"[output] sigma_table: cannot read {path}: {exc}") from exc
+        # an empty record is what a table built without one writes
+        if table.potential_info and table.potential_info != json.loads(json.dumps(self.cfg.potential.describe())):
+            raise ConfigError(f"[output] sigma_table: {path} was computed for another potential")
+        return table
 
 
 def _profile(cfg: Config) -> TransitionProfile:
@@ -158,7 +171,7 @@ def run_sigma(cfg: Config, run: _Run) -> int:
         raise ConfigError(f"[directions]: direction {repeated[0]} is given more than once")
     rotations = [rotation_from_direction(nu) for nu in cfg.directions]
     _check_refinements(cfg, rotations)
-    reps = orbit_representatives(rotations, cfg.T_schedule, cfg.potential, cfg.h, DIM, cfg.tangential)
+    reps = orbit_representatives(rotations, cfg.T_schedule, cfg.potential, cfg.h, cfg.tangential)
     solved = sorted(set(reps))
     profile = _profile(cfg)
     tasks = [(cfg, rotations[k], profile) for k in solved]

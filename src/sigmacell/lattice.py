@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -26,7 +26,6 @@ __all__ = [
     "RationalRotation",
     "rationalize_direction",
     "rotation_from_direction",
-    "normal_fixing_images",
     "lattice_period",
     "check_periodicity",
     "random_rational_directions",
@@ -248,36 +247,6 @@ def rotation_from_direction(nu: RationalUnitVector) -> RationalRotation:
     H2 = householder(z)
     R = _mat_mul(H2, H1)
     return RationalRotation(R)
-
-
-def normal_fixing_images(rep: RationalRotation, member: RationalRotation) -> list:
-    """The signed permutations among D = (G R_rep)^T R_member, over the signed permutations G with
-    G nu_rep = nu_member; exact in Fraction.
-
-    Then R_member = G R_rep D, and D e_N = e_N.  x -> D x maps the centred
-    reference cube, its periodic faces and its grid onto themselves and
-    fixes x_N, so the boundary data and every phase-offset start too:
-    where the weight is invariant under G, the member's cell problem is
-    the image of the representative's.  D is given as rows (axis, sign),
-    (D x)_i = sign * x_axis; distinct ones in the order of their first G.
-    """
-    n = rep.dim
-    if member.dim != n:
-        raise ValueError("rotation dimension mismatch")
-    nu_rep = [row[-1] for row in rep.matrix]
-    nu = [row[-1] for row in member.matrix]
-    images = []
-    for perm in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            if any(s * nu_rep[a] != c for s, a, c in zip(signs, perm, nu)):
-                continue
-            g_rep = [[s * v for v in rep.matrix[a]] for s, a in zip(signs, perm)]  # G R_rep
-            D = _mat_mul(tuple(zip(*g_rep)), member.matrix)
-            if all(sorted(abs(v) for v in row) == [0] * (n - 1) + [1] for row in D):
-                image = tuple((j, int(v)) for row in D for j, v in enumerate(row) if v)
-                if image not in images:
-                    images.append(image)
-    return images
 
 
 @dataclass

@@ -151,6 +151,8 @@ class SigmaTable:
             raise ValueError("a sigma table is a JSON object whose entries are a list of objects")
         if doc.get("dimension", 2) != 2:
             raise ValueError("angular interpolation is implemented for dimension 2")
+        if not isinstance(doc.get("potential", {}), dict):
+            raise ValueError("a sigma table's potential record is a JSON object")
         entries = [(e["nu"], e["sigma"], e["err"]) for e in entries]
         return cls(entries, doc.get("potential", {}))
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_bvp
 
 from sigmacell.potential import Potential
 from sigmacell.profile import TransitionProfile
@@ -51,6 +50,8 @@ def transition_bvp_energy(pot: Potential, profile: TransitionProfile, T: float) 
     energy.  Starts whose collocation fails are skipped.  Only scalar
     phases are supported (the oracle use case).
     """
+    from scipy.integrate import solve_bvp  # imported here so that profile_energy_1d needs numpy alone
+
     if pot.d != 1:
         raise ValueError("the 1D oracle supports scalar phases only")
     f = _normal_weight(pot)

@@ -20,8 +20,21 @@ from sigmacell.cell import (
     pinned_objective,
     _prolong,
 )
-from sigmacell.lattice import RationalUnitVector, random_rational_directions, rotation_from_direction
-from sigmacell.potential import WellPair, homogeneous_quartic, striped
+from sigmacell.lattice import (
+    RationalRotation,
+    RationalUnitVector,
+    random_rational_directions,
+    rationalize_direction,
+    rotation_from_direction,
+)
+from sigmacell.potential import (
+    WellPair,
+    checkerboard,
+    homogeneous_quartic,
+    piecewise_cells,
+    smooth_modulated,
+    striped,
+)
 from sigmacell.profile import Mollifier, TransitionProfile
 
 from oned_reference import profile_energy_1d, transition_bvp_energy
@@ -418,17 +431,45 @@ def test_orbit_members_solve_their_representatives_problem_3d():
     # striped(0.5) along y1 is even in every axis and blind to swapping y2, y3.  (2/3, 1/3, 2/3) is
     # no image of (1/3, 2/3, 2/3); (1/3, 2/3, -2/3) is, under G = diag(1, 1, -1), but rotation_from_direction
     # frames its tangent plane by no signed permutation of the representative's, so it is solved on its own.
-    pot = striped(0.5)
-    prof3 = TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=3)
+    # The quartic's constant weight is its own image under every D, whatever the frame: one orbit.
     dirs = [(1, 2, 2), (-1, 2, 2), (1, -2, 2), (2, 1, 2), (1, 2, -2)]
     rotations = [rotation_from_direction(RationalUnitVector(tuple(F(c, 3) for c in v))) for v in dirs]
-    reps = orbit_representatives(rotations, [4.0], pot, 1 / 4, dim=3)
-    assert reps == [0, 0, 0, 3, 4]
-    estimates = [estimate_sigma(R, [4.0], pot, prof3, 1 / 4, dim=3) for R in rotations]
-    for est, rep in zip(estimates, reps):
-        assert est.sigma_hat == pytest.approx(estimates[rep].sigma_hat, rel=1e-12, abs=0)
-        assert est.error_bar == pytest.approx(estimates[rep].error_bar, rel=1e-12, abs=0)
-    assert abs(estimates[4].sigma_hat - estimates[0].sigma_hat) > 1e-3
+    for pot, want in ((striped(0.5), [0, 0, 0, 3, 4]), (QUARTIC, [0, 0, 0, 0, 0])):
+        prof3 = TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=3)
+        reps = orbit_representatives(rotations, [4.0], pot, 1 / 4)
+        assert reps == want
+        estimates = [estimate_sigma(R, [4.0], pot, prof3, 1 / 4, dim=3) for R in rotations]
+        for est, rep in zip(estimates, reps):
+            assert est.sigma_hat == pytest.approx(estimates[rep].sigma_hat, rel=1e-12, abs=0)
+            assert est.error_bar == pytest.approx(estimates[rep].error_bar, rel=1e-12, abs=0)
+        assert (abs(estimates[4].sigma_hat - estimates[0].sigma_hat) > 1e-3) == (reps[4] != 0)
+
+
+@pytest.mark.parametrize(
+    "pot, want",
+    [
+        (striped(0.5), [0, 1, 2, 3, 4, 3, 6, 1, 0, 1, 6, 3, 4, 3, 2, 1]),
+        (striped(0.5, axis=1), [0, 1, 2, 3, 4, 3, 6, 1, 0, 1, 6, 3, 4, 3, 2, 1]),
+        (checkerboard(2.0), [0, 1, 2, 1, 0, 5, 6, 5, 0, 1, 2, 1, 0, 5, 6, 5]),
+        (smooth_modulated(0.5), [0, 1, 2, 1, 0, 1, 2, 1, 0, 1, 2, 1, 0, 1, 2, 1]),
+        (piecewise_cells(np.random.default_rng(0).uniform(0.5, 2.0, (3, 3))), list(range(16))),
+        (piecewise_cells(np.array([[1.0, 2.0], [2.0, 4.0]])), [0, 1, 2, 1, 0, 5, 6, 7, 8, 9, 10, 9, 8, 7, 6, 5]),
+        (QUARTIC, [0] * 16),
+    ],
+    ids=["striped-axis0", "striped-axis1", "checkerboard", "smooth-modulated", "cells-random", "cells-2x2", "quartic"],
+)
+def test_ring_orbits(pot, want):
+    # the directions of a config's `uniform = 16` at `rational_tol = 1e-2`
+    thetas = 2 * np.pi * np.arange(16) / 16
+    rotations = [rotation_from_direction(rationalize_direction(np.array([np.cos(t), np.sin(t)]), 1e-2)) for t in thetas]
+    assert orbit_representatives(rotations, [2.0, 4.0], pot, 1 / 8) == want
+
+
+def test_orbit_representatives_take_the_dimension_from_the_rotations():
+    assert orbit_representatives([], [2.0], QUARTIC, 1 / 8) == []
+    rotations = [rotation_from_direction(RationalUnitVector((F(0), F(1)))), RationalRotation.identity(3)]
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        orbit_representatives(rotations, [2.0], QUARTIC, 1 / 8)
 
 
 @pytest.mark.parametrize("stop", list(STOPS))

@@ -1,6 +1,8 @@
+import hashlib
 import inspect
 import json
 import os
+import platform
 import re
 from pathlib import Path
 
@@ -242,6 +244,25 @@ def test_sigma_solves_a_direction_whose_mirror_breaks_the_weight(tmp_path, monke
     assert json.loads((out / "manifest.json").read_text())["outcomes"][0]["solved"] == 2
 
 
+def test_sigma_solves_a_quartic_ring_once(tmp_path, monkeypatch):
+    # a constant weight is the same on every cell: the 16 ring directions are one orbit
+    text = RING.replace("kind = striped\nalpha = 0.5", "kind = homogeneous-quartic")
+    path = write(tmp_path, text.replace("uniform = 8", "uniform = 16"))
+    cfg = parse_config(path)
+    calls = _count_solves(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["sigma", "--config", path, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    entries = _table_by_normal(out)
+    expected = _library_estimates(cfg)
+    assert len(entries) == len(expected) == 16
+    for est in expected:
+        entry = entries[tuple(est.nu.tolist())]
+        assert (entry["sigma"], entry["err"]) == (est.sigma_hat, est.error_bar)
+    outcome = json.loads((out / "manifest.json").read_text())["outcomes"][0]
+    assert (outcome["directions"], outcome["solved"]) == (16, 1)
+
+
 def test_sigma_bytes_do_not_depend_on_the_worker_count(tmp_path):
     path = write(tmp_path, RING)
     outs = [tmp_path / f"w{k}" for k in (1, 2)]
@@ -313,6 +334,44 @@ def test_well_formed_table_doc_passes_validate(tmp_path):
     out.mkdir()
     (out / "sigma_table.json").write_text(json.dumps(table_doc()))
     assert main(["validate", "--config", write(tmp_path, MINIMAL), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "polar"])
+def test_table_of_another_potential_exits_2(tmp_path, capsys, command):
+    path = write(tmp_path, _readme_config())
+    own = json.loads(json.dumps(parse_config(path).potential.describe()))
+    for k, (record, code) in enumerate(((own, 0), ({}, 0), ({"kind": "checkerboard"}, 2), (5, 2))):
+        out = tmp_path / f"out{k}"
+        out.mkdir()
+        doc = table_doc()
+        doc["potential"] = record
+        (out / "sigma_table.json").write_text(json.dumps(doc))
+        assert main([command, "--config", path, "--out", str(out)]) == code
+        assert ("config error: [output] sigma_table:" in capsys.readouterr().err) == (code == 2)
+
+
+def test_manifest_records_the_environment(tmp_path, monkeypatch):
+    path = write(tmp_path, MINIMAL)
+    manifests = []
+    for threads in ("1", "2"):
+        # the variable is read when the manifest is written; this process's BLAS pool keeps its size
+        monkeypatch.setenv("OMP_NUM_THREADS", threads)
+        out = tmp_path / f"omp{threads}"
+        assert main(["sigma", "--config", path, "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+        assert manifests[-1]["environment"] == {
+            "cpu_count": os.cpu_count(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "threads": {
+                name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+            },
+        }
+        for entry in manifests[-1]["outputs"]:
+            assert hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest() == entry["sha256"]
+    assert [m["environment"]["threads"]["OMP_NUM_THREADS"] for m in manifests] == ["1", "2"]
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
+    assert [entry["path"] for entry in manifests[0]["outputs"]] == ["solves.csv", "sigma_table.json"]
 
 
 @pytest.mark.parametrize("command, flag, value", [("sigma", "--workers", "0"), ("validate", "--seed", "-1")])
@@ -430,11 +489,15 @@ def test_bad_format_rejected(tmp_path):
         parse_config(write(tmp_path, text))
 
 
-def test_readme_config_example_parses(tmp_path):
+def _readme_config() -> str:
+    """The config example under the README's "Config file grammar" heading."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     grammar = readme[readme.index("## Config file grammar") :]
-    block = re.search(r"```ini\n(.*?)```", grammar, re.S).group(1)
-    cfg = parse_config(write(tmp_path, block))
+    return re.search(r"```ini\n(.*?)```", grammar, re.S).group(1)
+
+
+def test_readme_config_example_parses(tmp_path):
+    cfg = parse_config(write(tmp_path, _readme_config()))
     assert cfg.potential.kind == "striped"
     assert cfg.potential.params == {"alpha": 0.5, "axis": 0}
     assert [str(nu) for nu in cfg.directions] == ["(3/5, 4/5)", "(696/985, 697/985)"]

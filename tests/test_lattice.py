@@ -9,7 +9,6 @@ from sigmacell.lattice import (
     RationalUnitVector,
     check_periodicity,
     lattice_period,
-    normal_fixing_images,
     random_rational_directions,
     rationalize_direction,
     rotation_from_direction,
@@ -199,36 +198,3 @@ def test_check_periodicity_homogeneous_any_rotation():
 def test_rotation_rejects_bad_matrix():
     with pytest.raises(ValueError):
         RationalRotation(((F(1), F(1)), (F(0), F(1))))
-
-
-def _rotation(*components):
-    return rotation_from_direction(RationalUnitVector(tuple(F(c) for c in components)))
-
-
-@pytest.mark.parametrize(
-    "rep, member",
-    [
-        (("3/5", "4/5"), ("-3/5", "4/5")),
-        (("3/5", "4/5"), ("3/5", "-4/5")),
-        (("1", "0"), ("-1", "0")),
-        (("1/3", "2/3", "2/3"), ("-1/3", "2/3", "2/3")),
-        (("1/3", "2/3", "2/3"), ("2/3", "-2/3", "1/3")),
-    ],
-)
-def test_normal_fixing_images_satisfy_the_symmetry_exactly(rep, member):
-    R_rep, R = _rotation(*rep), _rotation(*member)
-    images = normal_fixing_images(R_rep, R)
-    assert images
-    n = R.dim
-    R_rep_m, R_m = np.array(R_rep.matrix, dtype=object), np.array(R.matrix, dtype=object)
-    for image in images:
-        assert image[-1] == (n - 1, 1)
-        D = np.array([[F(sign) if j == axis else F(0) for j in range(n)] for axis, sign in image], dtype=object)
-        G = R_m @ D.T @ R_rep_m.T  # R = G R_rep D, so G must be a signed permutation sending nu_rep to nu
-        assert all(sorted(abs(v) for v in row) == [0] * (n - 1) + [1] for row in G)
-        assert list(G @ R_rep_m[:, -1]) == list(R_m[:, -1])
-
-
-def test_normal_fixing_images_need_equal_components():
-    assert normal_fixing_images(_rotation("3/5", "4/5"), _rotation("5/13", "12/13")) == []
-    assert normal_fixing_images(_rotation("3/5", "4/5"), _rotation("-3/5", "4/5")) == [((0, -1), (1, 1))]
