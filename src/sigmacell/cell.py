@@ -35,6 +35,7 @@ __all__ = [
     "SolverOptions",
     "GRefinement",
     "SigmaEstimate",
+    "profile_field",
     "initial_state",
     "cell_model",
     "pinned_objective",
@@ -151,33 +152,41 @@ def cell_model(grid: CellGrid, pot: Potential) -> EnergyModel:
     return EnergyModel(grid.box, pot, y_map=grid.y_map)
 
 
+def profile_field(grid: CellGrid, profile: TransitionProfile, offset: float = 0.0) -> np.ndarray:
+    """The mollified step phi(x_N - offset) on every node, as a read-only broadcast view of one column.
+
+    The profile is read once per node of the normal axis; the view repeats
+    that column across the tangential axes without copying it.
+    """
+    column = profile(grid.box.node_axes()[-1] - offset)
+    return np.broadcast_to(column, grid.box.shape + column.shape[-1:])
+
+
 def initial_state(grid: CellGrid, profile: TransitionProfile, offset: float = 0.0) -> CellState:
     """The mollified step phi(x_N - offset) on every node of the reference cube.
 
     At offset 0 it is the boundary data.  Other offsets probe the potential
     phase so descent is not trapped at a symmetric saddle; `minimize_cell`
-    pins the boundary rows to the data.  The profile is read once per
-    node of the normal axis and copied across the tangential ones.
+    pins the boundary rows to the data.
     """
-    column = profile(grid.box.node_axes()[-1] - offset)
-    return CellState(grid, np.broadcast_to(column, grid.box.shape + column.shape[-1:]).copy())
+    return CellState(grid, profile_field(grid, profile, offset).copy())
 
 
 def pinned_objective(model: EnergyModel):
     """f_g(x) -> (energy, gradient, EnergyParts) on the flat node vector x, for lbfgs_descent.
 
-    The gradient is zero on the pinned nodes, the grid's non-periodic
-    boundary (`boundary_mask`), where `model.precondition` is zero too, so
-    a descent that steps along combinations of the two never moves them.
+    The gradient is zero on the pinned nodes, the grid's `pinned_faces`,
+    where `model.precondition` is zero too, so a descent that steps along
+    combinations of the two never moves them.
     """
     shape = model.grid.shape + (model.pot.d,)
-    flat = np.flatnonzero(np.broadcast_to(model.grid.boundary_mask()[..., None], shape))
+    faces = model.grid.pinned_faces()
 
     def f_g(x: np.ndarray):
         parts, g = model.gradient(x.reshape(shape))
-        g = g.reshape(-1)
-        g[flat] = 0.0
-        return parts.total, g, parts
+        for face in faces:
+            g[face] = 0.0
+        return parts.total, g.reshape(-1), parts
 
     return f_g
 
@@ -201,13 +210,13 @@ def minimize_cell(
     if init is not None and init.u.shape != grid.box.shape + (pot.d,):
         raise ValueError("warm start does not match the grid")
     model = cell_model(grid, pot)
-    bmask = grid.box.boundary_mask()
-    data = initial_state(grid, profile).u
+    data = profile_field(grid, profile)
     if init is None:
-        u0 = data
+        u0 = data.copy()
     else:
         u0 = init.u.copy()
-        u0[bmask] = data[bmask]  # keep the warm start admissible
+        for face in grid.box.pinned_faces():  # keep the warm start admissible
+            u0[face] = data[face]
     res = lbfgs_descent(
         pinned_objective(model),
         u0.ravel(),

@@ -102,17 +102,19 @@ class BoxGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def boundary_mask(self) -> np.ndarray:
-        """True on non-periodic boundary nodes."""
-        mask = np.zeros(self.shape, dtype=bool)
+    def pinned_faces(self) -> list:
+        """Index tuples of both end faces of every non-periodic axis: the pinned nodes, faces may share edges."""
+        faces = []
         for ax, p in enumerate(self.periodic):
-            if p:
-                continue
-            sl = [slice(None)] * self.dim
-            sl[ax] = 0
-            mask[tuple(sl)] = True
-            sl[ax] = -1
-            mask[tuple(sl)] = True
+            if not p:
+                faces += [(slice(None),) * ax + (0,), (slice(None),) * ax + (-1,)]
+        return faces
+
+    def boundary_mask(self) -> np.ndarray:
+        """True on the pinned nodes, the union of `pinned_faces`."""
+        mask = np.zeros(self.shape, dtype=bool)
+        for face in self.pinned_faces():
+            mask[face] = True
         return mask
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cell import CellGrid, CellState, SolverOptions, cell_model, initial_state, minimize_cell
+from .cell import CellGrid, CellState, SolverOptions, cell_model, minimize_cell, profile_field
 from .lattice import RationalRotation
 from .potential import Potential
 from .profile import TransitionProfile
@@ -154,7 +154,7 @@ def build_competitor(
 
     dim = plan.dim
     pts = s_grid.box.node_points()
-    ambient = initial_state(s_grid, profile).u
+    ambient = profile_field(s_grid, profile)
     u = ambient.copy()
 
     refs = plan.reference_centers()
@@ -178,9 +178,9 @@ def build_competitor(
             blend = w[..., None] * shifted + (1.0 - w[..., None]) * ambient[box]
             u[box][shell] = blend[shell]
 
-    # exact boundary data on the non-periodic faces
-    bmask = s_grid.box.boundary_mask()
-    u[bmask] = ambient[bmask]
+    # exact boundary data on the pinned faces
+    for face in s_grid.box.pinned_faces():
+        u[face] = ambient[face]
     return CellState(s_grid, u)
 
 

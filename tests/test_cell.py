@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,8 +19,10 @@ from sigmacell.cell import (
     minimize_cell,
     orbit_representatives,
     pinned_objective,
+    profile_field,
     _prolong,
 )
+from sigmacell.grids import BoxGrid, EnergyModel
 from sigmacell.lattice import (
     RationalRotation,
     RationalUnitVector,
@@ -513,3 +516,126 @@ def test_warm_start_with_another_component_count_rejected(prof):
 def test_cell_solve_frees_its_model_without_the_cyclic_collector(prof):
     grid = CellGrid(2, 2.0, 1 / 8)
     assert new_models_left_after(lambda: minimize_cell(grid, QUARTIC, prof)) == []
+
+
+# Property tests of the pinned set and of invariants that hold exactly in floating point.
+
+
+def random_box(cells, flags, h):
+    """A BoxGrid of the given cells per axis at mesh h, axis k periodic when flags[k]."""
+    return BoxGrid((0.0,) * len(cells), tuple(c * h for c in cells), h, tuple(flags[: len(cells)]))
+
+
+def random_affine(rng, dim):
+    """y = A x + b with a random A and b: cell centres land anywhere in the unit cell."""
+    A, b = rng.uniform(-2.0, 2.0, (dim, dim)), rng.uniform(-1.0, 1.0, dim)
+    return lambda pts: pts @ A.T + b
+
+
+def modulated(kind, strength, d):
+    return {"striped": striped, "checkerboard": checkerboard, "smooth_modulated": smooth_modulated}[kind](strength, d=d)
+
+
+box_cells = st.lists(st.integers(2, 5), min_size=2, max_size=3)
+axis_flags = st.lists(st.booleans(), min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=box_cells, flags=axis_flags, h=st.sampled_from([0.25, 0.5, 1.0]))
+def test_pinned_faces_cover_exactly_the_boundary_mask(cells, flags, h):
+    grid = random_box(cells, flags, h)
+    index = np.indices(grid.shape)
+    want = np.zeros(grid.shape, dtype=bool)
+    for ax, per in enumerate(grid.periodic):
+        if not per:
+            want |= (index[ax] == 0) | (index[ax] == grid.shape[ax] - 1)
+    covered = np.zeros(grid.shape, dtype=bool)
+    for face in grid.pinned_faces():
+        covered[face] = True
+    assert np.array_equal(grid.boundary_mask(), want)
+    assert np.array_equal(covered, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cells=box_cells,
+    flags=axis_flags,
+    d=st.integers(1, 2),
+    kind=st.sampled_from(["striped", "checkerboard", "smooth_modulated"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pinned_gradient_is_zero_on_faces_and_matches_finite_differences(cells, flags, d, kind, seed):
+    rng = np.random.default_rng(seed)
+    grid = random_box(cells, flags, 0.5)
+    pot = modulated(kind, 0.5 if kind != "checkerboard" else 2.0, d)
+    f_g = pinned_objective(EnergyModel(grid, pot, random_affine(rng, grid.dim)))
+    u = rng.uniform(-1.3, 1.3, grid.shape + (d,))
+    g = f_g(u.ravel())[1].reshape(u.shape)
+    pinned = grid.boundary_mask()
+    assert not g[pinned].any()
+    gsup = np.abs(g).max()
+    free = np.argwhere(~pinned)
+    step = 1e-6
+    for node in free[rng.permutation(len(free))[:8]]:
+        entry = tuple(node) + (int(rng.integers(d)),)
+        up, um = u.copy(), u.copy()
+        up[entry] += step
+        um[entry] -= step
+        fd = (f_g(up.ravel())[0] - f_g(um.ravel())[0]) / (2 * step)
+        assert abs(fd - g[entry]) <= 1e-6 * gsup
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=box_cells,
+    flags=axis_flags,
+    d=st.integers(1, 2),
+    kind=st.sampled_from(["striped", "checkerboard", "smooth_modulated"]),
+    strength=st.floats(0.0, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_energy_is_at_least_the_lower_envelope_energy(cells, flags, d, kind, strength, seed):
+    # W(y, p) >= (min f) W0(p) node by node, and rounding keeps the order through products and sums
+    rng = np.random.default_rng(seed)
+    grid = random_box(cells, flags, 0.5)
+    pot = modulated(kind, strength if kind != "checkerboard" else 0.01 + 4.0 * strength, d)
+    y_map = random_affine(rng, grid.dim)
+    u = rng.uniform(-2.0, 2.0, grid.shape + (d,))
+    e_w = EnergyModel(grid, pot, y_map).energy_parts(u)
+    e_env = EnergyModel(grid, pot.lower_envelope(), y_map).energy_parts(u)
+    assert e_w.gradient == e_env.gradient
+    assert e_w.potential >= e_env.potential
+    assert e_w.total >= e_env.total
+
+
+@functools.cache
+def _profile_for(dim, d):
+    return TransitionProfile(homogeneous_quartic(d=d).wells, Mollifier("bump", 0.5), dim=dim)
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    dim=st.integers(2, 3),
+    tangential=st.sampled_from(["periodic", "dirichlet"]),
+    cells=st.integers(7, 9),
+    d=st.integers(1, 2),
+    iterations=st.sampled_from([0, 3]),
+    garbage=st.sampled_from([np.nan, np.inf, -1e6, 0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_warm_start_comes_back_with_the_profile_on_exactly_the_pinned_nodes(
+    dim, tangential, cells, d, iterations, garbage, seed
+):
+    rng = np.random.default_rng(seed)
+    grid = CellGrid(dim, 2.0, 2.0 / cells, tangential=tangential)
+    pot, profile = striped(0.5, d=d), _profile_for(dim, d)
+    pinned = grid.box.boundary_mask()
+    warm = rng.uniform(-1.3, 1.3, grid.box.shape + (d,))
+    warm[pinned] = garbage
+    res, state = minimize_cell(grid, pot, profile, SolverOptions(max_iterations=iterations), CellState(grid, warm))
+    data = profile_field(grid, profile)
+    assert state.u[pinned].tobytes() == data[pinned].tobytes()
+    if iterations == 0:  # no descent step: the free nodes are the warm start's
+        assert state.u.tobytes() == np.where(pinned[..., None], data, warm).tobytes()
+    else:
+        assert res.iterations > 0 and np.isfinite(state.u).all()
