@@ -28,7 +28,7 @@ and the environment: Python, numpy, CPU count and thread variables).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import concurrent.futures  # the process pool's own module, and multiprocessing, load only when a pool starts
 import csv
 import hashlib
 import io
@@ -175,8 +175,9 @@ def run_sigma(cfg: Config, run: _Run) -> int:
     solved = sorted(set(reps))
     profile = _profile(cfg)
     tasks = [(cfg, rotations[k], profile) for k in solved]
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(tasks))  # a fork-started pool starts all its processes at the first submit
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sigma_task, tasks))
     else:
         results = [_sigma_task(t) for t in tasks]

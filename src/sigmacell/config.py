@@ -23,9 +23,13 @@ from .lattice import RATIONAL_TOL_MIN, RationalUnitVector, rationalize_direction
 from .potential import POTENTIAL_KINDS, GrowthCertificate, Potential, WellPair
 from .profile import Mollifier
 
-__all__ = ["ConfigError", "Config", "parse_config", "DIM"]
+__all__ = ["ConfigError", "Config", "parse_config", "DIM", "MEMORY_MAX"]
 
 DIM = 2  # the front end solves two-dimensional cells
+# The descent holds (memory + 1)^2 entries in each of two small matrices beside
+# memory + 1 secant pairs of the grid's size; probe iteration counts were the
+# same at memory 5 and 40, so a longer history buys nothing but memory.
+MEMORY_MAX = 1000
 
 
 class ConfigError(Exception):
@@ -143,6 +147,8 @@ class Config:
         ):
             if value is not None and value < low:
                 raise ConfigError(f"[solver] {key}: must be at least {low}")
+        if self.solver.memory is not None and self.solver.memory > MEMORY_MAX:
+            raise ConfigError(f"[solver] memory: must be at most {MEMORY_MAX}, got {self.solver.memory}")
         if self.solver.tolerance is not None and not self.solver.tolerance > 0:
             raise ConfigError("[solver] tolerance: must be positive")
 

@@ -26,20 +26,36 @@ D = [-1 1] and corner sum S = [1 1], and c the isotropic well curvature
 of W0.  The DFT (periodic axes, theta = 2 pi k / n) and the DST-I (the m
 free nodes of a Dirichlet axis, theta = pi k / (m + 1)) diagonalize both
 1D operators, with symbols 2 - 2 cos(theta) and 2 + 2 cos(theta): the
-fast Poisson solver of Hockney (1965) and Swarztrauber (1977).  One real
-FFT of the field, extended oddly to length 2(m + 1) along each Dirichlet
-axis, applies it.  M vanishes at theta = pi on an even periodic axis, so
-P is singular on the modes at theta = pi along two periodic axes (in 3D
-cells, the (pi, pi, .) modes).  The discrete energy is flat along them,
+fast Poisson solver of Hockney (1965) and Swarztrauber (1977).  Two
+transforms apply it, chosen by the grid's shape:
+
+- every axis has at most DENSE_AXIS_MAX = 128 free nodes: one matrix
+  product per axis with the orthonormal 1D eigenvectors (the real
+  Fourier basis, the DST-I), a division by the symbol and one product
+  per axis back, the fast diagonalization method of Lynch, Rice &
+  Thomas (1964).  Each 1D basis is built once per process.
+- a longer axis: one real FFT of the field, extended oddly to length
+  2(m + 1) along each Dirichlet axis.
+
+At 1 BLAS thread the products take 0.35-0.48 of the FFT's time on
+16 x 17 to 64 x 65 nodes and on 8 x 8 x 9 to 32 x 32 x 33, 0.89 on
+128 x 129 and 0.62 on 64 x 64 x 65; the two are even at 160 x 161 and
+the FFT wins beyond (the products take 1.36 of its time on 256 x 257).
+M vanishes at theta = pi on an even periodic axis, so P is singular on
+the modes at theta = pi along two periodic axes (in 3D cells, the
+(pi, pi, .) modes).  The discrete energy is flat along them,
 so the gradient has no component there; P^-1 maps them, like the pinned
-nodes, to 0.  numpy's FFT runs on one thread, so P^-1 v is the same at
-any BLAS thread count.
+nodes, to 0.  The dense transform first removes that component with
+exact sign sums, and a grid with three even periodic axes (no cell has
+one) takes the FFT.  numpy's FFT runs on one thread and OpenBLAS shares
+a matrix product among threads by blocks of its output, so P^-1 v has
+the same bytes at 1 and 2 BLAS threads (tests/test_grids.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -176,6 +192,37 @@ def _sweep_adjoint(grid: BoxGrid, r: np.ndarray, diffs=()) -> np.ndarray:
     return r
 
 
+DENSE_AXIS_MAX = 128  # the most free nodes per axis on which P^-1 is applied by dense products (module docstring)
+
+
+def _axis_symbols(k: np.ndarray, length: int):
+    """The 1D symbols 2 - 2 cos(theta) of K and 2 + 2 cos(theta) of M at theta = 2 pi k / length, M exactly 0 at pi."""
+    half_theta = np.pi * k / length
+    return 4.0 * np.sin(half_theta) ** 2, np.where(2 * k == length, 0.0, 4.0 * np.cos(half_theta) ** 2)
+
+
+def _inverse_symbol(symbols: list, a: float, b: float) -> np.ndarray:
+    """1 / (a sum_ax K_ax prod_other M + b prod M) from the 1D symbols (K, M) of each axis; 0 where P is singular."""
+    along = [(-1,) + (1,) * (len(symbols) - 1 - ax) for ax in range(len(symbols))]
+    kk = [k.reshape(shape) for (k, _), shape in zip(symbols, along)]
+    mm = [m.reshape(shape) for (_, m), shape in zip(symbols, along)]
+    symbol = b * reduce(np.multiply, mm)
+    for ax in range(len(kk)):
+        symbol = symbol + a * reduce(np.multiply, mm[:ax] + [kk[ax]] + mm[ax + 1 :])
+    inverse = np.zeros(symbol.shape)
+    np.divide(1.0, symbol, out=inverse, where=symbol > 0.0)
+    return inverse
+
+
+def _free_slices(grid: BoxGrid) -> tuple:
+    return tuple(slice(None) if per else slice(1, n - 1) for n, per in zip(grid.shape, grid.periodic))
+
+
+def _even_periodic_axes(grid: BoxGrid) -> tuple:
+    """The axes with a theta = pi mode; P is singular on the modes at pi along two of them."""
+    return tuple(ax for ax, (n, per) in enumerate(zip(grid.shape, grid.periodic)) if per and n % 2 == 0)
+
+
 class _WellInverse:
     """v -> P^-1 v for P = a sum_ax K_ax (x) prod_other M + b prod M on the free nodes of a grid (module docstring).
 
@@ -189,7 +236,7 @@ class _WellInverse:
     def __init__(self, grid: BoxGrid, d: int, a: float, b: float):
         self._shape = grid.shape + (d,)
         ext = tuple(n if per else 2 * (n - 1) for n, per in zip(grid.shape, grid.periodic))
-        self._free = tuple(slice(None) if per else slice(1, n - 1) for n, per in zip(grid.shape, grid.periodic))
+        self._free = _free_slices(grid)
         # one Dirichlet axis at a time, e[n:] = -e[n - 2:0:-1] over the nodes filled so far
         self._mirrors = []
         filled = [slice(None) if per else slice(0, n) for n, per in zip(grid.shape, grid.periodic)]
@@ -198,18 +245,9 @@ class _WellInverse:
                 head, tail = tuple(filled[:ax]), tuple(filled[ax + 1 :])
                 self._mirrors.append((head + (slice(n, None),) + tail, head + (slice(n - 2, 0, -1),) + tail))
                 filled[ax] = slice(None)
-        kk, mm = [], []  # the 1D symbols of K and M, shaped to broadcast along their axis
-        for ax, L in enumerate(ext):
-            k = np.arange(L // 2 + 1 if ax == grid.dim - 1 else L)  # rfftn halves the last axis
-            half_theta = np.pi * k / L
-            along = (-1,) + (1,) * (grid.dim - 1 - ax)
-            kk.append((4.0 * np.sin(half_theta) ** 2).reshape(along))  # 2 - 2 cos(theta)
-            mm.append(np.where(2 * k == L, 0.0, 4.0 * np.cos(half_theta) ** 2).reshape(along))  # exactly 0 at pi
-        symbol = b * reduce(np.multiply, mm)
-        for ax in range(grid.dim):
-            symbol = symbol + a * reduce(np.multiply, mm[:ax] + [kk[ax]] + mm[ax + 1 :])
-        inverse = np.zeros(symbol.shape)
-        np.divide(1.0, symbol, out=inverse, where=symbol > 0.0)
+        # rfftn halves the last axis
+        symbols = [_axis_symbols(np.arange(L // 2 + 1 if ax == grid.dim - 1 else L), L) for ax, L in enumerate(ext)]
+        inverse = _inverse_symbol(symbols, a, b)
         self._inverse = inverse[..., None]
         self._ext = np.zeros(ext + (d,))
         self._spec = np.empty(inverse.shape + (d,), dtype=complex)
@@ -230,6 +268,79 @@ class _WellInverse:
         np.fft.irfft(spec, n=e.shape[last], axis=last, out=self._back)
         out = np.zeros(self._shape)
         out[self._free] = self._back[self._free]
+        return out.reshape(np.shape(v))
+
+
+@cache  # at most 2 * DENSE_AXIS_MAX entries; the arrays are read-only, so every model can share them
+def _axis_eigenbasis(n: int, periodic: bool):
+    """Orthonormal eigenvectors (columns) of the 1D K and M on the free nodes of an axis of n nodes, and their symbols.
+
+    Periodic: the real Fourier basis, cos(2 pi k j / n) for k = 0 .. n/2
+    and sin(2 pi k j / n) for 0 < k < n/2.  Dirichlet: the DST-I,
+    sin(pi k j / (n - 1)) on the free nodes j = 1 .. n - 2 for k = 1 .. n - 2.
+    Angles are reduced exactly in integers before the trigonometric call.
+    """
+    if periodic:
+        j, length = np.arange(n), n
+        k_cos, k_sin = np.arange(n // 2 + 1), np.arange(1, (n + 1) // 2)
+        scale = np.where(2 * k_cos % n == 0, 1.0 / np.sqrt(n), np.sqrt(2.0 / n))  # k = 0 and k = n/2 are single
+        basis = np.hstack(
+            [
+                scale * np.cos(2.0 * np.pi * (np.outer(j, k_cos) % n) / n),
+                np.sqrt(2.0 / n) * np.sin(2.0 * np.pi * (np.outer(j, k_sin) % n) / n),
+            ]
+        )
+        k = np.concatenate([k_cos, k_sin])
+    else:
+        j = k = np.arange(1, n - 1)
+        length = 2 * (n - 1)
+        basis = np.sqrt(2.0 / (n - 1)) * np.sin(2.0 * np.pi * (np.outer(j, k) % length) / length)
+    kk, mm = _axis_symbols(k, length)
+    for array in (basis, kk, mm):
+        array.setflags(write=False)
+    return basis, kk, mm
+
+
+class _DenseWellInverse:
+    """v -> P^-1 v = Q diag(1 / symbol) Q^T v with Q the tensor product of the 1D eigenbases (module docstring).
+
+    Each axis is one matrix product that contracts the leading axis and
+    appends the result as the last, so the forward pass leaves the
+    field as (d, k_0, ..., k_{N-1}) and the backward pass, contracting
+    from the last axis, restores (n_0, ..., n_{N-1}, d).  On a grid with
+    two even periodic axes the (pi, pi) component along them is first
+    removed with exact sign sums: basis products would map it to
+    rounding noise, not to 0.
+    """
+
+    def __init__(self, grid: BoxGrid, d: int, a: float, b: float):
+        self._shape = grid.shape + (d,)
+        self._free = _free_slices(grid)
+        axes = [_axis_eigenbasis(n, per) for n, per in zip(grid.shape, grid.periodic)]
+        self._bases = [q for q, _, _ in axes]
+        self._free_shape = tuple(len(q) for q in self._bases) + (d,)
+        # the other free nodes and components, per axis: reshapes that hold when an axis has no free node
+        self._rest = [int(np.prod(self._free_shape[:ax] + self._free_shape[ax + 1 :])) for ax in range(grid.dim)]
+        self._inverse = _inverse_symbol([(kk, mm) for _, kk, mm in axes], a, b)
+        even = _even_periodic_axes(grid)
+        self._null = None
+        if len(even) == 2:  # the (pi, pi) sign pattern, broadcast along the other axes and the components
+            shapes = [(-1,) + (1,) * (grid.dim - ax) for ax in even]
+            sign = reduce(np.multiply, [(-1.0) ** np.arange(grid.shape[ax]).reshape(s) for ax, s in zip(even, shapes)])
+            self._null = (even, sign)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        x = v.reshape(self._shape)[self._free]
+        if self._null is not None:
+            axes, sign = self._null
+            x = x - (x * sign).sum(axis=axes, keepdims=True) / sign.size * sign
+        for q, rest in zip(self._bases, self._rest):
+            x = x.reshape(len(q), rest).T @ q
+        x = x.reshape(self._free_shape[-1:] + self._inverse.shape) * self._inverse
+        for q, rest in zip(reversed(self._bases), reversed(self._rest)):
+            x = q @ x.reshape(rest, len(q)).T
+        out = np.zeros(self._shape)
+        out[self._free] = x.reshape(self._free_shape)
         return out.reshape(np.shape(v))
 
 
@@ -288,9 +399,13 @@ class EnergyModel:
         return parts, g
 
     @cached_property
-    def _well_inverse(self) -> _WellInverse:
+    def _well_inverse(self):
         well = self._pot_scale * self._mean**2 * self.pot.base.well_curvature * float(self._factor.mean())
-        return _WellInverse(self.grid, self.pot.d, 2.0 * self._grad_scale, well)
+        grid = self.grid
+        free = [n if per else n - 2 for n, per in zip(grid.shape, grid.periodic)]
+        # three even periodic axes (no cell or strip has them) make null modes that one sign sum cannot remove
+        dense = max(free) <= DENSE_AXIS_MAX and len(_even_periodic_axes(grid)) <= 2
+        return (_DenseWellInverse if dense else _WellInverse)(grid, self.pot.d, 2.0 * self._grad_scale, well)
 
     def precondition(self, v: np.ndarray) -> np.ndarray:
         """P^-1 v (module docstring) as a fresh array of v's shape: 0 on pinned nodes and on the null modes of P.

@@ -272,6 +272,37 @@ def test_sigma_bytes_do_not_depend_on_the_worker_count(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "kind, solved",
+    [("kind = piecewise-cells\nfactors = 1, 2, 3; 4, 5, 6; 9, 7, 8", 2), ("kind = homogeneous-quartic", 1)],
+)
+def test_sigma_pool_has_no_more_workers_than_solves(tmp_path, monkeypatch, kind, solved):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for the process pool: records its size and maps in this process, so no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    text = MINIMAL.replace("kind = homogeneous-quartic", kind).replace("dir1 = 0, 1", "dir1 = 3/5, 4/5\ndir2 = -3/5, 4/5")
+    out = tmp_path / "out"
+    path = write(tmp_path, text.replace("h = 1/16", "h = 1/8"))
+    assert main(["sigma", "--config", path, "--out", str(out), "--workers", "1000"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["outcomes"][0]["solved"] == solved
+    assert sizes == ([solved] if solved > 1 else [])  # one solve runs in this process
+
+
 def test_polar_requires_table(tmp_path, capsys):
     path = write(tmp_path, MINIMAL)
     out = tmp_path / "empty"
@@ -544,6 +575,8 @@ BAD_CONFIGS = {
     "samples-overflow": ((("seed = 7", "seed = 7\nsamples = 1e400"),), "solver"),
     "memory-inf": ((("seed = 7", "seed = 7\nmemory = inf"),), "solver"),
     "memory-fraction": ((("seed = 7", "seed = 7\nmemory = 2.7"),), "solver"),
+    "memory-huge": ((("seed = 7", "seed = 7\nmemory = 1e9"),), "solver"),
+    "sigma-memory-huge": ((("seed = 7", "seed = 7\nmemory = 1e9"),), "solver", "sigma"),
     "workers-nan": ((("seed = 7", "seed = 7\nworkers = nan"),), "solver"),
     "seed-negative": ((("seed = 7", "seed = -1"),), "solver"),
     "seed-fraction": ((("seed = 7", "seed = 7.9"),), "solver"),

@@ -6,7 +6,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from sigmacell.grids import BoxGrid, EnergyModel, node_quadrature_weights
+from sigmacell import grids
+from sigmacell.grids import BoxGrid, EnergyModel, _DenseWellInverse, _WellInverse, node_quadrature_weights
 from sigmacell.potential import homogeneous_quartic, striped
 
 
@@ -101,14 +102,93 @@ def test_well_inverse_is_zero_on_pinned_nodes(periodic):
     assert model.precondition(v).tobytes() == out.tobytes()
 
 
+def _null_modes(grid, d):
+    """Unit-amplitude (pi, pi) sign patterns along the two even periodic axes, one per free node of the other axes and component."""
+    even = [ax for ax, (n, per) in enumerate(zip(grid.shape, grid.periodic)) if per and n % 2 == 0]
+    if len(even) != 2:
+        return []
+    sign = np.ones(grid.shape)
+    for ax in even:
+        along = [1] * grid.dim
+        along[ax] = -1
+        sign = sign * ((-1.0) ** np.arange(grid.shape[ax])).reshape(along)
+    rest = [range(n) if per else range(1, n - 1) for n, per in zip(grid.shape, grid.periodic)]
+    modes = []
+    for index in np.ndindex(*(len(rest[ax]) for ax in range(grid.dim) if ax not in even)):
+        picked = iter(index)
+        key = tuple(slice(None) if ax in even else rest[ax][next(picked)] for ax in range(grid.dim))
+        for c in range(d):
+            mode = np.zeros(grid.shape + (d,))
+            mode[key + (c,)] = sign[key]
+            modes.append(mode)
+    return modes
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "cells,periodic,dense",
+    [
+        ((8, 9), (True, False), True),
+        ((6, 7), (False, False), True),
+        ((8, 6), (True, True), True),
+        ((7, 8), (False, True), True),
+        ((128, 128), (True, False), True),  # 128 x 127 free nodes: the largest dense 2D cell
+        ((130, 6), (True, False), False),
+        ((4, 131), (True, False), False),  # 130 free nodes on the Dirichlet axis
+        ((4, 4, 6), (True, True, False), True),
+        ((4, 5, 6), (False, False, False), True),
+        ((4, 5, 6), (True, False, True), True),
+        ((3, 5, 3), (True, True, True), True),
+        ((4, 4, 130), (True, True, False), False),
+        ((131, 3, 4), (False, False, False), False),
+        ((4, 4, 4), (True, True, True), False),  # three even periodic axes keep the FFT
+    ],
+)
+def test_dense_and_fft_well_inverses_agree(cells, periodic, dense, d, monkeypatch):
+    dim = len(cells)
+
+    def model():
+        return _well_model((0.0,) * dim, tuple(c / 8 for c in cells), 1 / 8, periodic, homogeneous_quartic(d=d))
+
+    assert isinstance(model()._well_inverse, _DenseWellInverse if dense else _WellInverse)
+    paths = []
+    for axis_max in (0, 10**9):  # every axis longer than the constant, then none
+        monkeypatch.setattr(grids, "DENSE_AXIS_MAX", axis_max)
+        paths.append(model())
+    grid = paths[0].grid
+    rng = np.random.default_rng(dim * 10 + d)
+    u, w = rng.standard_normal((2,) + grid.shape + (d,))
+    mask = np.broadcast_to(grid.boundary_mask()[..., None], u.shape)
+    outs = []
+    for m in paths:
+        out = m.precondition(u)
+        assert out.shape == u.shape and not out[mask].any()
+        pinned = u.copy()
+        pinned[mask] = 1e6
+        assert m.precondition(pinned).tobytes() == out.tobytes()
+        for mode in _null_modes(grid, d):
+            assert not m.precondition(mode).any()
+        # symmetric to rounding: w . P^-1 u = u . P^-1 w
+        assert abs(np.vdot(w, out) - np.vdot(u, m.precondition(w))) <= 1e-13 * np.linalg.norm(w) * np.linalg.norm(out)
+        outs.append(out)
+    assert np.abs(outs[1] - outs[0]).max() <= 1e-12 * np.abs(outs[0]).max()
+
+
 _THREAD_SCRIPT = """
 import hashlib
 import numpy as np
 from sigmacell.grids import BoxGrid, EnergyModel
 from sigmacell.potential import striped
-model = EnergyModel(BoxGrid((0.0, 0.0, -1.0), (1.0, 1.0, 1.0), 1 / 16, (True, True, False)), striped(0.5), lambda p: p)
-v = np.random.default_rng(5).standard_normal(model.grid.shape + (1,))
-print(hashlib.sha256(model.precondition(v).tobytes()).hexdigest())
+for lo, hi, h, periodic in [
+    ((0.0, 0.0, -1.0), (1.0, 1.0, 1.0), 1 / 16, (True, True, False)),  # 16 x 16 x 33
+    ((0.0, -4.0), (8.0, 4.0), 1 / 16, (True, False)),  # 128 x 129: the largest dense 2D cell
+    ((0.0, 0.0, -2.0), (4.0, 4.0, 2.0), 1 / 16, (True, True, False)),  # 64 x 64 x 65
+    ((0.0, -8.0), (16.0, 8.0), 1 / 16, (True, False)),  # 256 x 257: FFT
+    ((0.0, 0.0, -8.0), (0.5, 0.5, 8.0), 1 / 16, (True, True, False)),  # 8 x 8 x 257: FFT
+]:
+    model = EnergyModel(BoxGrid(lo, hi, h, periodic), striped(0.5), lambda p: p)
+    v = np.random.default_rng(5).standard_normal(model.grid.shape + (1,))
+    print(type(model._well_inverse).__name__, hashlib.sha256(model.precondition(v).tobytes()).hexdigest())
 """
 
 
@@ -120,5 +200,6 @@ def test_well_inverse_bytes_do_not_depend_on_blas_threads():
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         run = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
-        digests.append(run.stdout.strip())
+        digests.append(run.stdout.split("\n"))
+    assert [line.split()[0] for line in digests[0][:5]] == ["_DenseWellInverse"] * 3 + ["_WellInverse"] * 2
     assert digests[0] == digests[1]
