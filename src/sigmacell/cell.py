@@ -152,6 +152,11 @@ def cell_model(grid: CellGrid, pot: Potential) -> EnergyModel:
     return EnergyModel(grid.box, pot, y_map=grid.y_map)
 
 
+def _cell_weight(grid: CellGrid, pot: Potential) -> np.ndarray:
+    """The spatial weight at the cell centres of a grid, as `cell_model` evaluates it."""
+    return np.asarray(pot.spatial_factor(grid.y_map(grid.box.cell_centers())), dtype=float)
+
+
 def profile_field(grid: CellGrid, profile: TransitionProfile, offset: float = 0.0) -> np.ndarray:
     """The mollified step phi(x_N - offset) on every node, as a read-only broadcast view of one column.
 
@@ -271,6 +276,7 @@ class GRefinement:
 
 
 # Ascending, so the first of several tied probes is the lowest offset.
+# Offset 0 alone is probed when the weight does not vary along the normal.
 PHASE_OFFSETS = (0.0, 0.25, 0.5, 0.75)
 
 # The spatial weight has unit period and the transition profile unit
@@ -313,14 +319,21 @@ def estimate_g(
     The coarsest mesh of `_mesh_levels` is solved once per phase offset
     (the infimum is over all admissible fields, and a transition layer
     centered on a weight crest is a symmetric saddle descent cannot
-    leave).  The best probe, linearly interpolated, warm-starts the solve
-    on the next finer mesh, and so on down to h.
+    leave).  When the weight at that mesh's cell centres does not vary
+    along the normal, offset 0 alone is solved: the probe problem is then
+    symmetric under x_N -> -x_N, u -> a + b - u, moving the centred layer
+    along the normal only costs energy, and the other offsets could at
+    best tie with it, which offset 0 wins.  The best probe, linearly
+    interpolated, warm-starts the solve on the next finer mesh, and so on
+    down to h.
     """
     levels = _mesh_levels(CellGrid(dim, T, h, rotation, tangential))
     probe_grid = levels[-1]
+    weight = _cell_weight(probe_grid, pot)
+    offsets = PHASE_OFFSETS[:1] if (weight == weight[..., :1]).all() else PHASE_OFFSETS
     tie = PROBE_TIE_FRACTION * opts.resolved_tolerance(pot)
     best = None
-    for off in PHASE_OFFSETS:
+    for off in offsets:
         res, state = minimize_cell(probe_grid, pot, profile, opts, init=initial_state(probe_grid, profile, off))
         if best is None or res.g < best[0].g - tie:
             best = (res, state, off)
@@ -454,7 +467,7 @@ def orbit_representatives(
         if k not in weights:
             R = rotations[k]
             grids = [g for T in schedule for g in _mesh_levels(CellGrid(R.dim, T, h, R, tangential))]
-            weights[k] = [np.asarray(pot.spatial_factor(g.y_map(g.box.cell_centers())), dtype=float) for g in grids]
+            weights[k] = [_cell_weight(g, pot) for g in grids]
         return weights[k]
 
     def is_image(k, rep, image):

@@ -226,7 +226,7 @@ def _even_periodic_axes(grid: BoxGrid) -> tuple:
 class _WellInverse:
     """v -> P^-1 v for P = a sum_ax K_ax (x) prod_other M + b prod M on the free nodes of a grid (module docstring).
 
-    The field is copied into a preallocated buffer that is periodic of
+    The field is copied into a fresh buffer that is periodic of
     length 2(n - 1) along each Dirichlet axis of n nodes, extended oddly
     about the pinned nodes 0 and n - 1, which stay 0.  On odd fields the
     periodic stencils of K and M equal their Dirichlet restrictions, so
@@ -236,6 +236,7 @@ class _WellInverse:
     def __init__(self, grid: BoxGrid, d: int, a: float, b: float):
         self._shape = grid.shape + (d,)
         ext = tuple(n if per else 2 * (n - 1) for n, per in zip(grid.shape, grid.periodic))
+        self._ext_shape = ext + (d,)
         self._free = _free_slices(grid)
         # one Dirichlet axis at a time, e[n:] = -e[n - 2:0:-1] over the nodes filled so far
         self._mirrors = []
@@ -247,27 +248,23 @@ class _WellInverse:
                 filled[ax] = slice(None)
         # rfftn halves the last axis
         symbols = [_axis_symbols(np.arange(L // 2 + 1 if ax == grid.dim - 1 else L), L) for ax, L in enumerate(ext)]
-        inverse = _inverse_symbol(symbols, a, b)
-        self._inverse = inverse[..., None]
-        self._ext = np.zeros(ext + (d,))
-        self._spec = np.empty(inverse.shape + (d,), dtype=complex)
-        self._back = np.empty_like(self._ext)
+        self._inverse = _inverse_symbol(symbols, a, b)[..., None]
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        e = self._ext
+        e = np.zeros(self._ext_shape)
         e[self._free] = v.reshape(self._shape)[self._free]
         for dst, src in self._mirrors:
             np.negative(e[src], out=e[dst])
-        spec, last = self._spec, len(self._shape) - 2  # rfftn and irfftn, an axis at a time and in place
-        np.fft.rfft(e, axis=last, out=spec)
+        last = len(self._shape) - 2  # rfftn and irfftn, an axis at a time, the complex axes in place
+        spec = np.fft.rfft(e, axis=last)
         for ax in range(last):
             np.fft.fft(spec, axis=ax, out=spec)
         spec *= self._inverse
         for ax in range(last):
             np.fft.ifft(spec, axis=ax, out=spec)
-        np.fft.irfft(spec, n=e.shape[last], axis=last, out=self._back)
+        back = np.fft.irfft(spec, n=e.shape[last], axis=last)
         out = np.zeros(self._shape)
-        out[self._free] = self._back[self._free]
+        out[self._free] = back[self._free]
         return out.reshape(np.shape(v))
 
 
@@ -410,7 +407,7 @@ class EnergyModel:
     def precondition(self, v: np.ndarray) -> np.ndarray:
         """P^-1 v (module docstring) as a fresh array of v's shape: 0 on pinned nodes and on the null modes of P.
 
-        The symbol and the transform buffers are built at the first call.
+        The symbol is built at the first call.
         """
         return self._well_inverse(v)
 

@@ -263,12 +263,31 @@ def test_estimate_g_hierarchy_matches_two_mesh_probes(prof):
     assert est.g == pytest.approx(ref.g, rel=1e-8)
 
 
-def test_estimate_g_probe_winner_is_order_independent(prof):
-    # on the quartic every offset reaches the same minimum: the lowest offset wins the tie
-    forward = estimate_g(None, 2.0, QUARTIC, prof, 1 / 16)
+def test_estimate_g_probe_winner_is_order_independent(prof, monkeypatch):
+    # the stripes vary along the oblique normal, yet in a cube of edge 2 every offset reaches
+    # the same minimum: the four probes tie and the lowest offset wins
+    R = rotation_from_direction(RationalUnitVector((F(3, 5), F(4, 5))))
+    pot = striped(0.5)
+    probes = []
+
+    def recording(grid, *args, **kwargs):
+        res, state = minimize_cell(grid, *args, **kwargs)
+        if grid.h == 1 / 4:  # the probe mesh
+            probes.append(res.g)
+        return res, state
+
+    monkeypatch.setattr(cell, "minimize_cell", recording)
+    forward = estimate_g(R, 2.0, pot, prof, 1 / 16)
+    tie = cell.PROBE_TIE_FRACTION * SolverOptions().resolved_tolerance(pot)
+    assert len(probes) == 4 and max(probes) - min(probes) <= tie
     assert forward.phase_offset == 0.0
 
 
+@pytest.mark.parametrize(
+    "pot, probes",
+    [(striped(0.5, axis=1), 4), (QUARTIC, 1)],  # the stripes vary along the normal e2, the quartic's weight does not
+    ids=["striped", "quartic"],
+)
 @pytest.mark.parametrize(
     "T, h, meshes",
     [
@@ -277,7 +296,7 @@ def test_estimate_g_probe_winner_is_order_independent(prof):
         (2.0, 1 / 32, [1 / 4] * 4 + [1 / 8, 1 / 16, 1 / 32]),
     ],
 )
-def test_estimate_g_probe_mesh(prof, monkeypatch, T, h, meshes):
+def test_estimate_g_probe_mesh(prof, monkeypatch, pot, probes, T, h, meshes):
     seen = []
 
     def recording(grid, *args, **kwargs):
@@ -285,8 +304,8 @@ def test_estimate_g_probe_mesh(prof, monkeypatch, T, h, meshes):
         return minimize_cell(grid, *args, **kwargs)
 
     monkeypatch.setattr(cell, "minimize_cell", recording)
-    est = estimate_g(None, T, QUARTIC, prof, h)
-    assert seen == meshes
+    est = estimate_g(None, T, pot, prof, h)
+    assert seen == meshes[4 - probes :]
     assert est.coarse.g != est.fine.g
 
 
