@@ -27,35 +27,45 @@ of W0.  The DFT (periodic axes, theta = 2 pi k / n) and the DST-I (the m
 free nodes of a Dirichlet axis, theta = pi k / (m + 1)) diagonalize both
 1D operators, with symbols 2 - 2 cos(theta) and 2 + 2 cos(theta): the
 fast Poisson solver of Hockney (1965) and Swarztrauber (1977).  Two
-transforms apply it, chosen by the grid's shape:
+transforms apply it, chosen by predicted cost:
 
-- every axis has at most DENSE_AXIS_MAX = 128 free nodes: one matrix
-  product per axis with the orthonormal 1D eigenvectors (the real
-  Fourier basis, the DST-I), a division by the symbol and one product
-  per axis back, the fast diagonalization method of Lynch, Rice &
-  Thomas (1964).  Each 1D basis is built once per process.
-- a longer axis: one real FFT of the field, extended oddly to length
-  2(m + 1) along each Dirichlet axis.
+- dense products: one matrix product per axis with the orthonormal 1D
+  eigenvectors (the real Fourier basis, the DST-I), a division by the
+  symbol and one product per axis back, the fast diagonalization method
+  of Lynch, Rice & Thomas (1964).  With F_ax free nodes per axis they
+  cost about (sum_ax F_ax) prod_ax F_ax.  The EIGENBASIS_CACHE_SIZE most
+  recently used 1D bases are kept.
+- the FFT: one real FFT of the field, extended oddly to length 2(n - 1)
+  along each Dirichlet axis of n nodes, about N_ext log2 N_ext for the
+  N_ext nodes of the extended grid.
 
-At 1 BLAS thread the products take 0.35-0.48 of the FFT's time on
-16 x 17 to 64 x 65 nodes and on 8 x 8 x 9 to 32 x 32 x 33, 0.89 on
-128 x 129 and 0.62 on 64 x 64 x 65; the two are even at 160 x 161 and
-the FFT wins beyond (the products take 1.36 of its time on 256 x 257).
+A grid takes the products while their cost is at most DENSE_COST_RATIO
+times the FFT's.  At 1 BLAS thread (three runs, BENCH_24.json) the two
+run even near a ratio of 9 on thin 3D grids (8 x 8 x 257), near 10 on
+periodic x Dirichlet grids (the products take 0.55-1.02 of the FFT's
+time on 160 x 161 at 10.1, 1.18-1.47 on 192 x 193 at 11.8) and near 14
+on all-Dirichlet grids (0.74-0.83 on 449 x 449 at 11.3, 0.88-0.95 on
+513 x 513 at 12.7).  The products take 0.04-0.76 of the FFT's time on
+the probes, on the cells of up to 128 x 129 (ratio 8.4) and
+64 x 64 x 65 nodes (5.0) and on the 257 x 257 all-Dirichlet tiling
+competitor (7.0).
+
 M vanishes at theta = pi on an even periodic axis, so P is singular on
 the modes at theta = pi along two periodic axes (in 3D cells, the
 (pi, pi, .) modes).  The discrete energy is flat along them,
 so the gradient has no component there; P^-1 maps them, like the pinned
 nodes, to 0.  The dense transform first removes that component with
 exact sign sums, and a grid with three even periodic axes (no cell has
-one) takes the FFT.  numpy's FFT runs on one thread and OpenBLAS shares
-a matrix product among threads by blocks of its output, so P^-1 v has
-the same bytes at 1 and 2 BLAS threads (tests/test_grids.py).
+one) takes the FFT.  numpy's FFT runs on one thread, so the FFT's P^-1 v
+has the same bytes at any BLAS thread count; the products' bytes can
+change with it (tests/test_grids.py checks the grids where they do not).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, lru_cache, reduce
+from math import log2, prod
 from typing import Callable
 
 import numpy as np
@@ -192,7 +202,7 @@ def _sweep_adjoint(grid: BoxGrid, r: np.ndarray, diffs=()) -> np.ndarray:
     return r
 
 
-DENSE_AXIS_MAX = 128  # the most free nodes per axis on which P^-1 is applied by dense products (module docstring)
+DENSE_COST_RATIO = 11.5  # dense products while their predicted cost is at most this multiple of the FFT's (docstring)
 
 
 def _axis_symbols(k: np.ndarray, length: int):
@@ -216,6 +226,13 @@ def _inverse_symbol(symbols: list, a: float, b: float) -> np.ndarray:
 
 def _free_slices(grid: BoxGrid) -> tuple:
     return tuple(slice(None) if per else slice(1, n - 1) for n, per in zip(grid.shape, grid.periodic))
+
+
+def _predicted_costs(grid: BoxGrid) -> tuple:
+    """(dense products, FFT): (sum_ax F_ax) prod_ax F_ax over the free nodes, N log2 N over the extended grid."""
+    free = [n if per else n - 2 for n, per in zip(grid.shape, grid.periodic)]
+    n_ext = prod(n if per else 2 * (n - 1) for n, per in zip(grid.shape, grid.periodic))
+    return sum(free) * prod(free), n_ext * log2(n_ext)
 
 
 def _even_periodic_axes(grid: BoxGrid) -> tuple:
@@ -268,7 +285,11 @@ class _WellInverse:
         return out.reshape(np.shape(v))
 
 
-@cache  # at most 2 * DENSE_AXIS_MAX entries; the arrays are read-only, so every model can share them
+# the most recently used 1D bases kept: a grid uses up to 3, and a basis of 450 free nodes takes 1.6 MB
+EIGENBASIS_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=EIGENBASIS_CACHE_SIZE)  # the arrays are read-only, so every model can share them
 def _axis_eigenbasis(n: int, periodic: bool):
     """Orthonormal eigenvectors (columns) of the 1D K and M on the free nodes of an axis of n nodes, and their symbols.
 
@@ -399,9 +420,9 @@ class EnergyModel:
     def _well_inverse(self):
         well = self._pot_scale * self._mean**2 * self.pot.base.well_curvature * float(self._factor.mean())
         grid = self.grid
-        free = [n if per else n - 2 for n, per in zip(grid.shape, grid.periodic)]
         # three even periodic axes (no cell or strip has them) make null modes that one sign sum cannot remove
-        dense = max(free) <= DENSE_AXIS_MAX and len(_even_periodic_axes(grid)) <= 2
+        dense_cost, fft_cost = _predicted_costs(grid)
+        dense = dense_cost <= DENSE_COST_RATIO * fft_cost and len(_even_periodic_axes(grid)) <= 2
         return (_DenseWellInverse if dense else _WellInverse)(grid, self.pot.d, 2.0 * self._grad_scale, well)
 
     def precondition(self, v: np.ndarray) -> np.ndarray:

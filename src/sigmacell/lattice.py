@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import ceil, floor, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -169,7 +169,8 @@ def rationalize_direction(nu, tol: float) -> RationalUnitVector:
     denominator level with a hit opens a window up to twice that level,
     and among all candidates within the componentwise tolerance the one
     with the smallest coordinate-denominator lcm (ties broken
-    lexicographically) is returned.
+    lexicographically) is returned.  Only candidates whose float error
+    is within tol + 1e-9 are built as Fractions and tested exactly.
     """
     if tol < RATIONAL_TOL_MIN:
         raise ValueError(f"tolerance below {RATIONAL_TOL_MIN:g} would blow up denominators")
@@ -183,13 +184,15 @@ def rationalize_direction(nu, tol: float) -> RationalUnitVector:
     pole_axis = int(np.argmax(np.abs(nu)))
     sign = 1 if nu[pole_axis] >= 0 else -1
     rest = np.delete(nu, pole_axis)
-    t_star = rest / (1.0 + sign * nu[pole_axis])
+    t_star = (rest / (1.0 + sign * nu[pole_axis])).tolist()
+    nu_pole, nu_rest = float(nu[pole_axis]), rest.tolist()
+    screen = tol + 1e-9
 
-    def candidates_at(q: int):
+    def numerators_at(q: int):
+        """Numerators a of the parameters t = a / q next to t_star."""
         grids = []
         for ts in t_star:
-            lo = Fraction(int(np.floor(ts * q)), q)
-            hi = Fraction(int(np.ceil(ts * q)), q)
+            lo, hi = floor(ts * q), ceil(ts * q)
             grids.append((lo,) if lo == hi else (lo, hi))
         return product(*grids)
 
@@ -198,8 +201,16 @@ def rationalize_direction(nu, tol: float) -> RationalUnitVector:
     q_hit = None
     q = 1
     while q <= q_max:
-        for t in candidates_at(q):
-            mu = _stereographic_point(t, pole_axis, sign, dim)
+        q2 = q * q
+        for a in numerators_at(q):
+            # the sphere point of t = a / q in floats: only candidates this close become Fractions
+            a2 = sum(ai * ai for ai in a)
+            denom = q2 + a2
+            err = abs(sign * (q2 - a2) / denom - nu_pole)
+            err = max([err] + [abs(2 * ai * q / denom - x) for ai, x in zip(a, nu_rest)])
+            if err > screen:
+                continue
+            mu = _stereographic_point(tuple(Fraction(ai, q) for ai in a), pole_axis, sign, dim)
             err = max(abs(float(c) - nu[i]) for i, c in enumerate(mu))
             if err <= tol:
                 hits.append(mu)

@@ -132,16 +132,24 @@ def _null_modes(grid, d):
         ((6, 7), (False, False), True),
         ((8, 6), (True, True), True),
         ((7, 8), (False, True), True),
-        ((128, 128), (True, False), True),  # 128 x 127 free nodes: the largest dense 2D cell
-        ((130, 6), (True, False), False),
-        ((4, 131), (True, False), False),  # 130 free nodes on the Dirichlet axis
+        ((128, 128), (True, False), True),
+        ((512, 512), (True, False), False),  # 512 x 513: predicted cost ratio 26.9
+        ((6, 1024), (False, True), False),  # 38.6
         ((4, 4, 6), (True, True, False), True),
         ((4, 5, 6), (False, False, False), True),
         ((4, 5, 6), (True, False, True), True),
         ((3, 5, 3), (True, True, True), True),
-        ((4, 4, 130), (True, True, False), False),
-        ((131, 3, 4), (False, False, False), False),
+        ((4, 4, 512), (True, True, False), False),  # 18.5
+        ((512, 3, 4), (False, True, True), False),  # 19.1
         ((4, 4, 4), (True, True, True), False),  # three even periodic axes keep the FFT
+        # predicted cost ratios 5.3, 6.6, 5.7 and 0.6 on the next four; at 1 BLAS thread
+        # the products take 0.38, 0.22, 0.49 and 0.04 of the FFT's time on them
+        ((130, 6), (True, False), True),
+        ((4, 131), (True, False), True),
+        ((4, 4, 130), (True, True, False), True),
+        ((131, 3, 4), (False, False, False), True),
+        ((256, 256), (False, False), True),  # all-Dirichlet 257 x 257: 7.0
+        ((384, 384), (False, False), True),  # 9.9
     ],
 )
 def test_dense_and_fft_well_inverses_agree(cells, periodic, dense, d, monkeypatch):
@@ -152,8 +160,8 @@ def test_dense_and_fft_well_inverses_agree(cells, periodic, dense, d, monkeypatc
 
     assert isinstance(model()._well_inverse, _DenseWellInverse if dense else _WellInverse)
     paths = []
-    for axis_max in (0, 10**9):  # every axis longer than the constant, then none
-        monkeypatch.setattr(grids, "DENSE_AXIS_MAX", axis_max)
+    for ratio in (0, 10**9):  # the FFT, then the dense products
+        monkeypatch.setattr(grids, "DENSE_COST_RATIO", ratio)
         paths.append(model())
     grid = paths[0].grid
     rng = np.random.default_rng(dim * 10 + d)
@@ -181,10 +189,10 @@ from sigmacell.grids import BoxGrid, EnergyModel
 from sigmacell.potential import striped
 for lo, hi, h, periodic in [
     ((0.0, 0.0, -1.0), (1.0, 1.0, 1.0), 1 / 16, (True, True, False)),  # 16 x 16 x 33
-    ((0.0, -4.0), (8.0, 4.0), 1 / 16, (True, False)),  # 128 x 129: the largest dense 2D cell
+    ((0.0, -4.0), (8.0, 4.0), 1 / 16, (True, False)),  # 128 x 129
     ((0.0, 0.0, -2.0), (4.0, 4.0, 2.0), 1 / 16, (True, True, False)),  # 64 x 64 x 65
     ((0.0, -8.0), (16.0, 8.0), 1 / 16, (True, False)),  # 256 x 257: FFT
-    ((0.0, 0.0, -8.0), (0.5, 0.5, 8.0), 1 / 16, (True, True, False)),  # 8 x 8 x 257: FFT
+    ((0.0, 0.0, -16.0), (0.25, 0.25, 16.0), 1 / 16, (True, True, False)),  # 4 x 4 x 513: FFT
 ]:
     model = EnergyModel(BoxGrid(lo, hi, h, periodic), striped(0.5), lambda p: p)
     v = np.random.default_rng(5).standard_normal(model.grid.shape + (1,))
@@ -203,3 +211,11 @@ def test_well_inverse_bytes_do_not_depend_on_blas_threads():
         digests.append(run.stdout.split("\n"))
     assert [line.split()[0] for line in digests[0][:5]] == ["_DenseWellInverse"] * 3 + ["_WellInverse"] * 2
     assert digests[0] == digests[1]
+
+
+def test_axis_eigenbasis_cache_is_bounded():
+    # each n x (n + 1) periodic x Dirichlet grid adds two axis keys
+    for n in range(4, 4 + grids.EIGENBASIS_CACHE_SIZE):
+        model = _well_model((0.0, 0.0), (n / 8, n / 8), 1 / 8, (True, False), homogeneous_quartic())
+        assert isinstance(model._well_inverse, _DenseWellInverse)
+    assert grids._axis_eigenbasis.cache_info().currsize == grids.EIGENBASIS_CACHE_SIZE

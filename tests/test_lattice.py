@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from sigmacell.lattice import (
     RationalRotation,
     RationalUnitVector,
+    _stereographic_point,
     check_periodicity,
     lattice_period,
     random_rational_directions,
@@ -54,6 +56,44 @@ def test_rationalize_dimension_three():
     mu = rationalize_direction(nu, 1e-3)
     assert sum(c * c for c in mu.components) == 1
     assert np.abs(mu.as_float() - nu).max() <= 1e-3
+
+
+def _rationalize_exact_reference(nu, tol):
+    """The exact search without a float screen: every candidate is built as Fractions and tested."""
+    nu = np.asarray(nu, dtype=float)
+    nu = nu / float(np.linalg.norm(nu))
+    pole_axis = int(np.argmax(np.abs(nu)))
+    sign = 1 if nu[pole_axis] >= 0 else -1
+    t_star = np.delete(nu, pole_axis) / (1.0 + sign * nu[pole_axis])
+    hits, q_hit, q = [], None, 1
+    while q <= int(np.ceil(4.0 / tol)) + 1:
+        sides = [{F(int(np.floor(ts * q)), q), F(int(np.ceil(ts * q)), q)} for ts in t_star]
+        for t in product(*sides):
+            mu = _stereographic_point(t, pole_axis, sign, nu.size)
+            if max(abs(float(c) - nu[i]) for i, c in enumerate(mu)) <= tol:
+                hits.append(mu)
+                q_hit = q if q_hit is None else q_hit
+        if q_hit is not None and q >= 2 * q_hit:
+            break
+        q += 1
+    return min(set(hits), key=lambda mu: (lcm(*[c.denominator for c in mu]), mu))
+
+
+def _reference_cases():
+    rng = np.random.default_rng(2024)
+    cases = [(np.array([np.cos(2 * np.pi * k / 16), np.sin(2 * np.pi * k / 16)]), 1e-2) for k in range(16)]
+    for tol in (1e-2, 3e-3, 1e-3):
+        for dim in (2, 3):
+            for _ in range(12):
+                v = rng.normal(size=dim)
+                cases.append((v / np.linalg.norm(v), tol))
+    return cases
+
+
+def test_rationalize_matches_the_exact_search():
+    # the float screen only skips candidates outside tol + 1e-9; the exact test and the tie-break decide
+    for nu, tol in _reference_cases():
+        assert rationalize_direction(nu, tol).components == _rationalize_exact_reference(nu, tol), (nu, tol)
 
 
 def test_rationalize_tol_guard():
