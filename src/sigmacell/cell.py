@@ -104,7 +104,8 @@ class CellGrid:
         return self.rotation_matrix[:, -1]
 
     def y_map(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.rotation_matrix.T
+        """R x for points (..., dim): one product on the (-1, dim) view."""
+        return (points.reshape(-1, self.dim) @ self.rotation_matrix.T).reshape(points.shape)
 
 
 @dataclass

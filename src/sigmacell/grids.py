@@ -16,6 +16,29 @@ applied once to the cell derivatives, gives the exact gradient, and
 applied to the cell volumes, the node quadrature weights.  Periodic axes
 omit the duplicate endpoint node; each axis step wraps around.
 
+A grid of more than SLAB_NODES nodes is swept in slabs along axis 0
+(loop tiling, Wolf & Lam 1991), so no pass builds a grid-sized
+temporary.  A slab is a run of cell rows with its node rows, swept as a
+non-periodic axis; on a periodic axis 0 the last slab ends on node
+row 0.  The energy sums add up slab by slab, which moves the energy in
+its last digits.  Each slab's node contributions are added into one
+gradient array, and a node row on a slab boundary gets the one sum
+up + down of a single sweep, so the gradient's bytes do not depend on
+the slabs.  A grid of at most SLAB_NODES nodes is one slab, with
+the arithmetic of one sweep.  Median time of one energy and gradient
+call at 1 BLAS thread (d = 1, BENCH_25.json), in ms:
+
+    nodes per slab         4096   8192  16384  32768  65536  one slab
+    128 x 129               0.91   0.74   0.67   1.06   1.07   0.97
+    256 x 257               3.19   2.56   2.26   2.40   2.27   4.23
+    512 x 513              14.0    9.87   9.23   8.85  10.0   20.9
+    32 x 32 x 33            2.58   1.87   1.49   1.56   1.45   1.49
+    64 x 64 x 65           15.2   13.7   11.9   11.3   12.8   27.9
+
+Slabs of 16384 nodes are within 7% of the fastest size measured
+(4096 to 131072) on every grid, and none is slower than one slab
+beyond noise (32 x 32 x 33: 1.49 ms both).
+
 `EnergyModel.precondition` applies P^-1, the inverse of the energy
 Hessian at a well with the spatial weight replaced by its mean:
 
@@ -120,13 +143,11 @@ class BoxGrid:
         return out
 
     def node_points(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.node_axes(), indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return np.stack(np.meshgrid(*self.node_axes(), indexing="ij", copy=False), axis=-1)
 
     def cell_centers(self) -> np.ndarray:
         axes = [a + self.h * (np.arange(c) + 0.5) for a, c in zip(self.lo, self.cells)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
 
     def pinned_faces(self) -> list:
         """Index tuples of both end faces of every non-periodic axis: the pinned nodes, faces may share edges."""
@@ -144,41 +165,50 @@ class BoxGrid:
         return mask
 
 
+@lru_cache(maxsize=None)
+def _axis_index(ax: int) -> tuple:
+    """Index tuples along axis ax: all entries but the last, all but the first, the first and the last (both
+    kept as length-1 axes), and all but both ends."""
+    head = (slice(None),) * ax
+    return tuple(head + (cut,) for cut in (slice(None, -1), slice(1, None), slice(0, 1), slice(-1, None), slice(1, -1)))
+
+
 def _along(op, a: np.ndarray, ax: int, periodic: bool) -> np.ndarray:
     """op(a[i + 1], a[i]) for every cell i along axis ax; a periodic axis wraps to a[0]."""
-    head = (slice(None),) * ax
-    lo, hi = a[head + (slice(None, -1),)], a[head + (slice(1, None),)]
+    lo, hi, first, last, _ = _axis_index(ax)
     if not periodic:
-        return op(hi, lo)
+        return op(a[hi], a[lo])
     out = np.empty_like(a)
-    op(hi, lo, out=out[head + (slice(None, -1),)])
-    op(a[head + (slice(0, 1),)], a[head + (slice(-1, None),)], out=out[head + (slice(-1, None),)])
+    op(a[hi], a[lo], out=out[lo])
+    op(a[first], a[last], out=out[last])
     return out
 
 
 def _along_adjoint(up: np.ndarray, down: np.ndarray, ax: int, periodic: bool) -> np.ndarray:
     """Node i collects up[i - 1] from the cell below it and down[i] from the cell above it."""
-    head = (slice(None),) * ax
-    shape = list(up.shape)
-    shape[ax] += 0 if periodic else 1
-    out = np.empty(shape)
-    np.add(up[head + (slice(None, -1),)], down[head + (slice(1, None),)], out=out[head + (slice(1, up.shape[ax]),)])
+    lo, hi, first, last, inner = _axis_index(ax)
     if periodic:
-        np.add(up[head + (slice(-1, None),)], down[head + (slice(0, 1),)], out=out[head + (slice(0, 1),)])
-    else:
-        out[head + (0,)] = down[head + (0,)]
-        out[head + (-1,)] = up[head + (-1,)]
+        out = np.empty(up.shape)
+        np.add(up[lo], down[hi], out=out[hi])
+        np.add(up[last], down[first], out=out[first])
+        return out
+    shape = list(up.shape)
+    shape[ax] += 1
+    out = np.empty(shape)
+    np.add(up[lo], down[hi], out=out[inner])
+    out[first] = down[first]
+    out[last] = up[last]
     return out
 
 
-def _sweep(grid: BoxGrid, u: np.ndarray):
+def _sweep(periodic: tuple, u: np.ndarray):
     """Per cell, the sum of its 2^N corner values and per axis the sum signed by that axis's offset.
 
     Each level's sums give the next sums and that axis's differences; a
     level is dropped as soon as the next is built, to bound peak memory.
     """
     s, diffs = u, []
-    for ax, per in enumerate(grid.periodic):
+    for ax, per in enumerate(periodic):
         for k, t in enumerate(diffs):
             diffs[k] = _along(np.add, t, ax, per)
         diffs.append(_along(np.subtract, s, ax, per))
@@ -186,11 +216,11 @@ def _sweep(grid: BoxGrid, u: np.ndarray):
     return s, diffs
 
 
-def _sweep_adjoint(grid: BoxGrid, r: np.ndarray, diffs=()) -> np.ndarray:
+def _sweep_adjoint(periodic: tuple, r: np.ndarray, diffs=()) -> np.ndarray:
     """Transpose of `_sweep` (of its corner sums alone without `diffs`): a fresh contiguous node array."""
     diffs = list(diffs)
-    for ax in reversed(range(grid.dim)):
-        per = grid.periodic[ax]
+    for ax in reversed(range(len(periodic))):
+        per = periodic[ax]
         if diffs:
             rd = diffs.pop()
             up, down = r + rd, np.subtract(r, rd, out=rd)
@@ -200,6 +230,21 @@ def _sweep_adjoint(grid: BoxGrid, r: np.ndarray, diffs=()) -> np.ndarray:
         for k, t in enumerate(diffs):
             diffs[k] = _along_adjoint(t, t, ax, per)
     return r
+
+
+SLAB_NODES = 16384  # a grid of more nodes is swept in slabs of at most this many along axis 0 (module docstring)
+
+
+def _slab_bounds(grid: BoxGrid) -> list:
+    """Cell-row bounds [c_0 = 0, c_1, ..., c_k = cells along axis 0] of the slabs: one slab up to SLAB_NODES nodes,
+    else as few near-equal slabs as keep each at most SLAB_NODES nodes (one cell row, when a row alone has more)."""
+    rows = grid.cells[0]
+    nodes = prod(grid.shape)
+    if nodes <= SLAB_NODES:
+        return [0, rows]
+    per_slab = max(1, SLAB_NODES // (nodes // grid.shape[0]) - 1)  # a slab of c cell rows holds c + 1 node rows
+    count = -(-rows // per_slab)
+    return [rows * k // count for k in range(count + 1)]
 
 
 DENSE_COST_RATIO = 11.5  # dense products while their predicted cost is at most this multiple of the FFT's (docstring)
@@ -380,26 +425,57 @@ class EnergyModel:
         self._mean = 1.0 / (1 << n)  # corner sum -> center value
         slope = 1.0 / ((1 << (n - 1)) * grid.h)  # signed corner sum -> averaged edge difference
         self._pot_scale, self._grad_scale = hN, hN * slope * slope
-        self._dp_factor = (self._pot_scale * self._mean) * self._factor[..., None]
+        self._dp_factor = (2.0 * self._pot_scale * self._mean) * self._factor[..., None]  # W0' = 2 value_and_half_dp
+        self._slabs = _slab_bounds(grid)
 
-    def _centers(self, u: np.ndarray):
-        """Center values and signed corner sums (center gradients / slope) of u."""
-        u = np.asarray(u, dtype=float)
+    def _slab(self, u: np.ndarray, rows: slice, periodic: tuple, with_gradient: bool):
+        """(sum f W0, sum of the squared signed corner sums) over the cell rows `rows`, whose node rows are u,
+        and with `with_gradient` the gradient's contributions on those node rows (else None)."""
         if not np.isfinite(u).all():
             raise ValueError("field contains non-finite values")
-        ubar, dus = _sweep(self.grid, u)
+        ubar, dus = _sweep(periodic, u)
         ubar *= self._mean
-        return ubar, dus
+        grad_sum = float(sum((du * du).sum() for du in dus))
+        if not with_gradient:
+            return float((self._factor[rows] * self.pot.base(ubar)).sum()), grad_sum, None
+        w0, r = self.pot.base.value_and_half_dp(ubar)
+        r *= self._dp_factor[rows]
+        for du in dus:
+            du *= 2.0 * self._grad_scale
+        return float((self._factor[rows] * w0).sum()), grad_sum, _sweep_adjoint(periodic, r, dus)
 
-    def _parts(self, w0: np.ndarray, dus) -> EnergyParts:
-        """Energy parts from the base potential W0 and the signed corner sums at the centers."""
-        e_pot = self._pot_scale * float((self._factor * w0).sum())
-        e_grad = self._grad_scale * float(sum((du * du).sum() for du in dus))
-        return EnergyParts(e_pot + e_grad, e_pot, e_grad)
+    def _evaluate(self, u: np.ndarray, with_gradient: bool):
+        """EnergyParts and, with `with_gradient`, the gradient, slab by slab along axis 0 (module docstring)."""
+        u = np.asarray(u, dtype=float)
+        bounds, periodic = self._slabs, self.grid.periodic
+        if len(bounds) == 2:
+            pot_sum, grad_sum, g = self._slab(u, slice(None), periodic, with_gradient)
+        else:
+            pot_sum = grad_sum = 0.0
+            g = np.empty(u.shape) if with_gradient else None
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                wrap = hi == len(u)  # the last slab of a periodic axis 0 ends on node row 0
+                nodes = np.concatenate((u[lo:], u[:1])) if wrap else u[lo : hi + 1]
+                p, q, out = self._slab(nodes, slice(lo, hi), (False,) + periodic[1:], with_gradient)
+                pot_sum += p
+                grad_sum += q
+                if g is None:
+                    continue
+                # a boundary node row gets one slab's up + the next slab's down, in either order: one exact sum
+                g[lo + 1 : hi] = out[1:-1]
+                if lo == 0:
+                    g[0] = out[0]
+                else:
+                    g[lo] += out[0]
+                if wrap:
+                    g[0] += out[-1]
+                else:
+                    g[hi] = out[-1]
+        e_pot, e_grad = self._pot_scale * pot_sum, self._grad_scale * grad_sum
+        return EnergyParts(e_pot + e_grad, e_pot, e_grad), g
 
     def energy_parts(self, u: np.ndarray) -> EnergyParts:
-        ubar, dus = self._centers(u)
-        return self._parts(self.pot.base(ubar), dus)
+        return self._evaluate(u, False)[0]
 
     def gradient(self, u: np.ndarray):
         """(EnergyParts, exact gradient) of the discrete energy, both from one sweep.
@@ -407,14 +483,7 @@ class EnergyModel:
         W0 and W0' come from one pass over the center values.  The
         gradient is a fresh contiguous node array.
         """
-        ubar, dus = self._centers(u)
-        w0, r = self.pot.base.value_and_dp(ubar)
-        parts = self._parts(w0, dus)
-        r *= self._dp_factor
-        for du in dus:
-            du *= 2.0 * self._grad_scale
-        g = _sweep_adjoint(self.grid, r, dus)
-        return parts, g
+        return self._evaluate(u, True)
 
     @cached_property
     def _well_inverse(self):
@@ -436,7 +505,7 @@ class EnergyModel:
 def node_quadrature_weights(grid: BoxGrid) -> np.ndarray:
     """Weights w with sum_cells h^N u_c = sum_nodes w * u (midpoint rule)."""
     n = grid.dim
-    return _sweep_adjoint(grid, np.full(grid.cells, grid.h**n / (1 << n)))
+    return _sweep_adjoint(grid.periodic, np.full(grid.cells, grid.h**n / (1 << n)))
 
 
 def closed_nodes(u: np.ndarray, periodic) -> np.ndarray:

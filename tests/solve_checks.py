@@ -1,8 +1,12 @@
-"""Checks shared by the cell and diffuse solver tests: how a descent stopped, and what it left alive."""
+"""Checks shared by the grid, cell and diffuse tests: how a descent stopped, what it left alive, and slab sizes."""
 
 import gc
+from contextlib import contextmanager
 
-from sigmacell import descent
+import numpy as np
+import pytest
+
+from sigmacell import descent, grids
 from sigmacell.cell import SolverOptions
 from sigmacell.grids import EnergyModel
 
@@ -21,6 +25,20 @@ def record_last_point(monkeypatch, module):
 
     monkeypatch.setattr(module, "lbfgs_descent", recorded)
     return seen
+
+
+def slab_nodes(shape, rows: int) -> int:
+    """The `grids.SLAB_NODES` that sweeps a grid of node shape `shape` in slabs of at most `rows` cell rows."""
+    return (rows + 1) * int(np.prod(shape[1:]))
+
+
+@contextmanager
+def slabs_of(shape, rows):
+    """Models built inside sweep a grid of node shape `shape` in slabs of at most `rows` cell rows (None: as built)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(grids, "SLAB_NODES", slab_nodes(shape, rows))
+        yield
 
 
 # how a descent can stop: SolverOptions and MAX_BACKTRACKS

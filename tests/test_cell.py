@@ -41,7 +41,7 @@ from sigmacell.potential import (
 from sigmacell.profile import Mollifier, TransitionProfile
 
 from oned_reference import profile_energy_1d, transition_bvp_energy
-from solve_checks import STOPS, check_stop, new_models_left_after, record_last_point
+from solve_checks import STOPS, check_stop, new_models_left_after, record_last_point, slabs_of
 
 F = Fraction
 QUARTIC = homogeneous_quartic()
@@ -103,25 +103,27 @@ def test_gradient_matches_finite_differences(dim, T, n, pot, tangential):
     rng = np.random.default_rng(100 * dim + n)
     h = T / (n - 1)
     grid = CellGrid(dim, T, h, tangential=tangential)
-    f_g = pinned_objective(cell_model(grid, pot))
-    for trial in range(4):
-        u = rng.uniform(-1.3, 1.3, size=grid.box.shape + (pot.d,))
-        g = f_g(u.ravel())[1].reshape(u.shape)
-        free = ~grid.box.boundary_mask()
-        idx = np.argwhere(free)
-        sel = idx[:: max(1, len(idx) // 40)]
-        step = 1e-6
-        worst = 0.0
-        gsup = np.abs(g).max()
-        for k, node in enumerate(sel):
-            entry = tuple(node) + (k % pot.d,)
-            up = u.copy()
-            um = u.copy()
-            up[entry] += step
-            um[entry] -= step
-            fd = (f_g(up.ravel())[0] - f_g(um.ravel())[0]) / (2 * step)
-            worst = max(worst, abs(fd - g[entry]) / gsup)
-        assert worst <= 1e-6
+    for rows in (None, 1, 2):  # as built, then in slabs of 1 and 2 cell rows
+        with slabs_of(grid.box.shape, rows):
+            f_g = pinned_objective(cell_model(grid, pot))
+        for trial in range(4):
+            u = rng.uniform(-1.3, 1.3, size=grid.box.shape + (pot.d,))
+            g = f_g(u.ravel())[1].reshape(u.shape)
+            free = ~grid.box.boundary_mask()
+            idx = np.argwhere(free)
+            sel = idx[:: max(1, len(idx) // 40)]
+            step = 1e-6
+            worst = 0.0
+            gsup = np.abs(g).max()
+            for k, node in enumerate(sel):
+                entry = tuple(node) + (k % pot.d,)
+                up = u.copy()
+                um = u.copy()
+                up[entry] += step
+                um[entry] -= step
+                fd = (f_g(up.ravel())[0] - f_g(um.ravel())[0]) / (2 * step)
+                worst = max(worst, abs(fd - g[entry]) / gsup)
+            assert worst <= 1e-6
 
 
 def test_gradient_periodic_tangential_matches_fd(prof):
@@ -581,13 +583,15 @@ def test_pinned_faces_cover_exactly_the_boundary_mask(cells, flags, h):
     flags=axis_flags,
     d=st.integers(1, 2),
     kind=st.sampled_from(["striped", "checkerboard", "smooth_modulated"]),
+    slab_rows=st.sampled_from([None, 1, 2]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_pinned_gradient_is_zero_on_faces_and_matches_finite_differences(cells, flags, d, kind, seed):
+def test_pinned_gradient_is_zero_on_faces_and_matches_finite_differences(cells, flags, d, kind, slab_rows, seed):
     rng = np.random.default_rng(seed)
     grid = random_box(cells, flags, 0.5)
     pot = modulated(kind, 0.5 if kind != "checkerboard" else 2.0, d)
-    f_g = pinned_objective(EnergyModel(grid, pot, random_affine(rng, grid.dim)))
+    with slabs_of(grid.shape, slab_rows):
+        f_g = pinned_objective(EnergyModel(grid, pot, random_affine(rng, grid.dim)))
     u = rng.uniform(-1.3, 1.3, grid.shape + (d,))
     g = f_g(u.ravel())[1].reshape(u.shape)
     pinned = grid.boundary_mask()
@@ -611,17 +615,19 @@ def test_pinned_gradient_is_zero_on_faces_and_matches_finite_differences(cells, 
     d=st.integers(1, 2),
     kind=st.sampled_from(["striped", "checkerboard", "smooth_modulated"]),
     strength=st.floats(0.0, 0.99),
+    slab_rows=st.sampled_from([None, 1, 2]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_energy_is_at_least_the_lower_envelope_energy(cells, flags, d, kind, strength, seed):
+def test_energy_is_at_least_the_lower_envelope_energy(cells, flags, d, kind, strength, slab_rows, seed):
     # W(y, p) >= (min f) W0(p) node by node, and rounding keeps the order through products and sums
     rng = np.random.default_rng(seed)
     grid = random_box(cells, flags, 0.5)
     pot = modulated(kind, strength if kind != "checkerboard" else 0.01 + 4.0 * strength, d)
     y_map = random_affine(rng, grid.dim)
     u = rng.uniform(-2.0, 2.0, grid.shape + (d,))
-    e_w = EnergyModel(grid, pot, y_map).energy_parts(u)
-    e_env = EnergyModel(grid, pot.lower_envelope(), y_map).energy_parts(u)
+    with slabs_of(grid.shape, slab_rows):
+        e_w = EnergyModel(grid, pot, y_map).energy_parts(u)
+        e_env = EnergyModel(grid, pot.lower_envelope(), y_map).energy_parts(u)
     assert e_w.gradient == e_env.gradient
     assert e_w.potential >= e_env.potential
     assert e_w.total >= e_env.total
@@ -640,10 +646,11 @@ def _profile_for(dim, d):
     d=st.integers(1, 2),
     iterations=st.sampled_from([0, 3]),
     garbage=st.sampled_from([np.nan, np.inf, -1e6, 0.0]),
+    slab_rows=st.sampled_from([None, 1, 2]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_warm_start_comes_back_with_the_profile_on_exactly_the_pinned_nodes(
-    dim, tangential, cells, d, iterations, garbage, seed
+    dim, tangential, cells, d, iterations, garbage, slab_rows, seed
 ):
     rng = np.random.default_rng(seed)
     grid = CellGrid(dim, 2.0, 2.0 / cells, tangential=tangential)
@@ -651,7 +658,8 @@ def test_warm_start_comes_back_with_the_profile_on_exactly_the_pinned_nodes(
     pinned = grid.box.boundary_mask()
     warm = rng.uniform(-1.3, 1.3, grid.box.shape + (d,))
     warm[pinned] = garbage
-    res, state = minimize_cell(grid, pot, profile, SolverOptions(max_iterations=iterations), CellState(grid, warm))
+    with slabs_of(grid.box.shape, slab_rows):
+        res, state = minimize_cell(grid, pot, profile, SolverOptions(max_iterations=iterations), CellState(grid, warm))
     data = profile_field(grid, profile)
     assert state.u[pinned].tobytes() == data[pinned].tobytes()
     if iterations == 0:  # no descent step: the free nodes are the warm start's

@@ -2,13 +2,19 @@ import os
 import subprocess
 import sys
 from functools import reduce
+from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 
 from sigmacell import grids
+from sigmacell.cell import CellGrid, cell_model, pinned_objective
 from sigmacell.grids import BoxGrid, EnergyModel, _DenseWellInverse, _WellInverse, node_quadrature_weights
-from sigmacell.potential import homogeneous_quartic, striped
+from sigmacell.lattice import RationalUnitVector, rotation_from_direction
+from sigmacell.potential import homogeneous_quartic, smooth_modulated, striped
+
+from solve_checks import slab_nodes
 
 
 @pytest.mark.parametrize(
@@ -219,3 +225,90 @@ def test_axis_eigenbasis_cache_is_bounded():
         model = _well_model((0.0, 0.0), (n / 8, n / 8), 1 / 8, (True, False), homogeneous_quartic())
         assert isinstance(model._well_inverse, _DenseWellInverse)
     assert grids._axis_eigenbasis.cache_info().currsize == grids.EIGENBASIS_CACHE_SIZE
+
+
+def _rotated_model(cells, periodic, pot):
+    """An EnergyModel on cells at h = 1/16 whose weight is evaluated at R x, R the 2D or 3D rotation of nu = (3, 4) / 5
+    or (1, 2, 2) / 3."""
+    nu = [(3, 5), (4, 5)] if len(cells) == 2 else [(1, 3), (2, 3), (2, 3)]
+    rot = rotation_from_direction(RationalUnitVector(tuple(Fraction(*q) for q in nu))).as_float()
+    grid = BoxGrid((0.0,) * len(cells), tuple(c / 16 for c in cells), 1 / 16, periodic)
+    return EnergyModel(grid, pot, lambda p: p @ rot.T)
+
+
+def _one_slab(monkeypatch, cells, periodic, pot, u):
+    monkeypatch.setattr(grids, "SLAB_NODES", 10**9)
+    return _rotated_model(cells, periodic, pot).gradient(u)
+
+
+@pytest.mark.parametrize(
+    "cells,periodic,d",
+    [
+        ((10, 7), (True, False), 1),
+        ((10, 7), (False, False), 1),
+        ((9, 4, 5), (True, True, False), 1),
+        ((10, 7), (True, False), 2),
+    ],
+)
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_slabs_give_the_one_slab_gradient_bytes(cells, periodic, d, rows, monkeypatch):
+    pot = smooth_modulated(0.5, d=d)
+    shape = tuple(c if per else c + 1 for c, per in zip(cells, periodic))
+    u = np.random.default_rng(rows).uniform(-1.5, 1.5, shape + (d,))
+    parts, g = _one_slab(monkeypatch, cells, periodic, pot, u)
+    monkeypatch.setattr(grids, "SLAB_NODES", slab_nodes(shape, rows))
+    model = _rotated_model(cells, periodic, pot)
+    # as many near-equal slabs as rows allow: 3 and 4 rows do not divide 10 or 9 cell rows
+    assert len(model._slabs) - 1 == -(-cells[0] // rows) > 1
+    assert max(np.diff(model._slabs)) <= rows
+    slab_parts, slab_g = model.gradient(u)
+    assert slab_g.tobytes() == g.tobytes()
+    for got, want in ((slab_parts.potential, parts.potential), (slab_parts.gradient, parts.gradient)):
+        assert abs(got - want) <= 1e-14 * abs(want)
+    assert model.energy_parts(u) == slab_parts
+    g_pinned = pinned_objective(model)(u.ravel())[1].reshape(u.shape)
+    assert not g_pinned[model.grid.boundary_mask()].any()
+    assert g_pinned[~model.grid.boundary_mask()].tobytes() == g[~model.grid.boundary_mask()].tobytes()
+
+
+# the benchmark's grids of more than SLAB_NODES nodes (all take d = 1)
+BENCHMARK_SLAB_GRIDS = [
+    ((64, 64, 64), (True, True, False)),  # oracle's 3D fine grid, 266,240 nodes
+    ((32, 32, 32), (True, True, False)),  # its 2h level
+    ((256, 256), (True, False)),  # oracle's 2D fine grid
+    ((128, 128), (True, False)),  # oracle's 2D 2h level, diffuse's recovery cell and strips
+    ((512, 512), (True, False)),  # diffuse's largest strip
+    ((256, 256), (False, False)),  # diffuse's all-Dirichlet tiling competitor
+]
+
+
+@pytest.mark.parametrize("cells,periodic", BENCHMARK_SLAB_GRIDS)
+def test_benchmark_grids_take_slabs_with_the_one_slab_gradient_bytes(cells, periodic, monkeypatch):
+    pot = striped(0.5)
+    shape = tuple(c if per else c + 1 for c, per in zip(cells, periodic))
+    u = np.random.default_rng(len(cells)).uniform(-1.5, 1.5, shape + (1,))
+    slab_model = _rotated_model(cells, periodic, pot)
+    assert len(slab_model._slabs) > 2
+    slab_parts, slab_g = slab_model.gradient(u)
+    parts, g = _one_slab(monkeypatch, cells, periodic, pot, u)
+    assert slab_g.tobytes() == g.tobytes()
+    assert abs(slab_parts.total - parts.total) <= 1e-14 * parts.total
+
+
+@pytest.mark.parametrize("shape", [(64, 65), (16, 16, 17), (128, 128)])
+def test_grids_up_to_slab_nodes_are_one_slab(shape):
+    grid = BoxGrid((0.0,) * len(shape), tuple(n / 16 for n in shape), 1 / 16, (True,) * len(shape))
+    assert prod(grid.shape) <= grids.SLAB_NODES
+    assert grids._slab_bounds(grid) == [0, grid.cells[0]]
+
+
+@pytest.mark.parametrize("dim,nu", [(2, ((3, 5), (4, 5))), (3, ((1, 3), (2, 3), (2, 3)))])
+@pytest.mark.parametrize("pot", [striped(0.5), smooth_modulated(0.5)], ids=["striped", "smooth"])
+def test_cell_weight_bytes_equal_the_stacked_product(dim, nu, pot):
+    rot = rotation_from_direction(RationalUnitVector(tuple(Fraction(*q) for q in nu)))
+    grid = CellGrid(dim, 4.0, 1 / 16, rot)
+    box = grid.box
+    axes = [a + box.h * (np.arange(c) + 0.5) for a, c in zip(box.lo, box.cells)]
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)  # one grid-sized copy per axis
+    want = pot.spatial_factor(centers @ grid.rotation_matrix.T)  # one small product per row
+    assert cell_model(grid, pot)._factor.tobytes() == want.tobytes()
