@@ -103,10 +103,6 @@ class CellGrid:
         """The interface normal: image of the last axis under the rotation."""
         return self.rotation_matrix[:, -1]
 
-    def y_map(self, points: np.ndarray) -> np.ndarray:
-        """R x for points (..., dim): one product on the (-1, dim) view."""
-        return (points.reshape(-1, self.dim) @ self.rotation_matrix.T).reshape(points.shape)
-
 
 @dataclass
 class CellState:
@@ -150,12 +146,13 @@ class SolverOptions:
 
 def cell_model(grid: CellGrid, pot: Potential) -> EnergyModel:
     """The discrete cell energy: midpoint quadrature on the reference cube, potential at y = R x."""
-    return EnergyModel(grid.box, pot, y_map=grid.y_map)
+    return EnergyModel(grid.box, pot, _cell_weight(grid, pot))
 
 
 def _cell_weight(grid: CellGrid, pot: Potential) -> np.ndarray:
-    """The spatial weight at the cell centres of a grid, as `cell_model` evaluates it."""
-    return np.asarray(pot.spatial_factor(grid.y_map(grid.box.cell_centers())), dtype=float)
+    """The spatial weight f(R x) at the cell centres x of a grid, R applied as one product on the (-1, dim) view."""
+    y = grid.box.cell_centers().reshape(-1, grid.dim) @ grid.rotation_matrix.T  # the centres are freed before f runs
+    return np.asarray(pot.spatial_factor(y.reshape(grid.box.cells + (grid.dim,))), dtype=float)
 
 
 def profile_field(grid: CellGrid, profile: TransitionProfile, offset: float = 0.0) -> np.ndarray:
@@ -464,7 +461,7 @@ def orbit_representatives(
     weights = {}
 
     def weights_of(k):
-        """The weight at the cell centres of every mesh `estimate_sigma` solves, as `cell_model` evaluates it."""
+        """The weight (`_cell_weight`) of every mesh `estimate_sigma` solves."""
         if k not in weights:
             R = rotations[k]
             grids = [g for T in schedule for g in _mesh_levels(CellGrid(R.dim, T, h, R, tangential))]

@@ -116,7 +116,7 @@ def minimize_diffuse(
         raise ValueError("eps must be positive")
     x_grid = domain.grid(h)
     grid = BoxGrid(np.divide(x_grid.lo, eps), np.divide(x_grid.hi, eps), h / eps, x_grid.periodic)
-    model = EnergyModel(grid, pot, y_map=lambda pts: pts)
+    model = EnergyModel(grid, pot, pot.spatial_factor(grid.cell_centers()))
     area = eps ** (1 - domain.dim)
     d = pot.d
     if init is None:

@@ -6,9 +6,9 @@ A field lives on the nodes of a uniform grid; the energy
 
 takes the field value at each cell center as the corner average and the
 gradient as first-order edge differences averaged to the center.  The
-spatial weight f is evaluated once per model at the (mapped) cell
-centers and cached; the map carries the cell problem's rotation (the
-identity for the diffuse strip, which is solved in y = x/eps).
+spatial weight f at the cell centers is an input, an array of shape
+`grid.cells`: the cell problem evaluates it at y = R x
+(`cell._cell_weight`), the diffuse strip at its own centers in y = x/eps.
 
 One forward sweep, an axis at a time, gives the energy: its partial sums
 serve the center value and every partial derivative.  Its transpose,
@@ -89,7 +89,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from math import log2, prod
-from typing import Callable
 
 import numpy as np
 
@@ -415,12 +414,14 @@ class EnergyParts:
 
 
 class EnergyModel:
-    """Discrete energy and its exact gradient on a BoxGrid."""
+    """Discrete energy and its exact gradient on a BoxGrid, with the spatial weight f given at its cell centers."""
 
-    def __init__(self, grid: BoxGrid, pot, y_map: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, grid: BoxGrid, pot, weight: np.ndarray):
+        self._factor = np.asarray(weight, dtype=float)
+        if self._factor.shape != grid.cells:
+            raise ValueError(f"weight has shape {self._factor.shape}, the grid has {grid.cells} cells")
         self.grid = grid
         self.pot = pot
-        self._factor = np.asarray(pot.spatial_factor(y_map(grid.cell_centers())), dtype=float)
         n, hN = grid.dim, grid.h**grid.dim
         self._mean = 1.0 / (1 << n)  # corner sum -> center value
         slope = 1.0 / ((1 << (n - 1)) * grid.h)  # signed corner sum -> averaged edge difference
@@ -428,39 +429,35 @@ class EnergyModel:
         self._dp_factor = (2.0 * self._pot_scale * self._mean) * self._factor[..., None]  # W0' = 2 value_and_half_dp
         self._slabs = _slab_bounds(grid)
 
-    def _slab(self, u: np.ndarray, rows: slice, periodic: tuple, with_gradient: bool):
+    def _slab(self, u: np.ndarray, rows: slice, periodic: tuple):
         """(sum f W0, sum of the squared signed corner sums) over the cell rows `rows`, whose node rows are u,
-        and with `with_gradient` the gradient's contributions on those node rows (else None)."""
+        and the gradient's contributions on those node rows."""
         if not np.isfinite(u).all():
             raise ValueError("field contains non-finite values")
         ubar, dus = _sweep(periodic, u)
         ubar *= self._mean
         grad_sum = float(sum((du * du).sum() for du in dus))
-        if not with_gradient:
-            return float((self._factor[rows] * self.pot.base(ubar)).sum()), grad_sum, None
         w0, r = self.pot.base.value_and_half_dp(ubar)
         r *= self._dp_factor[rows]
         for du in dus:
             du *= 2.0 * self._grad_scale
         return float((self._factor[rows] * w0).sum()), grad_sum, _sweep_adjoint(periodic, r, dus)
 
-    def _evaluate(self, u: np.ndarray, with_gradient: bool):
-        """EnergyParts and, with `with_gradient`, the gradient, slab by slab along axis 0 (module docstring)."""
+    def _evaluate(self, u: np.ndarray):
+        """(EnergyParts, gradient), slab by slab along axis 0 (module docstring)."""
         u = np.asarray(u, dtype=float)
         bounds, periodic = self._slabs, self.grid.periodic
         if len(bounds) == 2:
-            pot_sum, grad_sum, g = self._slab(u, slice(None), periodic, with_gradient)
+            pot_sum, grad_sum, g = self._slab(u, slice(None), periodic)
         else:
             pot_sum = grad_sum = 0.0
-            g = np.empty(u.shape) if with_gradient else None
+            g = np.empty(u.shape)
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 wrap = hi == len(u)  # the last slab of a periodic axis 0 ends on node row 0
                 nodes = np.concatenate((u[lo:], u[:1])) if wrap else u[lo : hi + 1]
-                p, q, out = self._slab(nodes, slice(lo, hi), (False,) + periodic[1:], with_gradient)
+                p, q, out = self._slab(nodes, slice(lo, hi), (False,) + periodic[1:])
                 pot_sum += p
                 grad_sum += q
-                if g is None:
-                    continue
                 # a boundary node row gets one slab's up + the next slab's down, in either order: one exact sum
                 g[lo + 1 : hi] = out[1:-1]
                 if lo == 0:
@@ -475,7 +472,7 @@ class EnergyModel:
         return EnergyParts(e_pot + e_grad, e_pot, e_grad), g
 
     def energy_parts(self, u: np.ndarray) -> EnergyParts:
-        return self._evaluate(u, False)[0]
+        return self._evaluate(u)[0]
 
     def gradient(self, u: np.ndarray):
         """(EnergyParts, exact gradient) of the discrete energy, both from one sweep.
@@ -483,7 +480,7 @@ class EnergyModel:
         W0 and W0' come from one pass over the center values.  The
         gradient is a fresh contiguous node array.
         """
-        return self._evaluate(u, True)
+        return self._evaluate(u)
 
     @cached_property
     def _well_inverse(self):

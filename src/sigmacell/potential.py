@@ -175,8 +175,8 @@ class CheckerboardWeight:
     contrast: float
 
     def __post_init__(self):
-        if self.contrast <= 0:
-            raise ValueError("contrast must be positive")
+        if not (np.isfinite(self.contrast) and self.contrast > 0):
+            raise ValueError("contrast must be positive and finite")
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         y = reduce_unit_cell(y)
@@ -206,8 +206,8 @@ class CellsWeight:
         f = np.asarray(self.factors, dtype=float)
         if f.ndim < 1 or f.size == 0 or (np.array(f.shape) != f.shape[0]).any():
             raise ValueError("factors must be an m^N array")
-        if (f <= 0).any():
-            raise ValueError("cell factors must be positive")
+        if not (np.isfinite(f) & (f > 0)).all():
+            raise ValueError("cell factors must be positive and finite")
         object.__setattr__(self, "factors", f)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:

@@ -135,12 +135,12 @@ def build_competitor(
     """Assemble the S-cell competitor from the T-cell solution.
 
     Copies are pasted node-for-node (the T-cell must have Dirichlet faces,
-    grids must share the mesh and the copy centers must land on grid
-    nodes; `plan.corner_nodes(s_grid)` gives each copy's low corner); the
-    shell around each copy blends the normally-shifted mollified step into
-    the ambient one with a cutoff whose gradient is bounded by 3m.  The
-    blend runs only inside the node box of each enlarged copy; the
-    mollified step is left as it is elsewhere.
+    grids and plan must share the mesh and rotation, and the copy centers
+    must land on grid nodes; `plan.corner_nodes(s_grid)` gives each copy's
+    low corner); the shell around each copy blends the normally-shifted
+    mollified step into the ambient one with a cutoff whose gradient is
+    bounded by 3m.  The blend runs only inside the node box of each
+    enlarged copy; the mollified step is left as it is elsewhere.
     """
     t_grid = u_T.grid
     if t_grid.tangential != "dirichlet":
@@ -151,6 +151,8 @@ def build_competitor(
         raise ValueError("grids do not match the tiling plan")
     if t_grid.dim != plan.dim or s_grid.dim != plan.dim:
         raise ValueError("dimension mismatch")
+    if not t_grid.rotation == s_grid.rotation == plan.rotation:
+        raise ValueError("T-cell, S-cell and plan must share one rotation")
 
     dim = plan.dim
     pts = s_grid.box.node_points()

@@ -547,10 +547,10 @@ def random_box(cells, flags, h):
     return BoxGrid((0.0,) * len(cells), tuple(c * h for c in cells), h, tuple(flags[: len(cells)]))
 
 
-def random_affine(rng, dim):
-    """y = A x + b with a random A and b: cell centres land anywhere in the unit cell."""
-    A, b = rng.uniform(-2.0, 2.0, (dim, dim)), rng.uniform(-1.0, 1.0, dim)
-    return lambda pts: pts @ A.T + b
+def random_affine(rng, grid):
+    """The grid's cell centres x mapped to y = A x + b with a random A and b: they land anywhere in the unit cell."""
+    A, b = rng.uniform(-2.0, 2.0, (grid.dim, grid.dim)), rng.uniform(-1.0, 1.0, grid.dim)
+    return grid.cell_centers() @ A.T + b
 
 
 def modulated(kind, strength, d):
@@ -591,7 +591,7 @@ def test_pinned_gradient_is_zero_on_faces_and_matches_finite_differences(cells, 
     grid = random_box(cells, flags, 0.5)
     pot = modulated(kind, 0.5 if kind != "checkerboard" else 2.0, d)
     with slabs_of(grid.shape, slab_rows):
-        f_g = pinned_objective(EnergyModel(grid, pot, random_affine(rng, grid.dim)))
+        f_g = pinned_objective(EnergyModel(grid, pot, pot.spatial_factor(random_affine(rng, grid))))
     u = rng.uniform(-1.3, 1.3, grid.shape + (d,))
     g = f_g(u.ravel())[1].reshape(u.shape)
     pinned = grid.boundary_mask()
@@ -623,11 +623,12 @@ def test_energy_is_at_least_the_lower_envelope_energy(cells, flags, d, kind, str
     rng = np.random.default_rng(seed)
     grid = random_box(cells, flags, 0.5)
     pot = modulated(kind, strength if kind != "checkerboard" else 0.01 + 4.0 * strength, d)
-    y_map = random_affine(rng, grid.dim)
+    y = random_affine(rng, grid)
     u = rng.uniform(-2.0, 2.0, grid.shape + (d,))
     with slabs_of(grid.shape, slab_rows):
-        e_w = EnergyModel(grid, pot, y_map).energy_parts(u)
-        e_env = EnergyModel(grid, pot.lower_envelope(), y_map).energy_parts(u)
+        e_w = EnergyModel(grid, pot, pot.spatial_factor(y)).energy_parts(u)
+        envelope = pot.lower_envelope()
+        e_env = EnergyModel(grid, envelope, envelope.spatial_factor(y)).energy_parts(u)
     assert e_w.gradient == e_env.gradient
     assert e_w.potential >= e_env.potential
     assert e_w.total >= e_env.total

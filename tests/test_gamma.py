@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.interpolate import RegularGridInterpolator
 
 from sigmacell import descent, gamma
 from sigmacell.cell import CellGrid, CellState, SolverOptions, cell_model, initial_state, minimize_cell
@@ -44,7 +43,8 @@ def _strip_energy(strip, pot, eps, h, u) -> EnergyParts:
     """The unit-weight energy of u on the strip's nodes in y = x/eps, divided by the area eps^(1-N)."""
     x = strip.grid(h)
     y_box = BoxGrid(np.divide(x.lo, eps), np.divide(x.hi, eps), h / eps, x.periodic)
-    parts, area = EnergyModel(y_box, pot, lambda p: p).energy_parts(u), eps ** (1 - strip.dim)
+    model, area = EnergyModel(y_box, pot, pot.spatial_factor(y_box.cell_centers())), eps ** (1 - strip.dim)
+    parts = model.energy_parts(u)
     return EnergyParts(parts.total / area, parts.potential / area, parts.gradient / area)
 
 
@@ -228,6 +228,7 @@ def test_recovery_is_the_full_grid_formula_bit_for_bit(prof, strip, cell_state, 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("d", [1, 2])
 def test_multilinear_lookup_equals_scipy(dim, d):
+    interpolate = pytest.importorskip("scipy.interpolate")
     rng = np.random.default_rng(10 * dim + d)
     axes = [-1.0 + 0.25 * np.arange(n) for n in (9, 10, 11)[:dim]]  # the closed nodes of a cell, T = 2
     values = rng.standard_normal(tuple(x.size for x in axes) + (d,))
@@ -240,7 +241,9 @@ def test_multilinear_lookup_equals_scipy(dim, d):
     faces[::2, 0] = lo[0]
     faces[1::2, -1] = hi[-1]
     outside = rng.uniform(lo - 0.3, hi + 0.3, (1000, dim))
-    scipy_lookup = RegularGridInterpolator(tuple(axes), values, method="linear", bounds_error=False, fill_value=None)
+    scipy_lookup = interpolate.RegularGridInterpolator(
+        tuple(axes), values, method="linear", bounds_error=False, fill_value=None
+    )
     for pts in (nodes, inside, lines, faces, outside.reshape(10, 100, dim)):
         got, want = _multilinear(axes, values, pts), scipy_lookup(pts)
         assert got.shape == want.shape == pts.shape[:-1] + (d,)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sigmacell import grids
-from sigmacell.cell import CellGrid, cell_model, pinned_objective
+from sigmacell.cell import CellGrid, _cell_weight, cell_model, pinned_objective
 from sigmacell.grids import BoxGrid, EnergyModel, _DenseWellInverse, _WellInverse, node_quadrature_weights
 from sigmacell.lattice import RationalUnitVector, rotation_from_direction
 from sigmacell.potential import homogeneous_quartic, smooth_modulated, striped
@@ -41,7 +41,8 @@ def test_node_quadrature_weights_are_trapezoid_tensor_product(lo, hi, h, periodi
 
 
 def _well_model(lo, hi, h, periodic, pot):
-    return EnergyModel(BoxGrid(lo, hi, h, periodic), pot, y_map=lambda pts: pts)
+    grid = BoxGrid(lo, hi, h, periodic)
+    return EnergyModel(grid, pot, pot.spatial_factor(grid.cell_centers()))
 
 
 def _free_hessian_and_inverse(model):
@@ -200,7 +201,8 @@ for lo, hi, h, periodic in [
     ((0.0, -8.0), (16.0, 8.0), 1 / 16, (True, False)),  # 256 x 257: FFT
     ((0.0, 0.0, -16.0), (0.25, 0.25, 16.0), 1 / 16, (True, True, False)),  # 4 x 4 x 513: FFT
 ]:
-    model = EnergyModel(BoxGrid(lo, hi, h, periodic), striped(0.5), lambda p: p)
+    grid, pot = BoxGrid(lo, hi, h, periodic), striped(0.5)
+    model = EnergyModel(grid, pot, pot.spatial_factor(grid.cell_centers()))
     v = np.random.default_rng(5).standard_normal(model.grid.shape + (1,))
     print(type(model._well_inverse).__name__, hashlib.sha256(model.precondition(v).tobytes()).hexdigest())
 """
@@ -233,7 +235,7 @@ def _rotated_model(cells, periodic, pot):
     nu = [(3, 5), (4, 5)] if len(cells) == 2 else [(1, 3), (2, 3), (2, 3)]
     rot = rotation_from_direction(RationalUnitVector(tuple(Fraction(*q) for q in nu))).as_float()
     grid = BoxGrid((0.0,) * len(cells), tuple(c / 16 for c in cells), 1 / 16, periodic)
-    return EnergyModel(grid, pot, lambda p: p @ rot.T)
+    return EnergyModel(grid, pot, pot.spatial_factor(grid.cell_centers() @ rot.T))
 
 
 def _one_slab(monkeypatch, cells, periodic, pot, u):
@@ -295,6 +297,22 @@ def test_benchmark_grids_take_slabs_with_the_one_slab_gradient_bytes(cells, peri
     assert abs(slab_parts.total - parts.total) <= 1e-14 * parts.total
 
 
+@pytest.mark.parametrize("periodic", [(True, False), (False, False)], ids=["periodic", "dirichlet"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_slab_energy_parts_equal_the_gradient_parts(periodic, d):
+    model = _rotated_model((10, 7), periodic, smooth_modulated(0.5, d=d))
+    assert model._slabs == [0, 10]
+    u = np.random.default_rng(d).uniform(-1.5, 1.5, model.grid.shape + (d,))
+    assert model.energy_parts(u) == model.gradient(u)[0]
+
+
+@pytest.mark.parametrize("shape", [(8, 9), (9, 8), (8,), (8, 8, 1), (9, 9)])
+def test_weight_of_another_shape_than_the_cells_is_refused(shape):
+    grid = BoxGrid((0.0, 0.0), (1.0, 1.0), 1 / 8, (True, False))
+    with pytest.raises(ValueError, match="weight has shape"):
+        EnergyModel(grid, striped(0.5), np.ones(shape))
+
+
 @pytest.mark.parametrize("shape", [(64, 65), (16, 16, 17), (128, 128)])
 def test_grids_up_to_slab_nodes_are_one_slab(shape):
     grid = BoxGrid((0.0,) * len(shape), tuple(n / 16 for n in shape), 1 / 16, (True,) * len(shape))
@@ -311,4 +329,5 @@ def test_cell_weight_bytes_equal_the_stacked_product(dim, nu, pot):
     axes = [a + box.h * (np.arange(c) + 0.5) for a, c in zip(box.lo, box.cells)]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)  # one grid-sized copy per axis
     want = pot.spatial_factor(centers @ grid.rotation_matrix.T)  # one small product per row
+    assert _cell_weight(grid, pot).tobytes() == want.tobytes()
     assert cell_model(grid, pot)._factor.tobytes() == want.tobytes()

@@ -37,6 +37,18 @@ def test_checkerboard_contrast_cell():
     assert pot([0.6, 0.6], [0.0]) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_checkerboard_refuses_a_non_positive_or_non_finite_contrast(bad):
+    with pytest.raises(ValueError, match="contrast"):
+        checkerboard(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_piecewise_cells_refuses_a_non_positive_or_non_finite_factor(bad):
+    with pytest.raises(ValueError, match="cell factors"):
+        piecewise_cells(np.array([[1.0, 2.0], [bad, 4.0]]))
+
+
 def test_dp_analytic_value():
     pot = homogeneous_quartic()
     assert pot.dp([0.0, 0.0], [0.5])[0] == pytest.approx(-1.5)

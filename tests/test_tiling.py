@@ -131,6 +131,16 @@ def test_mesh_mismatch_rejected(u_T, prof):
         build_competitor(u_T, plan, prof, s_grid)
 
 
+@pytest.mark.parametrize("rotated", ["s_grid", "plan"])
+def test_rotation_mismatch_rejected(u_T, prof, rotated):
+    # copies pasted into a cell of another rotation would not see the T-cell's phase of the potential
+    R = rotation_from_direction(RationalUnitVector((F(3, 5), F(4, 5))))
+    plan = plan_tiling(4.0, 16.0, 3, R if rotated == "plan" else None)
+    s_grid = CellGrid(2, 16.0, 1 / 16, R if rotated == "s_grid" else None, tangential="dirichlet")
+    with pytest.raises(ValueError, match="rotation"):
+        build_competitor(u_T, plan, prof, s_grid)
+
+
 def test_periodic_t_cell_rejected(prof):
     # copies paste the T-cell's boundary traces, which a periodic cell does not pin
     periodic = initial_state(CellGrid(2, 4.0, 1 / 16), prof)
