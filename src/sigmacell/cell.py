@@ -25,7 +25,7 @@ import numpy as np
 from .descent import lbfgs_descent
 from .grids import BoxGrid, EnergyModel, _along
 from .lattice import RationalRotation
-from .potential import Potential
+from .potential import ConstantWeight, Potential
 from .profile import TransitionProfile
 
 __all__ = [
@@ -150,7 +150,12 @@ def cell_model(grid: CellGrid, pot: Potential) -> EnergyModel:
 
 
 def _cell_weight(grid: CellGrid, pot: Potential) -> np.ndarray:
-    """The spatial weight f(R x) at the cell centres x of a grid, R applied as one product on the (-1, dim) view."""
+    """The spatial weight f(R x) at the cell centres x of a grid, R applied as one product on the (-1, dim) view.
+
+    A constant weight is filled in without the centres, with the same bytes.
+    """
+    if isinstance(pot.weight, ConstantWeight):
+        return np.full(grid.box.cells, float(pot.weight.value))
     y = grid.box.cell_centers().reshape(-1, grid.dim) @ grid.rotation_matrix.T  # the centres are freed before f runs
     return np.asarray(pot.spatial_factor(y.reshape(grid.box.cells + (grid.dim,))), dtype=float)
 
@@ -200,6 +205,7 @@ def minimize_cell(
     profile: TransitionProfile,
     opts: SolverOptions = SolverOptions(),
     init: Optional[CellState] = None,
+    weight: Optional[np.ndarray] = None,
 ):
     """Descend the cell energy from the boundary profile (or a warm start).
 
@@ -208,11 +214,13 @@ def minimize_cell(
     another dimension or wells, or a warm start of another shape than
     the grid's nodes times the potential's components, raises ValueError.
     The energy parts are those the descent evaluated at the returned state.
+    `weight`, the grid's `_cell_weight` when the caller already has it,
+    is not evaluated again.
     """
     profile.check_fits(grid.dim, pot.wells)
     if init is not None and init.u.shape != grid.box.shape + (pot.d,):
         raise ValueError("warm start does not match the grid")
-    model = cell_model(grid, pot)
+    model = EnergyModel(grid.box, pot, _cell_weight(grid, pot) if weight is None else weight)
     data = profile_field(grid, profile)
     if init is None:
         u0 = data.copy()
@@ -323,7 +331,8 @@ def estimate_g(
     along the normal only costs energy, and the other offsets could at
     best tie with it, which offset 0 wins.  The best probe, linearly
     interpolated, warm-starts the solve on the next finer mesh, and so on
-    down to h.
+    down to h.  The probe mesh's weight, evaluated once for the offset
+    rule, serves every probe.
     """
     levels = _mesh_levels(CellGrid(dim, T, h, rotation, tangential))
     probe_grid = levels[-1]
@@ -332,7 +341,8 @@ def estimate_g(
     tie = PROBE_TIE_FRACTION * opts.resolved_tolerance(pot)
     best = None
     for off in offsets:
-        res, state = minimize_cell(probe_grid, pot, profile, opts, init=initial_state(probe_grid, profile, off))
+        start = initial_state(probe_grid, profile, off)
+        res, state = minimize_cell(probe_grid, pot, profile, opts, init=start, weight=weight)
         if best is None or res.g < best[0].g - tie:
             best = (res, state, off)
     results = [None] * len(levels)

@@ -22,7 +22,9 @@ live in one preallocated array, which each iteration reads twice: one
 matrix-vector product gives S^T g and Z^T g (Z = H0 Y), and one gives
 the search direction -H0 g - S top + Z r1.  The new entries of S^T Y and
 Y^T H0 Y are differences of successive S^T g and Z^T g, so no third
-pass is needed.
+pass is needed.  A pair enters only later directions, so the step that
+ends a descent (converged, or at `max_iterations`) stores none: a
+one-step solve writes no history slot.
 
 The line search halves the step at most MAX_BACKTRACKS times; when the
 quasi-Newton direction finds no decrease, one search along -H0 g
@@ -170,29 +172,30 @@ def lbfgs_descent(
         if found is None:
             break
         f_new, g_new, info_new = found
+        iterations += 1
+        sup_new = float(max(g_new.max(), -g_new.min())) if g_new.size else 0.0
 
-        s, y = buf[spare]
-        np.subtract(x_trial, x, out=s)
-        np.subtract(g_new, g, out=y)
-        used = max(used, spare + 1)
-        sy, yy = float(s @ y), float(y @ y)
-        if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(yy):
-            kept.append(spare)
-            if len(kept) > memory:
-                # drop the oldest pair: the trailing block of an
-                # upper-triangular inverse is the inverse of the trailing block
-                spare = kept.pop(0)
-                r_inv[spare] = r_inv[:, spare] = 0.0
-            else:
-                spare += 1
-            pending = (kept[-1], sy, yy)
-        elif not math.isfinite(sy):
-            buf[spare] = 0.0  # enters the direction product with coefficient 0, and 0 * inf is NaN
+        if sup_new > sup_tol and iterations < max_iterations:  # a pair only enters later directions
+            s, y = buf[spare]
+            np.subtract(x_trial, x, out=s)
+            np.subtract(g_new, g, out=y)
+            used = max(used, spare + 1)
+            sy, yy = float(s @ y), float(y @ y)
+            if sy > 1e-12 * math.sqrt(float(s @ s)) * math.sqrt(yy):
+                kept.append(spare)
+                if len(kept) > memory:
+                    # drop the oldest pair: the trailing block of an
+                    # upper-triangular inverse is the inverse of the trailing block
+                    spare = kept.pop(0)
+                    r_inv[spare] = r_inv[:, spare] = 0.0
+                else:
+                    spare += 1
+                pending = (kept[-1], sy, yy)
+            elif not math.isfinite(sy):
+                buf[spare] = 0.0  # enters the direction product with coefficient 0, and 0 * inf is NaN
 
         x, x_trial = x_trial, x
-        f, g, info = f_new, g_new, info_new
-        iterations += 1
+        f, g, info, sup = f_new, g_new, info_new, sup_new
         trace.append(f)
-        sup = float(max(g.max(), -g.min())) if g.size else 0.0
 
     return DescentResult(x, f, sup, iterations, sup <= sup_tol, evaluations, backtracks, info, trace)

@@ -256,16 +256,20 @@ def _axis_symbols(k: np.ndarray, length: int):
 
 
 def _inverse_symbol(symbols: list, a: float, b: float) -> np.ndarray:
-    """1 / (a sum_ax K_ax prod_other M + b prod M) from the 1D symbols (K, M) of each axis; 0 where P is singular."""
-    along = [(-1,) + (1,) * (len(symbols) - 1 - ax) for ax in range(len(symbols))]
-    kk = [k.reshape(shape) for (k, _), shape in zip(symbols, along)]
-    mm = [m.reshape(shape) for (_, m), shape in zip(symbols, along)]
-    symbol = b * reduce(np.multiply, mm)
-    for ax in range(len(kk)):
-        symbol = symbol + a * reduce(np.multiply, mm[:ax] + [kk[ax]] + mm[ax + 1 :])
-    inverse = np.zeros(symbol.shape)
-    np.divide(1.0, symbol, out=inverse, where=symbol > 0.0)
-    return inverse
+    """1 / (a sum_ax K_ax prod_other M + b prod M) from the 1D symbols (K, M) of each axis; 0 where P is singular.
+
+    Built an axis at a time from the scalars total = b and mass = a: each
+    axis sets total <- total (x) M + mass (x) K and mass <- mass (x) M
+    (outer products), so total is the symbol over the axes so far and
+    mass the a prod M part of it.  Where M vanishes on two axes every term
+    has a factor 0, so the symbol is exactly 0 there, and stays 0.
+    """
+    total, mass = b, a
+    for k, m in symbols:
+        total = np.multiply.outer(total, m)
+        total += np.multiply.outer(mass, k)
+        mass = np.multiply.outer(mass, m)
+    return np.divide(1.0, total, out=total, where=total > 0.0)
 
 
 def _free_slices(grid: BoxGrid) -> tuple:

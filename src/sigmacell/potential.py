@@ -132,6 +132,10 @@ class QuarticBase:
 class ConstantWeight:
     value: float = 1.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.value) and self.value > 0):
+            raise ValueError("constant weight must be positive and finite")
+
     def __call__(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         return np.full(y.shape[:-1], self.value)

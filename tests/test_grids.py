@@ -10,7 +10,15 @@ import pytest
 
 from sigmacell import grids
 from sigmacell.cell import CellGrid, _cell_weight, cell_model, pinned_objective
-from sigmacell.grids import BoxGrid, EnergyModel, _DenseWellInverse, _WellInverse, node_quadrature_weights
+from sigmacell.grids import (
+    BoxGrid,
+    EnergyModel,
+    _axis_eigenbasis,
+    _DenseWellInverse,
+    _inverse_symbol,
+    _WellInverse,
+    node_quadrature_weights,
+)
 from sigmacell.lattice import RationalUnitVector, rotation_from_direction
 from sigmacell.potential import homogeneous_quartic, smooth_modulated, striped
 
@@ -92,6 +100,36 @@ def test_well_inverse_3d_null_modes():
     projector = np.eye(len(hess)) - null.T @ null
     assert np.abs(hess @ null.T).max() <= 1e-8
     assert np.abs(inv @ hess - projector).max() <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        ((8, True),),
+        ((9, False),),
+        ((8, True), (6, True)),
+        ((7, True), (9, False)),
+        ((9, False), (8, False)),
+        ((8, True), (8, True), (9, False)),
+        ((6, True), (9, False), (4, True)),
+        ((5, True), (8, True), (7, False)),
+        ((9, False), (7, False), (8, False)),
+    ],
+    ids=str,
+)
+def test_inverse_symbol_is_the_inverse_of_the_sum_of_separable_products(axes):
+    a, b = 0.37, 0.0123
+    symbols = [_axis_eigenbasis(n, per)[1:] for n, per in axes]
+    kk, mm = zip(*symbols)
+    explicit = b * reduce(np.multiply.outer, mm)
+    for ax in range(len(axes)):
+        explicit = explicit + a * reduce(np.multiply.outer, mm[:ax] + (kk[ax],) + mm[ax + 1 :])
+    inverse = _inverse_symbol(symbols, a, b)
+    zero = explicit == 0.0
+    # M vanishes at theta = pi on an even periodic axis: the symbol is 0 where it does on two axes
+    assert zero.any() == (sum(n % 2 == 0 and per for n, per in axes) >= 2)
+    assert np.array_equal(inverse == 0.0, zero)
+    assert np.abs(inverse[~zero] * explicit[~zero] - 1.0).max() <= 1e-15
 
 
 @pytest.mark.parametrize("periodic", [(True, False), (False, False), (True, True, False), (False, False, False)])
@@ -321,7 +359,11 @@ def test_grids_up_to_slab_nodes_are_one_slab(shape):
 
 
 @pytest.mark.parametrize("dim,nu", [(2, ((3, 5), (4, 5))), (3, ((1, 3), (2, 3), (2, 3)))])
-@pytest.mark.parametrize("pot", [striped(0.5), smooth_modulated(0.5)], ids=["striped", "smooth"])
+@pytest.mark.parametrize(
+    "pot",
+    [striped(0.5), smooth_modulated(0.5), homogeneous_quartic(), striped(0.5).lower_envelope()],
+    ids=["striped", "smooth", "quartic", "envelope"],
+)
 def test_cell_weight_bytes_equal_the_stacked_product(dim, nu, pot):
     rot = rotation_from_direction(RationalUnitVector(tuple(Fraction(*q) for q in nu)))
     grid = CellGrid(dim, 4.0, 1 / 16, rot)

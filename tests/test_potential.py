@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sigmacell.potential import (
+    ConstantWeight,
     GrowthCertificate,
     Potential,
     QuarticBase,
@@ -41,6 +42,12 @@ def test_checkerboard_contrast_cell():
 def test_checkerboard_refuses_a_non_positive_or_non_finite_contrast(bad):
     with pytest.raises(ValueError, match="contrast"):
         checkerboard(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_constant_weight_refuses_a_non_positive_or_non_finite_value(bad):
+    with pytest.raises(ValueError, match="constant weight"):
+        ConstantWeight(bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])

@@ -1,4 +1,5 @@
-"""Phase-offset probes of `cell.estimate_g`: one probe when the weight does not vary along the normal.
+"""Phase-offset probes of `cell.estimate_g`: one probe when the weight does not vary along the normal, and one
+weight evaluation per mesh.
 
 Needs neither scipy nor hypothesis.
 """
@@ -104,3 +105,21 @@ def test_probe_count_follows_the_weight_along_the_normal(monkeypatch, pot, dim, 
     monkeypatch.setattr(cell, "minimize_cell", recording)
     estimate_g(rotation, 2.0, pot, profile_for(pot, dim), 1 / 8, dim)
     assert seen == [1 / 4] * probes + [1 / 8]
+
+
+def test_probe_grid_weight_is_evaluated_once(monkeypatch):
+    # T = 4, h = 1/8: four probes at mesh 1/4, then one warm solve at 1/8; one weight per mesh
+    calls, weight = [], cell._cell_weight
+
+    def counting(grid, pot):
+        calls.append(grid.h)
+        return weight(grid, pot)
+
+    monkeypatch.setattr(cell, "_cell_weight", counting)
+    pot = striped(0.5)
+    est = estimate_g(OBLIQUE, 4.0, pot, profile_for(pot, 2), 1 / 8)
+    assert calls == [1 / 4, 1 / 8]
+    monkeypatch.undo()
+    assert fingerprint(est.fine, est.coarse, est.state, est.phase_offset) == fingerprint(
+        *four_probe_reference(OBLIQUE, 4.0, pot, profile_for(pot, 2), 1 / 8, 2, "periodic")
+    )
