@@ -25,7 +25,7 @@ import numpy as np
 from .descent import lbfgs_descent
 from .grids import BoxGrid, EnergyModel, _along
 from .lattice import RationalRotation
-from .potential import ConstantWeight, Potential
+from .potential import Potential
 from .profile import TransitionProfile
 
 __all__ = [
@@ -150,14 +150,10 @@ def cell_model(grid: CellGrid, pot: Potential) -> EnergyModel:
 
 
 def _cell_weight(grid: CellGrid, pot: Potential) -> np.ndarray:
-    """The spatial weight f(R x) at the cell centres x of a grid, R applied as one product on the (-1, dim) view.
-
-    A constant weight is filled in without the centres, with the same bytes.
-    """
-    if isinstance(pot.weight, ConstantWeight):
-        return np.full(grid.box.cells, float(pot.weight.value))
-    y = grid.box.cell_centers().reshape(-1, grid.dim) @ grid.rotation_matrix.T  # the centres are freed before f runs
-    return np.asarray(pot.spatial_factor(y.reshape(grid.box.cells + (grid.dim,))), dtype=float)
+    """The spatial weight f(R x) at the cell centres x of a grid (`Potential.cell_weight`), R applied as one product
+    on the (-1, dim) view: the centres are freed before f runs."""
+    box = grid.box
+    return pot.cell_weight(box.cells, lambda: box.cell_centers().reshape(-1, grid.dim) @ grid.rotation_matrix.T)
 
 
 def profile_field(grid: CellGrid, profile: TransitionProfile, offset: float = 0.0) -> np.ndarray:

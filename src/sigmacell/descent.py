@@ -75,7 +75,8 @@ def lbfgs_descent(
     """Minimize f from x0 until the gradient sup-norm drops below sup_tol.
 
     `precondition(v)` applies the initial matrix H0 and returns an array
-    that later calls leave alone.
+    that later calls leave alone.  The descent keeps the last result
+    alone, so one earlier H0 g is alive while the next is computed.
     """
     if memory < 1:
         raise ValueError(f"memory must be at least 1, got {memory}")
@@ -97,7 +98,6 @@ def lbfgs_descent(
     yty = np.zeros((memory + 1, memory + 1))
     d = np.zeros(memory + 1)
     pending = None  # (slot, s.y, y.y) of a pair added last iteration, awaiting z_j and its cross products
-    hg = None  # H0 g
     proj_old = np.zeros((0, 2))
 
     f, g, info = f_g(x)
@@ -123,13 +123,14 @@ def lbfgs_descent(
 
     sup = float(max(g.max(), -g.min())) if g.size else 0.0
     while sup > sup_tol and iterations < max_iterations:
-        hg_old, hg = hg, precondition(g)
+        hg_new = precondition(g)  # H0 g
         if pending is not None:
             j, sy, _ = pending
             z = flat[2 * j + 1]  # holds y_j until now
-            np.subtract(hg, hg_old, out=p)
+            np.subtract(hg_new, hg, out=p)
             pending = (j, sy, float(z @ p))  # y_j . H0 y_j
             np.copyto(z, p)
+        hg = hg_new
         steepest = not kept
         if kept:
             proj = (flat[: 2 * used] @ g).reshape(used, 2)  # (s_j . g, z_j . g) by slot

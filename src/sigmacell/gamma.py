@@ -116,18 +116,18 @@ def minimize_diffuse(
         raise ValueError("eps must be positive")
     x_grid = domain.grid(h)
     grid = BoxGrid(np.divide(x_grid.lo, eps), np.divide(x_grid.hi, eps), h / eps, x_grid.periodic)
-    model = EnergyModel(grid, pot, pot.spatial_factor(grid.cell_centers()))
+    model = EnergyModel(grid, pot, pot.cell_weight(grid.cells, grid.cell_centers))
     area = eps ** (1 - domain.dim)
-    d = pot.d
+    d, shape = pot.d, grid.shape + (pot.d,)
     if init is None:
-        column = profile(grid.node_axes()[-1])
-        u0 = np.broadcast_to(column, grid.shape + (d,)).copy()
+        x0 = np.broadcast_to(profile(grid.node_axes()[-1]), shape).copy()
     else:
-        u0 = np.array(init, dtype=float)
-        if u0.shape != grid.shape + (d,):
+        x0, init = np.array(init, dtype=float), None  # the copy is the only start the solve holds
+        if x0.shape != shape:
             raise ValueError("init does not match the grid")
-    u0[..., 0, :] = pot.wells.a
-    u0[..., -1, :] = pot.wells.b
+    x0[..., 0, :] = pot.wells.a
+    x0[..., -1, :] = pot.wells.b
+    x0 = x0.ravel()
     energy_gradient = pinned_objective(model)
 
     if mass_target is not None:
@@ -155,11 +155,10 @@ def minimize_diffuse(
             g -= comp * w_shift
             return f, g, parts
 
-        x0 = restore(u0.ravel())
+        x0 = restore(x0)  # the unrestored start is freed here
     else:
         restore = None
         f_g = energy_gradient
-        x0 = u0.ravel()
 
     res = lbfgs_descent(
         f_g,
@@ -178,7 +177,7 @@ def minimize_diffuse(
         trace=[f / area for f in res.trace],
     )
     x_final = restore(res.x) if restore is not None else res.x
-    fieldv = PhaseField(domain, eps, h, x_final.reshape(u0.shape).copy())
+    fieldv = PhaseField(domain, eps, h, x_final.reshape(shape).copy())
     return fieldv, res.info, res
 
 
@@ -248,9 +247,10 @@ class GapRow:
     min_energy: float
     recovery_energy: float
     sigma_target: float
-    gap_min: float
-    gap_recovery: float
     converged: bool
+
+    gap_min = property(lambda self: abs(self.min_energy - self.sigma_target))
+    gap_recovery = property(lambda self: abs(self.recovery_energy - self.sigma_target))
 
 
 GAP_CSV_COLUMNS = ("eps", "min_energy", "recovery_energy", "sigma_target", "gap_min", "gap_recovery")
@@ -277,21 +277,11 @@ def gamma_gap(
     """
     rows = []
     target = sigma_hat * domain.interface_area()
-    for eps in eps_schedule:
-        h = default_gamma_mesh(float(eps))
-        rec = build_recovery(cell_state, float(eps), domain, h, pot)
-        fieldv, parts, res = minimize_diffuse(domain, pot, float(eps), h, profile, init=rec.u, opts=opts)
-        rec_energy = res.trace[0]  # the solve starts at the recovery field
-        rows.append(
-            GapRow(
-                eps=float(eps),
-                h=h,
-                min_energy=parts.total,
-                recovery_energy=rec_energy,
-                sigma_target=target,
-                gap_min=abs(parts.total - target),
-                gap_recovery=abs(rec_energy - target),
-                converged=res.converged,
-            )
-        )
+    for eps in map(float, eps_schedule):
+        h = default_gamma_mesh(eps)
+        # neither the recovery field (the solve frees it once copied) nor the minimizer is named here
+        parts, res = minimize_diffuse(
+            domain, pot, eps, h, profile, init=build_recovery(cell_state, eps, domain, h, pot).u, opts=opts
+        )[1:]
+        rows.append(GapRow(eps, h, parts.total, res.trace[0], target, res.converged))  # trace[0]: the recovery field
     return rows

@@ -296,6 +296,9 @@ class _WellInverse:
     about the pinned nodes 0 and n - 1, which stay 0.  On odd fields the
     periodic stencils of K and M equal their Dirichlet restrictions, so
     one real FFT, a division by the symbol and the inverse FFT apply P^-1.
+    A call holds at most the extension and its half spectrum, transformed
+    and divided in place; the inverse FFT writes back into the extension,
+    and the spectrum is freed before the result is allocated.
     """
 
     def __init__(self, grid: BoxGrid, d: int, a: float, b: float):
@@ -327,9 +330,10 @@ class _WellInverse:
         spec *= self._inverse
         for ax in range(last):
             np.fft.ifft(spec, axis=ax, out=spec)
-        back = np.fft.irfft(spec, n=e.shape[last], axis=last)
+        np.fft.irfft(spec, n=e.shape[last], axis=last, out=e)
+        del spec
         out = np.zeros(self._shape)
-        out[self._free] = back[self._free]
+        out[self._free] = e[self._free]
         return out.reshape(np.shape(v))
 
 
@@ -430,7 +434,7 @@ class EnergyModel:
         self._mean = 1.0 / (1 << n)  # corner sum -> center value
         slope = 1.0 / ((1 << (n - 1)) * grid.h)  # signed corner sum -> averaged edge difference
         self._pot_scale, self._grad_scale = hN, hN * slope * slope
-        self._dp_factor = (2.0 * self._pot_scale * self._mean) * self._factor[..., None]  # W0' = 2 value_and_half_dp
+        self._dp_scale = 2.0 * self._pot_scale * self._mean  # W0' = 2 value_and_half_dp
         self._slabs = _slab_bounds(grid)
 
     def _slab(self, u: np.ndarray, rows: slice, periodic: tuple):
@@ -442,10 +446,12 @@ class EnergyModel:
         ubar *= self._mean
         grad_sum = float(sum((du * du).sum() for du in dus))
         w0, r = self.pot.base.value_and_half_dp(ubar)
-        r *= self._dp_factor[rows]
+        w0 *= self._factor[rows]
+        pot_sum = float(w0.sum())
+        r *= np.multiply(self._dp_scale, self._factor[rows], out=w0)[..., None]  # W0's buffer, read above
         for du in dus:
             du *= 2.0 * self._grad_scale
-        return float((self._factor[rows] * w0).sum()), grad_sum, _sweep_adjoint(periodic, r, dus)
+        return pot_sum, grad_sum, _sweep_adjoint(periodic, r, dus)
 
     def _evaluate(self, u: np.ndarray):
         """(EnergyParts, gradient), slab by slab along axis 0 (module docstring)."""

@@ -273,6 +273,13 @@ class Potential:
     def spatial_factor(self, y: np.ndarray) -> np.ndarray:
         return self.weight(np.asarray(y, dtype=float))
 
+    def cell_weight(self, cells: tuple, centres: Callable[[], np.ndarray]) -> np.ndarray:
+        """f at the centres `centres()` (..., dim) of a grid's cells, as floats of shape `cells`; a constant weight is
+        filled in without calling `centres`, with the same bytes."""
+        if isinstance(self.weight, ConstantWeight):
+            return np.full(cells, float(self.weight.value))
+        return np.asarray(self.spatial_factor(centres()), dtype=float).reshape(cells)
+
     def __call__(self, y: np.ndarray, p: np.ndarray) -> np.ndarray:
         return self.spatial_factor(y) * self.base(p)
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,23 @@ def test_buffers_do_not_leak():
     assert not np.shares_memory(a.x, b.x)
     assert a.x.tobytes() == b.x.tobytes()
     assert a.trace == b.trace
+
+
+@pytest.mark.parametrize("memory", [1, 3])
+def test_descent_keeps_one_earlier_preconditioned_gradient(memory):
+    f_g, x0 = spd_quadratic(50, seed=11)
+    results, alive = [], []
+
+    def precondition(v):
+        alive.append(sum(r() is not None for r in results))  # earlier H0 g still referenced
+        out = 0.5 * v
+        results.append(weakref.ref(out))
+        return out
+
+    res = lbfgs_descent(with_info(f_g), x0, sup_tol=1e-10, max_iterations=30, precondition=precondition, memory=memory)
+    assert res.iterations >= 5
+    assert alive[0] == 0
+    assert max(alive) == 1
 
 
 def test_steepest_descent_fallback_when_quasi_newton_search_fails(monkeypatch):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -305,3 +306,62 @@ def test_diffuse_solve_frees_its_model_without_the_cyclic_collector(prof, strip,
     target = _mass_target(strip) if mass else None
     run = lambda: minimize_diffuse(strip, QUARTIC, 1 / 2, 1 / 8, prof, mass_target=target)  # noqa: E731
     assert new_models_left_after(run) == []
+
+
+def _field_starts(frame, args, start, pinned):
+    """Names of the frame's local arrays that hold the start `start` or its pinned copy, other than the descent's x0."""
+    x0 = args[1]
+    return [
+        name
+        for name, v in frame.f_locals.items()
+        if isinstance(v, np.ndarray)
+        and not np.shares_memory(v, x0)
+        and (v is start or (v.size == pinned.size and np.array_equal(v.ravel(), pinned.ravel())))
+    ]
+
+
+@pytest.mark.parametrize("mass", [False, True])
+def test_diffuse_solve_holds_one_start_once_the_descent_begins(monkeypatch, prof, strip, mass):
+    eps, h = 1 / 2, 1 / 8
+    shape = strip.grid(h).shape + (1,)
+    start = np.random.default_rng(5).uniform(-1.0, 1.0, shape)
+    pinned = start.copy()
+    pinned[..., 0, :], pinned[..., -1, :] = QUARTIC.wells.a, QUARTIC.wells.b
+    held = []
+
+    def spy(*args, **kwargs):
+        held.append(_field_starts(sys._getframe(1), args, start, pinned))
+        return descent.lbfgs_descent(*args, **kwargs)
+
+    monkeypatch.setattr(gamma, "lbfgs_descent", spy)
+    target = _mass_target(strip) if mass else None
+    minimize_diffuse(strip, QUARTIC, eps, h, prof, init=start, mass_target=target)
+    assert held == [[]]
+
+
+def test_gamma_gap_holds_no_recovery_field_through_a_solve(monkeypatch, prof, strip, cell_state):
+    held = []
+
+    def spy(*args, **kwargs):
+        caller = sys._getframe(2)  # gamma_gap, through minimize_diffuse
+        assert caller.f_code is gamma_gap.__code__
+        held.append([name for name, v in caller.f_locals.items() if isinstance(v, (np.ndarray, gamma.PhaseField))])
+        return descent.lbfgs_descent(*args, **kwargs)
+
+    monkeypatch.setattr(gamma, "lbfgs_descent", spy)
+    gamma_gap(strip, [1 / 4, 1 / 8], QUARTIC, prof, 8.0 / 3.0, cell_state)
+    assert held == [[], []]
+
+
+@pytest.mark.parametrize(
+    "pot", [QUARTIC, striped(0.5), striped(0.5).lower_envelope()], ids=["quartic", "striped", "envelope"]
+)
+def test_strip_weight_is_the_weight_at_the_cell_centres(monkeypatch, prof, strip, pot):
+    real, built, models = BoxGrid.cell_centers, [], []
+    monkeypatch.setattr(BoxGrid, "cell_centers", lambda grid: built.append(grid) or real(grid))
+    monkeypatch.setattr(gamma, "EnergyModel", lambda *args: models.append(EnergyModel(*args)) or models[-1])
+    minimize_diffuse(strip, pot, 1 / 2, 1 / 8, prof, opts=SolverOptions(max_iterations=1))
+    (model,) = models
+    assert (built == []) == (pot.kind != "striped")  # a constant weight is filled in without the centres
+    want = np.asarray(pot.spatial_factor(real(model.grid)), dtype=float)
+    assert model._factor.tobytes() == want.tobytes()

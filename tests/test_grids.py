@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 from fractions import Fraction
 from math import prod
@@ -257,6 +258,42 @@ def test_well_inverse_bytes_do_not_depend_on_blas_threads():
         digests.append(run.stdout.split("\n"))
     assert [line.split()[0] for line in digests[0][:5]] == ["_DenseWellInverse"] * 3 + ["_WellInverse"] * 2
     assert digests[0] == digests[1]
+
+
+def test_fft_well_inverse_holds_the_extension_and_the_spectrum_alone(monkeypatch):
+    # 256 x 257 periodic x Dirichlet: the extension is 256 x 512 floats (1 MB), the spectrum 256 x 257 complex
+    monkeypatch.setattr(grids, "DENSE_COST_RATIO", 0)
+    model = _well_model((0.0, -16.0), (32.0, 16.0), 1 / 8, (True, False), homogeneous_quartic())
+    inverse = model._well_inverse
+    assert isinstance(inverse, _WellInverse)
+    v = np.random.default_rng(4).standard_normal(model.grid.shape + (1,))
+    inverse(v)
+    tracemalloc.start()
+    try:
+        out = inverse(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # slack: one ufunc buffer of np.getbufsize() complex entries (128 kB), which the FFT along axis 0 takes
+    assert peak <= 256 * 512 * 8 + 256 * 257 * 16 + np.getbufsize() * 16 + 64 * 1024
+    # the formula as one rfftn and one irfftn of the odd extension, through a separate back array
+    e = np.zeros((256, 512, 1))
+    e[:, 1:256] = v[:, 1:-1]
+    e[:, 257:] = -v[:, 255:0:-1]
+    back = np.fft.irfftn(np.fft.rfftn(e, axes=(0, 1)) * inverse._inverse, s=(256, 512), axes=(0, 1))
+    want = np.zeros(v.shape)
+    want[:, 1:-1] = back[:, 1:256]
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("periodic", [(True, False), (False, False), (True, True, False)])
+def test_energy_model_holds_one_cells_sized_array(periodic):
+    dim = len(periodic)
+    model = _well_model((0.0,) * dim, (1.0,) * dim, 1 / 8, periodic, striped(0.5))
+    u = np.random.default_rng(dim).uniform(-1.0, 1.0, model.grid.shape + (1,))
+    model.gradient(u)
+    held = [a for a in vars(model).values() if isinstance(a, np.ndarray) and a.size == prod(model.grid.cells)]
+    assert len(held) == 1
 
 
 def test_axis_eigenbasis_cache_is_bounded():

@@ -2,8 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from sigmacell.potential import WellPair, homogeneous_quartic
 from sigmacell.profile import (
@@ -46,6 +44,7 @@ def test_midpoint_and_exact_tails(profname, request):
 
 
 def test_marginal_normalization_against_adaptive_quadrature(bump_profile):
+    quad = pytest.importorskip("scipy.integrate").quad
     # independent check of the tabulated marginal: 2D bump of radius 1/2
     r = 0.5
 
@@ -133,6 +132,7 @@ def assert_bitwise_equal(got, want):
 @pytest.mark.parametrize("radius", [0.25, 0.5, 1.0])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_monotone_cubic_equals_scipy_pchip(shape, radius, dim):
+    PchipInterpolator = pytest.importorskip("scipy.interpolate").PchipInterpolator
     moll = Mollifier(shape, radius)
     prof = TransitionProfile(WELLS, moll, dim)
     s, density = _marginal_table(moll, dim)
