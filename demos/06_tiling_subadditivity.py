@@ -8,14 +8,14 @@ above, and the measured remainder tracks the subadditivity estimate.
 
 import time
 
-from sigmacell import Mollifier, TransitionProfile, homogeneous_quartic
+from sigmacell import Mollifier, RationalRotation, TransitionProfile, homogeneous_quartic
 from sigmacell.cell import CellGrid, minimize_cell
 from sigmacell.tiling import plan_tiling, subadditivity_gap
 
 pot = homogeneous_quartic()
 prof = TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=2)
 
-plan = plan_tiling(T=4.0, S=16.0, m=3)
+plan = plan_tiling(T=4.0, S=16.0, m=3, rotation=RationalRotation.identity(2))
 print(f"plan: {plan.count} copies, centers {plan.centers.tolist()}, shifts {plan.shifts.tolist()}")
 
 t0 = time.time()

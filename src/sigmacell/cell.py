@@ -120,9 +120,10 @@ class CellResult:
     potential_part: float
     gradient_part: float
     converged: bool
-    evaluations: int  # energy and gradient evaluations of the descent
-    backtracks: int  # of those, the trial points its line search rejected
+    backtracks: int  # trial points the descent's line search rejected
     trace: list = field(default_factory=list)
+
+    evaluations = property(lambda self: 1 + self.iterations + self.backtracks)  # energy and gradient evaluations
 
 
 @dataclass(frozen=True)
@@ -240,7 +241,6 @@ def minimize_cell(
         potential_part=parts.potential,
         gradient_part=parts.gradient,
         converged=res.converged,
-        evaluations=res.evaluations,
         backtracks=res.backtracks,
         trace=res.trace,
     )
@@ -265,16 +265,17 @@ def _prolong(u: np.ndarray, periodic) -> np.ndarray:
 
 @dataclass
 class GRefinement:
-    """One (nu, T) estimate: the fine solve at h and the coarse solve at 2h."""
+    """One (nu, T) estimate: the fine solve at h, its state, and the coarse solve at 2h."""
 
-    T: float
-    h: float
-    g: float
-    discretization_error: float
     fine: CellResult
     coarse: CellResult
     state: CellState
     phase_offset: float  # the offset whose probe seeded the hierarchy
+
+    T = property(lambda self: self.state.grid.T)
+    h = property(lambda self: self.state.grid.h)
+    g = property(lambda self: self.fine.g)
+    discretization_error = property(lambda self: abs(self.fine.g - self.coarse.g))
 
 
 # Ascending, so the first of several tied probes is the lowest offset.
@@ -307,12 +308,11 @@ def _mesh_levels(fine: CellGrid) -> list:
 
 
 def estimate_g(
-    rotation: Optional[RationalRotation],
+    rotation: RationalRotation,
     T: float,
     pot: Potential,
     profile: TransitionProfile,
     h: float,
-    dim: int = 2,
     opts: SolverOptions = SolverOptions(),
     tangential: str = "periodic",
 ) -> GRefinement:
@@ -328,9 +328,9 @@ def estimate_g(
     best tie with it, which offset 0 wins.  The best probe, linearly
     interpolated, warm-starts the solve on the next finer mesh, and so on
     down to h.  The probe mesh's weight, evaluated once for the offset
-    rule, serves every probe.
+    rule, serves every probe.  The rotation gives the cell's dimension.
     """
-    levels = _mesh_levels(CellGrid(dim, T, h, rotation, tangential))
+    levels = _mesh_levels(CellGrid(rotation.dim, T, h, rotation, tangential))
     probe_grid = levels[-1]
     weight = _cell_weight(probe_grid, pot)
     offsets = PHASE_OFFSETS[:1] if (weight == weight[..., :1]).all() else PHASE_OFFSETS
@@ -346,28 +346,25 @@ def estimate_g(
     for k in reversed(range(len(levels) - 1)):
         warm = CellState(levels[k], _prolong(state.u, levels[k + 1].box.periodic))
         results[k], state = minimize_cell(levels[k], pot, profile, opts, init=warm)
-    fine, coarse = results[0], results[1]
-    return GRefinement(
-        T=T,
-        h=h,
-        g=fine.g,
-        discretization_error=abs(fine.g - coarse.g),
-        fine=fine,
-        coarse=coarse,
-        state=state,
-        phase_offset=offset,
-    )
+    return GRefinement(results[0], results[1], state, offset)
 
 
 @dataclass
 class SigmaEstimate:
-    """Extrapolated surface tension for one direction."""
+    """Extrapolated surface tension for one direction, from the refinements of its T-schedule."""
 
-    nu: np.ndarray
-    per_T: list  # (T, h, g) triples, fine-mesh values
-    sigma_hat: float
-    error_bar: float
-    refinements: list = field(default_factory=list)
+    refinements: list
+
+    nu = property(lambda self: self.refinements[-1].state.grid.nu)
+    per_T = property(lambda self: [(r.T, r.h, r.g) for r in self.refinements])  # fine-mesh values
+    sigma_hat = property(lambda self: self.refinements[-1].g)  # the fine-mesh g at the largest T
+
+    @property
+    def error_bar(self) -> float:
+        """The conservative bar: the last T-difference plus the last mesh difference."""
+        last = self.refinements[-1]
+        t_term = abs(last.g - self.refinements[-2].g) if len(self.refinements) > 1 else 0.0
+        return t_term + last.discretization_error
 
     @property
     def converged(self) -> bool:
@@ -403,24 +400,17 @@ def estimate_sigma(
     lattice_aligned: bool = False,
     tangential: str = "periodic",
 ) -> SigmaEstimate:
-    """Run the T-schedule and extrapolate with a conservative error bar.
+    """Run the T-schedule; the estimate extrapolates it with a conservative error bar.
 
-    sigma_hat is the fine-mesh g at the largest T; the error bar adds the
-    last T-difference to the last mesh difference.  The schedule must
-    pass `check_schedule`.
+    No rotation means the identity of dimension `dim`; a rotation of
+    another dimension raises ValueError.  The schedule must pass
+    `check_schedule`.
     """
+    rotation = RationalRotation.identity(dim) if rotation is None else rotation
+    if rotation.dim != dim:
+        raise ValueError("rotation dimension mismatch")
     schedule = check_schedule(schedule, rotation, lattice_aligned)
-    refinements = [estimate_g(rotation, T, pot, profile, h, dim, opts, tangential) for T in schedule]
-    per_T = [(r.T, r.h, r.g) for r in refinements]
-    last = refinements[-1]
-    t_term = abs(refinements[-1].g - refinements[-2].g) if len(refinements) >= 2 else 0.0
-    return SigmaEstimate(
-        nu=last.state.grid.nu,
-        per_T=per_T,
-        sigma_hat=last.g,
-        error_bar=t_term + last.discretization_error,
-        refinements=refinements,
-    )
+    return SigmaEstimate([estimate_g(rotation, T, pot, profile, h, opts, tangential) for T in schedule])
 
 
 # Smooth weights of two cells that are images of each other agree to rounding.

@@ -291,7 +291,7 @@ def run_tile(cfg: Config, run: _Run) -> int:
         check_schedule(cfg.T_schedule, rotation, cfg.lattice_aligned)
         for T in tiled:
             s_grid = CellGrid(DIM, cfg.tile_S, cfg.h, rotation, "dirichlet")
-            plan_tiling(T, cfg.tile_S, cfg.tile_m, rotation, DIM).corner_nodes(s_grid)
+            plan_tiling(T, cfg.tile_S, cfg.tile_m, rotation).corner_nodes(s_grid)
     profile = _profile(cfg)
     rows = []
     ok = True

@@ -202,10 +202,11 @@ def _build_directions(sec) -> list:
         if len(toks) != DIM:
             raise ConfigError(f"[directions] {key}: expected {DIM} components, got {len(toks)}")
         if all("/" in t or t.lstrip("+-").isdigit() for t in toks):
-            comto = [Fraction(t) for t in toks]
             try:
-                out.append(RationalUnitVector(tuple(comto)))
+                out.append(RationalUnitVector(tuple(Fraction(t) for t in toks)))
                 continue
+            except ZeroDivisionError as exc:
+                raise ConfigError(f"[directions] {key}: zero denominator in {text.strip()!r}") from exc
             except ValueError as exc:
                 raise ConfigError(f"[directions] {key}: {exc}") from exc
         vec = np.array([_number(t, f"[directions] {key}") for t in toks])

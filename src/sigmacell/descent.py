@@ -58,10 +58,11 @@ class DescentResult:
     grad_sup: float
     iterations: int
     converged: bool
-    evaluations: int  # f_g calls: 1 + iterations + backtracks
     backtracks: int  # trial points the line search rejected, a failed search's included
     info: Any  # the third item f_g returned at x
     trace: list = field(default_factory=list)
+
+    evaluations = property(lambda self: 1 + self.iterations + self.backtracks)  # f_g calls
 
 
 def lbfgs_descent(
@@ -103,18 +104,16 @@ def lbfgs_descent(
     f, g, info = f_g(x)
     trace = [f]
     iterations = backtracks = 0
-    evaluations = 1
 
     def line_search(gp):
         """(f_new, g_new, info_new) at the first x_trial = x + step p, step 1, 1/2, 1/4, ..., with an Armijo
         decrease, or None."""
-        nonlocal backtracks, evaluations
+        nonlocal backtracks
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
             np.multiply(p, step, out=x_trial)
             np.add(x_trial, x, out=x_trial)
             f_new, g_new, info_new = f_g(x_trial)
-            evaluations += 1
             if np.isfinite(f_new) and f_new <= f + ARMIJO * step * gp:
                 return f_new, g_new, info_new
             backtracks += 1
@@ -199,4 +198,4 @@ def lbfgs_descent(
         f, g, info, sup = f_new, g_new, info_new, sup_new
         trace.append(f)
 
-    return DescentResult(x, f, sup, iterations, sup <= sup_tol, evaluations, backtracks, info, trace)
+    return DescentResult(x, f, sup, iterations, sup <= sup_tol, backtracks, info, trace)

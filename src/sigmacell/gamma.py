@@ -26,6 +26,7 @@ import numpy as np
 from .cell import CellState, SolverOptions, pinned_objective
 from .descent import lbfgs_descent
 from .grids import BoxGrid, EnergyModel, EnergyParts, closed_nodes, node_quadrature_weights
+from .lattice import RationalRotation
 from .potential import Potential
 from .profile import TransitionProfile, _interval, step_field
 
@@ -67,11 +68,8 @@ class DomainSpec:
 
 @dataclass
 class PhaseField:
-    """A discrete field together with its scale eps."""
+    """The node values of a field on the strip's grid."""
 
-    domain: DomainSpec
-    eps: float
-    h: float
     u: np.ndarray
 
 
@@ -177,8 +175,7 @@ def minimize_diffuse(
         trace=[f / area for f in res.trace],
     )
     x_final = restore(res.x) if restore is not None else res.x
-    fieldv = PhaseField(domain, eps, h, x_final.reshape(shape).copy())
-    return fieldv, res.info, res
+    return PhaseField(x_final.reshape(shape)), res.info, res
 
 
 def check_recovery_layer(eps: float, T: float) -> None:
@@ -213,31 +210,33 @@ def _multilinear(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def build_recovery(cell_state: CellState, eps: float, domain: DomainSpec, h: float, pot: Potential) -> PhaseField:
     """Tile the rescaled cell minimizer `cell_state` along the interface plane through the origin.
 
-    The field is the pure step, and the cell solution is read only on the
-    layer band of half-width eps*T/2: there it is evaluated at x/eps,
-    extended periodically in the rotated tangential coordinates, and
-    written over the step.  The layer is anchored at the origin: the cell
-    point R^T x / eps reads the potential at y = x / eps, where the cell
-    solve evaluated it.
+    The cell must be solved at the strip's normal e_N in the identity
+    frame; any other cell raises ValueError, as it would be tiled across
+    the wrong interface.  The field is the pure step, and the cell
+    solution is read only on the node rows of the layer, |y_N| <= T/2 at
+    y = x / eps: there it is evaluated at y, extended periodically along
+    each tangential axis, and written over the step.  The layer is
+    anchored at the origin, so the cell point y reads the potential where
+    the cell solve evaluated it.
     """
     grid = domain.grid(h)
     cg = cell_state.grid
-    T = cg.T
-    check_recovery_layer(eps, T)
+    if cg.rotation != RationalRotation.identity(cg.dim):
+        raise ValueError("the recovery needs a cell solved at the strip normal e_N, in the identity frame")
+    check_recovery_layer(eps, cg.T)
 
-    # closed node array of the cell solution for interpolation
+    # closed node array of the cell solution for interpolation, on the cell's node axes
     u_cell = closed_nodes(cell_state.u, cg.box.periodic)
-    cell_axes = [-T / 2.0 + cg.h * np.arange(n) for n in u_cell.shape[:-1]]
-
-    y = grid.node_points() / eps
-    zeta = y @ cg.rotation_matrix  # rotated-frame coordinates R^T x / eps
-    band = np.abs(zeta[..., -1]) <= T / 2.0
-    zt = zeta[band]
-    # wrap tangential coordinates into [-T/2, T/2)
-    zt[:, :-1] = np.mod(zt[:, :-1] + T / 2.0, T) - T / 2.0
-    u = step_field(cg.nu, y, pot.wells)
-    u[band] = _multilinear(cell_axes, u_cell, np.clip(zt, -T / 2.0, T / 2.0))
-    return PhaseField(domain, eps, h, u)
+    cell_axes = [lo + cg.h * np.arange(n) for lo, n in zip(cg.box.lo, u_cell.shape[:-1])]
+    y = [x / eps for x in grid.node_axes()]
+    layer = np.abs(y[-1]) <= cg.box.hi[-1]
+    # the tangential coordinates wrapped into the cell, [lo, hi) per axis
+    axes = [np.mod(t - lo, hi - lo) + lo for t, lo, hi in zip(y[:-1], cg.box.lo, cg.box.hi)] + [y[-1][layer]]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+    step = step_field((1.0,), y[-1][:, None], pot.wells)  # the step across e_N, one value per normal row
+    u = np.broadcast_to(step, grid.shape + (pot.d,)).copy()
+    u[..., layer, :] = _multilinear(cell_axes, u_cell, pts)
+    return PhaseField(u)
 
 
 @dataclass

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
@@ -35,18 +34,16 @@ __all__ = ["TilingPlan", "tiles", "plan_tiling", "build_competitor", "subadditiv
 class TilingPlan:
     """Copy layout for one (T, S, m) tiling."""
 
-    dim: int
     T: float
     S: float
     m: int
-    count: int
     centers: np.ndarray  # physical prism centers on the interface plane, (M, N)
     shifts: np.ndarray  # integer lattice points near the centers, (M, N)
     rotation: RationalRotation
 
-    @property
-    def shell_width(self) -> float:
-        return 1.0 / self.m
+    dim = property(lambda self: self.rotation.dim)
+    count = property(lambda self: len(self.shifts))
+    shell_width = property(lambda self: 1.0 / self.m)
 
     def corner_nodes(self, s_grid: CellGrid) -> list:
         """Node index of each copy's low corner on the S-cell grid; ValueError if one is off the nodes."""
@@ -59,7 +56,7 @@ class TilingPlan:
         """Copy centers in reference coordinates (exact rational, as float)."""
         out = np.empty_like(self.shifts, dtype=float)
         M = self.rotation.matrix
-        n = self.rotation.dim
+        n = self.dim
         for k, x in enumerate(self.shifts):
             for i in range(n):
                 out[k, i] = float(sum(M[j][i] * Fraction(int(x[j])) for j in range(n)))
@@ -71,20 +68,14 @@ def tiles(T: float, S: float, dim: int) -> bool:
     return S > T + 3.0 + float(np.sqrt(dim))
 
 
-def plan_tiling(
-    T: float,
-    S: float,
-    m: int,
-    rotation: Optional[RationalRotation] = None,
-    dim: int = 2,
-) -> TilingPlan:
+def plan_tiling(T: float, S: float, m: int, rotation: RationalRotation) -> TilingPlan:
     """Lay out the copies: centers on the interface plane, integer shifts.
 
     The number of copies per tangential axis is
     floor((S - 1/T) / (T + sqrt(N) + 2)); enlarged copies are validated
-    to be pairwise disjoint and contained in the shrunken cube.  A missing
-    rotation is the identity.
+    to be pairwise disjoint and contained in the shrunken cube.
     """
+    dim = rotation.dim
     root_n = float(np.sqrt(dim))
     if not tiles(T, S, dim):
         raise ValueError(f"tiling requires S > T + 3 + sqrt(N) = {T + 3 + root_n:.6g}, got S={S}")
@@ -92,17 +83,14 @@ def plan_tiling(
         raise ValueError(f"shell parameter must satisfy 2 <= m < T, got m={m}, T={T}")
     pitch = T + root_n + 2.0
     per_axis = int(np.floor((S - 1.0 / T) / pitch))
-    count = per_axis ** (dim - 1)
-    if rotation is None:
-        rotation = RationalRotation.identity(dim)
     R = rotation.as_float()
 
     offsets = [(j - (per_axis - 1) / 2.0) * pitch for j in range(per_axis)]
     centers = [R @ np.array(list(combo) + [0.0]) for combo in product(offsets, repeat=dim - 1)]
-    centers = np.array(centers).reshape(count, dim)
+    centers = np.array(centers).reshape(-1, dim)
     shifts = np.rint(centers).astype(np.int64)
 
-    plan = TilingPlan(dim, float(T), float(S), int(m), count, centers, shifts, rotation)
+    plan = TilingPlan(float(T), float(S), int(m), centers, shifts, rotation)
     _validate_geometry(plan)
     return plan
 
@@ -149,8 +137,6 @@ def build_competitor(
         raise ValueError("copy and target grids must share the mesh size")
     if abs(t_grid.T - plan.T) > 1e-12 or abs(s_grid.T - plan.S) > 1e-12:
         raise ValueError("grids do not match the tiling plan")
-    if t_grid.dim != plan.dim or s_grid.dim != plan.dim:
-        raise ValueError("dimension mismatch")
     if not t_grid.rotation == s_grid.rotation == plan.rotation:
         raise ValueError("T-cell, S-cell and plan must share one rotation")
 
@@ -165,10 +151,10 @@ def build_competitor(
     pad = int(plan.shell_width / (2.0 * s_grid.h) + 1e-9)  # shell nodes beyond each copy face
     normal_axis = s_grid.box.node_axes()[-1]
     for c, corner in zip(refs, plan.corner_nodes(s_grid)):
-        u[tuple(slice(i, i + t_grid.n) for i in corner)] = u_T.u
+        u[tuple(slice(i, i + n) for i, n in zip(corner, t_grid.box.shape))] = u_T.u
 
         # blend shell: between the copy face and the enlarged face, inside the enlarged copy's node box
-        box = tuple(slice(i - pad, i + t_grid.n + pad) for i in corner)
+        box = tuple(slice(i - pad, i + n + pad) for i, n in zip(corner, t_grid.box.shape))
         near = pts[box]
         dist = np.max(np.abs(near - c), axis=-1)
         shell = (dist > half_in) & (dist <= half_out + 1e-15)
@@ -214,7 +200,7 @@ def subadditivity_gap(
     remainder e_S - g(T) is measured, not bounded.
     """
     t_grid = u_T.grid
-    plan = plan_tiling(T, S, m, t_grid.rotation, t_grid.dim)
+    plan = plan_tiling(T, S, m, t_grid.rotation)
     s_grid = CellGrid(t_grid.dim, S, t_grid.h, t_grid.rotation, t_grid.tangential)
     comp = build_competitor(u_T, plan, profile, s_grid)
     g_T = cell_model(t_grid, pot).energy_parts(u_T.u).total / t_grid.area

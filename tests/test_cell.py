@@ -8,6 +8,7 @@ from sigmacell import cell, descent
 from sigmacell.cell import (
     CellGrid,
     CellState,
+    SigmaEstimate,
     SolverOptions,
     cell_model,
     estimate_g,
@@ -40,6 +41,7 @@ from solve_checks import STOPS, check_stop, new_models_left_after, record_last_p
 
 F = Fraction
 QUARTIC = homogeneous_quartic()
+I2 = RationalRotation.identity(2)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +156,7 @@ def test_normal_laminate_matches_1d_oracle(prof, T):
     pytest.importorskip("scipy")
     # stripes normal to nu = e2: the cell minimum is the optimal 1D transition
     pot = striped(0.5, axis=1)
-    ref = estimate_g(None, T, pot, prof, h=1 / 32)
+    ref = estimate_g(I2, T, pot, prof, h=1 / 32)
     oracle = transition_bvp_energy(pot, prof, T)
     assert abs(ref.g - oracle) <= ref.discretization_error
     # the quadrature error is O(h^2), so the Richardson value lands much closer
@@ -165,13 +167,13 @@ def test_normal_laminate_matches_1d_oracle(prof, T):
 def test_tangential_laminate_between_bounds(prof, T):
     # stripes along nu = e2, weight f(y1)
     pot = striped(0.5, axis=0)
-    g = estimate_g(None, T, pot, prof, h=1 / 32).g
+    g = estimate_g(I2, T, pot, prof, h=1 / 32).g
     # Modica (1987): f W0 + |grad u|^2 >= 2 sqrt(f W0) |d2 u|, so g >= mean(sqrt f) * 8/3
     s = np.arange(64) / 64
     lower = np.sqrt(pot.spatial_factor(np.stack([s, np.zeros_like(s)], axis=-1))).mean() * 8 / 3
     # a field independent of y1 has the same energy under f and under 1: the cos
     # sum over cell centres of whole periods vanishes, so g is below the quartic's
-    upper = estimate_g(None, T, QUARTIC, prof, h=1 / 32).g
+    upper = estimate_g(I2, T, QUARTIC, prof, h=1 / 32).g
     assert lower < g < upper
 
 
@@ -243,8 +245,8 @@ def test_iterations_do_not_grow_with_the_mesh(prof, pot):
 
 
 def test_estimate_g_refinement_error_shrinks(prof):
-    ref_coarse = estimate_g(None, 2.0, QUARTIC, prof, 1 / 8)
-    ref_fine = estimate_g(None, 2.0, QUARTIC, prof, 1 / 16)
+    ref_coarse = estimate_g(I2, 2.0, QUARTIC, prof, 1 / 8)
+    ref_fine = estimate_g(I2, 2.0, QUARTIC, prof, 1 / 16)
     assert ref_coarse.discretization_error >= 2.0 * ref_fine.discretization_error
 
 
@@ -303,14 +305,14 @@ def test_estimate_g_probe_mesh(prof, monkeypatch, pot, probes, T, h, meshes):
         return minimize_cell(grid, *args, **kwargs)
 
     monkeypatch.setattr(cell, "minimize_cell", recording)
-    est = estimate_g(None, T, pot, prof, h)
+    est = estimate_g(I2, T, pot, prof, h)
     assert seen == meshes[4 - probes :]
     assert est.coarse.g != est.fine.g
 
 
 def test_estimate_g_rejects_small_cubes(prof):
     with pytest.raises(ValueError):
-        estimate_g(None, 0.5, QUARTIC, prof, 1 / 16)
+        estimate_g(I2, 0.5, QUARTIC, prof, 1 / 16)
 
 
 def test_estimate_sigma_quartic_small_schedule(prof):
@@ -320,11 +322,32 @@ def test_estimate_sigma_quartic_small_schedule(prof):
     assert est.error_bar > 0
 
 
+def test_error_bar_is_the_last_t_difference_plus_the_last_mesh_difference(prof):
+    # stripes along the normal e2: g moves with T, so both terms of the bar are nonzero
+    est = estimate_sigma(None, [2.0, 4.0], striped(0.5, axis=1), prof, h=1 / 8)
+    prev, last = est.refinements
+    t_term, mesh_term = abs(last.fine.g - prev.fine.g), abs(last.fine.g - last.coarse.g)
+    assert t_term > 0 and mesh_term > 0
+    assert est.error_bar == t_term + mesh_term
+    assert SigmaEstimate([last]).error_bar == mesh_term  # a one-edge schedule: the mesh difference alone
+    assert est.per_T == [(r.state.grid.T, r.state.grid.h, r.fine.g) for r in est.refinements] == [
+        (2.0, 1 / 8, prev.fine.g),
+        (4.0, 1 / 8, last.fine.g),
+    ]
+    assert est.sigma_hat == last.fine.g
+    assert est.nu.tolist() == last.state.grid.nu.tolist() == [0.0, 1.0]
+
+
 def test_estimate_sigma_validates_schedule(prof):
     with pytest.raises(ValueError):
         estimate_sigma(None, [], QUARTIC, prof, h=1 / 16)
     with pytest.raises(ValueError):
         estimate_sigma(None, [4.0, 2.0], QUARTIC, prof, h=1 / 16)
+
+
+def test_estimate_sigma_rejects_a_rotation_of_another_dimension(prof):
+    with pytest.raises(ValueError, match="dimension"):
+        estimate_sigma(RationalRotation.identity(3), [2.0], QUARTIC, prof, h=1 / 8)
 
 
 def test_estimate_sigma_lattice_alignment_guard(prof):

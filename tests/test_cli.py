@@ -584,6 +584,7 @@ BAD_CONFIGS = {
     "max-iterations-negative": ((("seed = 7", "seed = 7\nmax_iterations = -3"),), "solver"),
     "t-inf": ((("t = 2", "t = 2, inf"),), "schedule"),
     "direction-inf": ((("dir1 = 0, 1", "dir1 = inf, 1"),), "directions"),
+    "direction-zero-denominator": ((("dir1 = 0, 1", "dir1 = 1/0, 1"),), "directions"),
     "rational-tol-tiny": ((("dir1 = 0, 1", "dir1 = 0.6, 0.8\nrational_tol = 1e-12"),), "directions"),
     "rational-tol-exact-direction": ((("dir1 = 0, 1", "dir1 = 0, 1\nrational_tol = 0"),), "directions"),
     "uniform-fraction": ((("dir1 = 0, 1", "uniform = 2.5"),), "directions"),

@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +63,17 @@ for name in sys.argv[1:]:
 def test_every_module_imports_with_scipy_blocked():
     out = _python(BLOCK_SCIPY, *MODULES)
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_python_blocks_run_in_one_namespace(capsys):
+    # the library quick start, then the EnergyModel snippet that reuses its potential and profile
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    est, parts, g = namespace["est"], namespace["parts"], namespace["g"]
+    assert capsys.readouterr().out == f"{est.sigma_hat} {est.error_bar}\n"
+    assert est.converged and 2.6 < est.sigma_hat < 2.7
+    assert parts.total > 0 and g.shape == namespace["u"].shape

@@ -176,7 +176,7 @@ def test_recovery_tangential_periodicity(prof, strip, cell_state):
 def test_recovery_energy_matches_cell_density(prof, strip, cell_state):
     for eps in (1 / 8, 1 / 16):
         rec = build_recovery(cell_state, eps, strip, eps / 8, QUARTIC)
-        e = _strip_energy(strip, QUARTIC, eps, rec.h, rec.u).total
+        e = _strip_energy(strip, QUARTIC, eps, eps / 8, rec.u).total
         g_cell = cell_model(cell_state.grid, QUARTIC).energy_parts(cell_state.u).total / 4.0
         assert e == pytest.approx(g_cell * strip.interface_area(), rel=0.02)
 
@@ -209,21 +209,37 @@ def _rotated_cell_state(prof) -> CellState:
 
 
 @pytest.mark.parametrize(
-    "case,eps,h",
+    "eps,h",
     [
-        ("identity", 1 / 4, default_gamma_mesh(1 / 4)),
-        ("identity", 1 / 8, default_gamma_mesh(1 / 8)),
-        ("identity", 1 / 32, default_gamma_mesh(1 / 32)),
-        ("identity", 1 / 5, 1 / 64),  # the strip's nodes do not nest with the cell's
-        ("rotated", 1 / 8, 1 / 64),
+        pytest.param(1 / 4, default_gamma_mesh(1 / 4), id="identity-0.25-0.125"),
+        pytest.param(1 / 8, default_gamma_mesh(1 / 8), id="identity-0.125-0.03125"),
+        pytest.param(1 / 32, default_gamma_mesh(1 / 32), id="identity-0.03125-0.001953125"),
+        pytest.param(1 / 5, 1 / 64, id="identity-0.2-0.015625"),  # the strip's nodes do not nest with the cell's
     ],
 )
-def test_recovery_is_the_full_grid_formula_bit_for_bit(prof, strip, cell_state, case, eps, h):
-    state = cell_state if case == "identity" else _rotated_cell_state(prof)
-    rec = build_recovery(state, eps, strip, h, QUARTIC)
-    want = _full_grid_recovery(state, eps, strip, h, QUARTIC)
+def test_recovery_is_the_full_grid_formula_bit_for_bit(prof, strip, cell_state, eps, h):
+    rec = build_recovery(cell_state, eps, strip, h, QUARTIC)
+    want = _full_grid_recovery(cell_state, eps, strip, h, QUARTIC)
     assert len(np.unique(want)) > 2  # the layer holds cell values
     assert rec.u.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tangential", ["periodic", "dirichlet"])
+def test_recovery_is_the_full_grid_formula_bit_for_bit_3d(tangential):
+    # two phase components on a 3D cell whose nodes do not nest with the strip's
+    pot = homogeneous_quartic(d=2)
+    profile = TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=3)
+    state = initial_state(CellGrid(3, 2.0, 1 / 4, tangential=tangential), profile)
+    state = CellState(state.grid, state.u + 0.1 * np.random.default_rng(1).standard_normal(state.u.shape))
+    strip3 = DomainSpec.flat_strip(3)
+    rec = build_recovery(state, 1 / 5, strip3, 1 / 40, pot)
+    assert rec.u.tobytes() == _full_grid_recovery(state, 1 / 5, strip3, 1 / 40, pot).tobytes()
+
+
+def test_recovery_refuses_a_cell_off_the_strip_normal(prof, strip):
+    # tiled along the strip's interface plane, a cell solved at another normal sits across the wrong interface
+    with pytest.raises(ValueError, match="strip normal"):
+        build_recovery(_rotated_cell_state(prof), 1 / 8, strip, 1 / 64, QUARTIC)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

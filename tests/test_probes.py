@@ -12,26 +12,27 @@ import pytest
 
 from sigmacell import cell
 from sigmacell.cell import CellGrid, CellState, SolverOptions, estimate_g, initial_state, minimize_cell, _prolong
-from sigmacell.lattice import RationalUnitVector, rotation_from_direction
+from sigmacell.lattice import RationalRotation, RationalUnitVector, rotation_from_direction
 from sigmacell.potential import WellPair, checkerboard, homogeneous_quartic, piecewise_cells, smooth_modulated, striped
 from sigmacell.profile import Mollifier, TransitionProfile
 
 F = Fraction
 E1 = rotation_from_direction(RationalUnitVector((F(1), F(0))))
 OBLIQUE = rotation_from_direction(RationalUnitVector((F(3, 5), F(4, 5))))
+I2, I3 = RationalRotation.identity(2), RationalRotation.identity(3)
 
 # (potential, dimension, rotation) whose weight does not vary along the normal e_N of the reference cell
 SYMMETRIC = [
-    pytest.param(homogeneous_quartic(), 2, None, id="quartic-2d"),
-    pytest.param(homogeneous_quartic(), 3, None, id="quartic-3d"),
+    pytest.param(homogeneous_quartic(), 2, I2, id="quartic-2d"),
+    pytest.param(homogeneous_quartic(), 3, I3, id="quartic-3d"),
     pytest.param(homogeneous_quartic(d=2), 2, OBLIQUE, id="quartic-d2"),
-    pytest.param(homogeneous_quartic(wells=WellPair(np.array([0.0]), np.array([3.0]))), 2, None, id="quartic-wells-0-3"),
+    pytest.param(homogeneous_quartic(wells=WellPair(np.array([0.0]), np.array([3.0]))), 2, I2, id="quartic-wells-0-3"),
     pytest.param(striped(0.5).lower_envelope(), 2, OBLIQUE, id="envelope"),
-    pytest.param(striped(0.5), 2, None, id="striped-0.5-axis0-e2"),
-    pytest.param(striped(0.9), 2, None, id="striped-0.9-axis0-e2"),
+    pytest.param(striped(0.5), 2, I2, id="striped-0.5-axis0-e2"),
+    pytest.param(striped(0.9), 2, I2, id="striped-0.9-axis0-e2"),
     pytest.param(striped(0.5, axis=1), 2, E1, id="striped-0.5-axis1-e1"),
     pytest.param(striped(0.9, axis=1), 2, E1, id="striped-0.9-axis1-e1"),
-    pytest.param(striped(0.5), 3, None, id="striped-0.5-axis0-e3"),
+    pytest.param(striped(0.5), 3, I3, id="striped-0.5-axis0-e3"),
 ]
 
 # (potential, dimension, rotation) whose weight varies along the normal
@@ -83,7 +84,7 @@ def test_one_probe_gives_the_four_probe_result_bit_for_bit(pot, dim, rotation, t
         cases += [(8.0, 1 / 8, Mollifier("bump", 1.0)), (2.0, 1 / 16, Mollifier("polynomial", 1.0))]
     for T, h, mollifier in cases:
         profile = profile_for(pot, dim, mollifier)
-        est = estimate_g(rotation, T, pot, profile, h, dim, tangential=tangential)
+        est = estimate_g(rotation, T, pot, profile, h, tangential=tangential)
         reference = four_probe_reference(rotation, T, pot, profile, h, dim, tangential)
         assert fingerprint(est.fine, est.coarse, est.state, est.phase_offset) == fingerprint(*reference), (T, h)
         assert est.g == reference[0].g and est.discretization_error == abs(reference[0].g - reference[1].g)
@@ -103,7 +104,7 @@ def test_probe_count_follows_the_weight_along_the_normal(monkeypatch, pot, dim, 
         return minimize_cell(grid, *args, **kwargs)
 
     monkeypatch.setattr(cell, "minimize_cell", recording)
-    estimate_g(rotation, 2.0, pot, profile_for(pot, dim), 1 / 8, dim)
+    estimate_g(rotation, 2.0, pot, profile_for(pot, dim), 1 / 8)
     assert seen == [1 / 4] * probes + [1 / 8]
 
 

@@ -13,6 +13,7 @@ from oned_reference import profile_energy_1d
 
 F = Fraction
 QUARTIC = homogeneous_quartic()
+I2 = RationalRotation.identity(2)
 
 
 @pytest.fixture(scope="module")
@@ -28,17 +29,17 @@ def u_T(prof):
 
 
 def test_plan_count_formula():
-    assert plan_tiling(5.0, 30.0, 2).count == 3
-    assert plan_tiling(5.0, 9.62, 2).count == 1
+    assert plan_tiling(5.0, 30.0, 2, I2).count == 3
+    assert plan_tiling(5.0, 9.62, 2, I2).count == 1
 
 
 def test_plan_precondition_names_inequality():
     with pytest.raises(ValueError, match=r"S > T \+ 3 \+ sqrt\(N\)"):
-        plan_tiling(5.0, 9.0, 2)
+        plan_tiling(5.0, 9.0, 2, I2)
     with pytest.raises(ValueError, match="shell parameter"):
-        plan_tiling(5.0, 30.0, 1)
+        plan_tiling(5.0, 30.0, 1, I2)
     with pytest.raises(ValueError, match="shell parameter"):
-        plan_tiling(5.0, 30.0, 5)
+        plan_tiling(5.0, 30.0, 5, I2)
 
 
 def test_plan_shifts_are_integers_near_centers():
@@ -50,7 +51,7 @@ def test_plan_shifts_are_integers_near_centers():
 
 
 def test_competitor_boundary_trace_exact(u_T, prof):
-    plan = plan_tiling(4.0, 16.0, 3)
+    plan = plan_tiling(4.0, 16.0, 3, I2)
     s_grid = CellGrid(2, 16.0, 1 / 16, tangential="dirichlet")
     comp = build_competitor(u_T, plan, prof, s_grid)
     bmask = s_grid.box.boundary_mask()
@@ -59,7 +60,7 @@ def test_competitor_boundary_trace_exact(u_T, prof):
 
 
 def test_competitor_copy_fidelity_bit_exact(u_T, prof):
-    plan = plan_tiling(4.0, 16.0, 3)
+    plan = plan_tiling(4.0, 16.0, 3, I2)
     s_grid = CellGrid(2, 16.0, 1 / 16, tangential="dirichlet")
     comp = build_competitor(u_T, plan, prof, s_grid)
     n = u_T.grid.n
@@ -68,7 +69,7 @@ def test_competitor_copy_fidelity_bit_exact(u_T, prof):
 
 
 def test_competitor_energy_bounds(u_T, prof):
-    plan = plan_tiling(4.0, 16.0, 3)
+    plan = plan_tiling(4.0, 16.0, 3, I2)
     s_grid = CellGrid(2, 16.0, 1 / 16, tangential="dirichlet")
     comp = build_competitor(u_T, plan, prof, s_grid)
     e_S = cell_model(s_grid, QUARTIC).energy_parts(comp.u).total / 16.0
@@ -103,7 +104,7 @@ def test_competitor_is_the_full_grid_formula_bit_for_bit(dim, T, S, m, h):
     profile = TransitionProfile(QUARTIC.wells, Mollifier("bump", 0.5), dim=dim)
     state = initial_state(CellGrid(dim, T, h, tangential="dirichlet"), profile)
     u_T = CellState(state.grid, state.u + 0.1 * np.random.default_rng(dim).standard_normal(state.u.shape))
-    plan = plan_tiling(T, S, m, dim=dim)
+    plan = plan_tiling(T, S, m, RationalRotation.identity(dim))
     s_grid = CellGrid(dim, S, h, tangential="dirichlet")
     assert plan.count == (2 if dim == 2 else 1)
     comp = build_competitor(u_T, plan, profile, s_grid)
@@ -111,10 +112,8 @@ def test_competitor_is_the_full_grid_formula_bit_for_bit(dim, T, S, m, h):
 
 
 def test_degenerate_plan_yields_pure_step(prof):
-    plan = TilingPlan(
-        dim=2, T=4.0, S=16.0, m=3, count=0,
-        centers=np.zeros((0, 2)), shifts=np.zeros((0, 2), dtype=np.int64), rotation=RationalRotation.identity(2),
-    )
+    plan = TilingPlan(T=4.0, S=16.0, m=3, centers=np.zeros((0, 2)), shifts=np.zeros((0, 2), dtype=np.int64), rotation=I2)
+    assert (plan.dim, plan.count) == (2, 0)
     grid = CellGrid(2, 4.0, 1 / 16, tangential="dirichlet")
     u_T0 = initial_state(grid, prof)
     s_grid = CellGrid(2, 16.0, 1 / 16, tangential="dirichlet")
@@ -125,7 +124,7 @@ def test_degenerate_plan_yields_pure_step(prof):
 
 
 def test_mesh_mismatch_rejected(u_T, prof):
-    plan = plan_tiling(4.0, 16.0, 3)
+    plan = plan_tiling(4.0, 16.0, 3, I2)
     s_grid = CellGrid(2, 16.0, 1 / 8, tangential="dirichlet")
     with pytest.raises(ValueError, match="mesh"):
         build_competitor(u_T, plan, prof, s_grid)
@@ -135,7 +134,7 @@ def test_mesh_mismatch_rejected(u_T, prof):
 def test_rotation_mismatch_rejected(u_T, prof, rotated):
     # copies pasted into a cell of another rotation would not see the T-cell's phase of the potential
     R = rotation_from_direction(RationalUnitVector((F(3, 5), F(4, 5))))
-    plan = plan_tiling(4.0, 16.0, 3, R if rotated == "plan" else None)
+    plan = plan_tiling(4.0, 16.0, 3, R if rotated == "plan" else I2)
     s_grid = CellGrid(2, 16.0, 1 / 16, R if rotated == "s_grid" else None, tangential="dirichlet")
     with pytest.raises(ValueError, match="rotation"):
         build_competitor(u_T, plan, prof, s_grid)
