@@ -175,6 +175,8 @@ def rationalize_direction(nu, tol: float) -> RationalUnitVector:
     if tol < RATIONAL_TOL_MIN:
         raise ValueError(f"tolerance below {RATIONAL_TOL_MIN:g} would blow up denominators")
     nu = np.asarray(nu, dtype=float)
+    if not np.isfinite(nu).all():
+        raise ValueError("input direction must be finite")
     dim = nu.size
     norm = float(np.linalg.norm(nu))
     if abs(norm - 1.0) > 1e-12:

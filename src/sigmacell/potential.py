@@ -51,6 +51,8 @@ class WellPair:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if a.shape != b.shape or a.ndim != 1:
             raise ValueError("wells must be vectors of equal length")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("wells must be finite")
         if np.array_equal(a, b):
             raise ValueError("wells must be distinct")
         object.__setattr__(self, "a", a)

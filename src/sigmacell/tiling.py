@@ -17,7 +17,7 @@ refuses any other T-cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
@@ -47,20 +47,15 @@ class TilingPlan:
 
     def corner_nodes(self, s_grid: CellGrid) -> list:
         """Node index of each copy's low corner on the S-cell grid; ValueError if one is off the nodes."""
-        pos = (self.reference_centers() - self.T / 2.0 - np.array(s_grid.box.lo)) / s_grid.h
+        pos = (self.reference_centers - self.T / 2.0 - np.array(s_grid.box.lo)) / s_grid.h
         if (np.abs(pos - np.round(pos)) > 1e-9).any():
             raise ValueError("copy corner does not land on a grid node; choose h dividing 1/period")
         return np.round(pos).astype(int).tolist()
 
+    @cached_property
     def reference_centers(self) -> np.ndarray:
-        """Copy centers in reference coordinates (exact rational, as float)."""
-        out = np.empty_like(self.shifts, dtype=float)
-        M = self.rotation.matrix
-        n = self.dim
-        for k, x in enumerate(self.shifts):
-            for i in range(n):
-                out[k, i] = float(sum(M[j][i] * Fraction(int(x[j])) for j in range(n)))
-        return out
+        """Copy centers in reference coordinates, R^T shift: exact integers over the period, rounded once."""
+        return self.shifts @ self.rotation.lattice_vectors().T / self.rotation.period
 
 
 def tiles(T: float, S: float, dim: int) -> bool:
@@ -81,6 +76,8 @@ def plan_tiling(T: float, S: float, m: int, rotation: RationalRotation) -> Tilin
         raise ValueError(f"tiling requires S > T + 3 + sqrt(N) = {T + 3 + root_n:.6g}, got S={S}")
     if not 2 <= m < T:
         raise ValueError(f"shell parameter must satisfy 2 <= m < T, got m={m}, T={T}")
+    if m != int(m):
+        raise ValueError(f"shell parameter must be an integer, got m={m}")
     pitch = T + root_n + 2.0
     per_axis = int(np.floor((S - 1.0 / T) / pitch))
     R = rotation.as_float()
@@ -98,7 +95,7 @@ def plan_tiling(T: float, S: float, m: int, rotation: RationalRotation) -> Tilin
 def _validate_geometry(plan: TilingPlan) -> None:
     half_enlarged = (plan.T + plan.shell_width) / 2.0
     bound = (plan.S - 1.0 / plan.T) / 2.0
-    refs = plan.reference_centers()
+    refs = plan.reference_centers
     for k, c in enumerate(refs):
         if (np.abs(c) + half_enlarged > bound + 1e-12).any():
             raise ValueError(f"enlarged copy {k} leaves the shrunken cube")
@@ -140,29 +137,25 @@ def build_competitor(
     if not t_grid.rotation == s_grid.rotation == plan.rotation:
         raise ValueError("T-cell, S-cell and plan must share one rotation")
 
-    dim = plan.dim
-    pts = s_grid.box.node_points()
+    axes = s_grid.box.node_axes()
     ambient = profile_field(s_grid, profile)
     u = ambient.copy()
 
-    refs = plan.reference_centers()
     half_in = plan.T / 2.0
     half_out = (plan.T + plan.shell_width) / 2.0
     pad = int(plan.shell_width / (2.0 * s_grid.h) + 1e-9)  # shell nodes beyond each copy face
-    normal_axis = s_grid.box.node_axes()[-1]
-    for c, corner in zip(refs, plan.corner_nodes(s_grid)):
+    for c, corner in zip(plan.reference_centers, plan.corner_nodes(s_grid)):
         u[tuple(slice(i, i + n) for i, n in zip(corner, t_grid.box.shape))] = u_T.u
 
-        # blend shell: between the copy face and the enlarged face, inside the enlarged copy's node box
+        # blend shell: between the copy face and the enlarged face, inside the enlarged copy's node box;
+        # each axis's distances to the center are a 1-D node row, broadcast along the box
         box = tuple(slice(i - pad, i + n + pad) for i, n in zip(corner, t_grid.box.shape))
-        near = pts[box]
-        dist = np.max(np.abs(near - c), axis=-1)
+        gaps = np.ix_(*(np.abs(x[b] - ci) for x, b, ci in zip(axes, box, c)))
+        dist = reduce(np.maximum, gaps)
         shell = (dist > half_in) & (dist <= half_out + 1e-15)
         if shell.any():
-            w = np.ones_like(dist)
-            for ax in range(dim):
-                w = w * _smooth_ramp(np.abs(near[..., ax] - c[ax]), half_in, half_out)
-            shifted = profile(normal_axis[box[-1]] - c[-1])
+            w = reduce(np.multiply, [_smooth_ramp(g, half_in, half_out) for g in gaps])
+            shifted = profile(axes[-1][box[-1]] - c[-1])
             blend = w[..., None] * shifted + (1.0 - w[..., None]) * ambient[box]
             u[box][shell] = blend[shell]
 

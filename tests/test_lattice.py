@@ -101,6 +101,12 @@ def test_rationalize_tol_guard():
         rationalize_direction([0.6, 0.8], 1e-10)
 
 
+@pytest.mark.parametrize("nu", [[np.nan, 1.0], [0.6, np.inf], [np.nan, np.nan, np.nan]])
+def test_rationalize_refuses_a_non_finite_direction(nu):
+    with pytest.raises(ValueError, match="input direction must be finite"):
+        rationalize_direction(nu, 1e-3)
+
+
 def test_rotation_three_four_five():
     nu = RationalUnitVector((F(3, 5), F(4, 5)))
     R = rotation_from_direction(nu)

@@ -197,6 +197,12 @@ def test_wellpair_validation():
         WellPair(np.array([1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("a,b", [([np.nan], [1.0]), ([-1.0], [np.inf]), ([0.0, -np.inf], [1.0, 0.0])])
+def test_wellpair_refuses_non_finite_wells(a, b):
+    with pytest.raises(ValueError, match="wells must be finite"):
+        WellPair(np.array(a), np.array(b))
+
+
 def test_vector_wells_default():
     pot = homogeneous_quartic(d=2)
     assert pot.d == 2

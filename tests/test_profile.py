@@ -7,7 +7,6 @@ from sigmacell.potential import WellPair, homogeneous_quartic
 from sigmacell.profile import (
     Mollifier,
     TransitionProfile,
-    _evaluate,
     _interval,
     _marginal_table,
     step_field,
@@ -43,26 +42,52 @@ def test_midpoint_and_exact_tails(profname, request):
     assert prof(0.5)[0] == 1.0
 
 
-def test_marginal_normalization_against_adaptive_quadrature(bump_profile):
+def test_marginal_normalization_against_adaptive_quadrature():
+    # the profile against adaptive quadrature of the kernel's marginal, for both shapes in dims 1-3,
+    # read as 1/2 plus the marginal's mass between 0 and s; some points lie in the two table intervals at 0
     quad = pytest.importorskip("scipy.integrate").quad
-    # independent check of the tabulated marginal: 2D bump of radius 1/2
     r = 0.5
+    step = 2 * r / 4096  # one table interval
+    tight = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    points = (-0.45, -0.3, -0.1, -1.5 * step, -0.5 * step, 0.25 * step, 0.9 * step, 1.7 * step, 0.05, 0.2, 0.4, 0.47)
+    for shape in ("bump", "polynomial"):
+        moll = Mollifier(shape, r)
 
-    def marginal(t):
-        half = np.sqrt(max(r * r - t * t, 0.0))
-        if half == 0.0:
-            return 0.0
-        val, _ = quad(
-            lambda w: np.exp(-1.0 / (1.0 - (t * t + w * w) / (r * r))), -half, half, limit=200
-        )
-        return val
+        def kernel(q):
+            return float(moll.radial(q))
 
-    mass, _ = quad(marginal, -r, r, limit=200)
-    # the profile's normalized cumulative marginal must match the adaptive one
-    for s in (-0.3, -0.1, 0.05, 0.2, 0.25, 0.4):
-        cdf, _ = quad(marginal, -r, s, limit=200)
-        frac = bump_profile.fraction(np.array(s))
-        assert frac == pytest.approx(cdf / mass, abs=1e-9)
+        def line(t):  # 2D: the kernel along the chord at distance t
+            half = np.sqrt(max(r * r - t * t, 0.0))
+            return 2.0 * quad(lambda w: kernel(np.hypot(t, w)), 0.0, half, **tight)[0]
+
+        def disc(t):  # 3D: the kernel over the disc at distance t, in q = |y|^2
+            return np.pi * quad(lambda q: kernel(np.sqrt(q)), t * t, r * r, **tight)[0]
+
+        for dim, marginal in ((1, lambda t: kernel(abs(t))), (2, line), (3, disc)):
+            prof = TransitionProfile(WELLS, moll, dim)
+            mass = 2.0 * quad(marginal, 0.0, r, **tight)[0]
+            for s in points:
+                want = 0.5 + quad(marginal, 0.0, s, **tight)[0] / mass
+                assert abs(float(prof.fraction(s)) - want) <= 1e-12, (shape, dim, s)
+
+
+def test_fraction_and_slope_edge_inputs(bump_profile):
+    r = 0.5
+    s = np.array([np.nan, -np.inf, -1.0, -r, r, 1.0, np.inf])
+    frac = bump_profile.fraction(s)
+    assert np.isnan(frac[0]) and frac[1:].tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    slope = bump_profile.slope(s)
+    assert slope.shape == (7, 1)
+    assert np.isnan(slope[0, 0]) and (slope[1:] == 0.0).all()  # NaN propagates, 0 on and beyond the support ends
+    assert (bump_profile.slope(np.linspace(-0.49, 0.49, 99)) > 0.0).all()
+    # 0-d and empty inputs keep their shapes, with the wells' axis appended
+    assert np.shape(bump_profile.fraction(np.array(0.1))) == ()
+    assert np.shape(bump_profile.fraction(0.1)) == ()
+    assert bump_profile.slope(np.array(0.1)).shape == (1,)
+    assert bump_profile(np.array(0.1)).shape == (1,)
+    assert bump_profile.fraction(np.empty(0)).shape == (0,)
+    assert bump_profile.slope(np.empty((0, 3))).shape == (0, 3, 1)
+    assert bump_profile(np.empty((2, 0))).shape == (2, 0, 1)
 
 
 def test_quarter_width_regression(bump_profile):
@@ -126,33 +151,6 @@ def assert_bitwise_equal(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-@pytest.mark.parametrize("shape", ["bump", "polynomial"])
-@pytest.mark.parametrize("radius", [0.25, 0.5, 1.0])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_monotone_cubic_equals_scipy_pchip(shape, radius, dim):
-    PchipInterpolator = pytest.importorskip("scipy.interpolate").PchipInterpolator
-    moll = Mollifier(shape, radius)
-    prof = TransitionProfile(WELLS, moll, dim)
-    s, density = _marginal_table(moll, dim)
-    spline = PchipInterpolator(s, density)
-    cdf = spline.antiderivative()
-    assert_bitwise_equal(prof._density, spline.c)
-    assert_bitwise_equal(prof._cdf, cdf.c)
-    norm = float(cdf(s[-1]))
-    assert prof._normalization == norm
-    rng = np.random.default_rng(dim)
-    ends = np.array([-2.0, -1.0001, -1.0, 1.0, 1.0001, 2.0]) * radius  # beyond the table: end intervals, clipped tails
-    for points in (s, rng.uniform(-1.1 * radius, 1.1 * radius, 5000).reshape(50, 100), ends, np.array(0.1 * radius)):
-        assert_bitwise_equal(_evaluate(prof._density, s, points), spline(points))
-        assert_bitwise_equal(_evaluate(prof._cdf, s, points), cdf(points))
-        # the profile as built on scipy's interpolants: clipped to the table, exact tails
-        clipped = np.clip(points, -radius, radius)
-        inner = np.where(points <= -radius, 0.0, np.clip(cdf(clipped) / norm, 0.0, 1.0))
-        assert_bitwise_equal(prof.fraction(points), np.where(points >= radius, 1.0, inner))
-        slope = np.where(np.abs(points) < radius, spline(clipped), 0.0) / norm
-        assert_bitwise_equal(prof.slope(points), slope[..., None] * (WELLS.b - WELLS.a))
 
 
 def whole_table_marginal(moll, dim):

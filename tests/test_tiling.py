@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,24 @@ def test_plan_precondition_names_inequality():
         plan_tiling(5.0, 30.0, 1, I2)
     with pytest.raises(ValueError, match="shell parameter"):
         plan_tiling(5.0, 30.0, 5, I2)
+
+
+def test_plan_refuses_a_non_integer_shell_parameter():
+    with pytest.raises(ValueError, match="shell parameter must be an integer"):
+        plan_tiling(4.0, 16.0, 2.5, I2)
+    assert plan_tiling(4.0, 16.0, 3.0, I2).m == 3
+
+
+@pytest.mark.parametrize(
+    "direction",
+    [(F(3, 5), F(4, 5)), (F(-8, 17), F(15, 17)), (F(1, 3), F(2, 3), F(2, 3)), (F(2, 7), F(3, 7), F(6, 7))],
+)
+def test_reference_centers_are_the_exact_rational_centers(direction):
+    # R^T shift summed exactly in rationals, then rounded once to float
+    R = rotation_from_direction(RationalUnitVector(direction))
+    plan = plan_tiling(5.0, 30.0, 2, R)
+    exact = [[float(sum(R.matrix[j][i] * int(x[j]) for j in range(R.dim))) for i in range(R.dim)] for x in plan.shifts]
+    assert plan.reference_centers.tobytes() == np.array(exact).tobytes()
 
 
 def test_plan_shifts_are_integers_near_centers():
@@ -85,7 +104,7 @@ def _full_grid_competitor(u_T, plan, prof, s_grid) -> np.ndarray:
     ambient = initial_state(s_grid, prof).u
     u = ambient.copy()
     half_in, half_out = plan.T / 2.0, (plan.T + plan.shell_width) / 2.0
-    for c, corner in zip(plan.reference_centers(), plan.corner_nodes(s_grid)):
+    for c, corner in zip(plan.reference_centers, plan.corner_nodes(s_grid)):
         u[tuple(slice(i, i + u_T.grid.n) for i in corner)] = u_T.u
         dist = np.max(np.abs(pts - c), axis=-1)
         shell = (dist > half_in) & (dist <= half_out + 1e-15)
@@ -109,6 +128,21 @@ def test_competitor_is_the_full_grid_formula_bit_for_bit(dim, T, S, m, h):
     assert plan.count == (2 if dim == 2 else 1)
     comp = build_competitor(u_T, plan, profile, s_grid)
     assert comp.u.tobytes() == _full_grid_competitor(u_T, plan, profile, s_grid).tobytes()
+
+
+def test_competitor_build_holds_no_coordinate_array():
+    # a coordinate array of the S-cell's nodes would take three fields; the build holds about 1.5
+    profile = TransitionProfile(QUARTIC.wells, Mollifier("bump", 0.5), dim=3)
+    u_T = initial_state(CellGrid(3, 4.0, 1 / 8, tangential="dirichlet"), profile)
+    plan = plan_tiling(4.0, 9.0, 3, RationalRotation.identity(3))
+    s_grid = CellGrid(3, 9.0, 1 / 8, tangential="dirichlet")
+    tracemalloc.start()
+    try:
+        comp = build_competitor(u_T, plan, profile, s_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * comp.u.nbytes
 
 
 def test_degenerate_plan_yields_pure_step(prof):
