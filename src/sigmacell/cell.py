@@ -11,12 +11,15 @@ rotation enters only through the potential's spatial argument.  The
 tangential frame is the rotation's own (rational) column frame, so all
 face normals are rational.  The normalized minimum g = E / T^(N-1)
 converges to the surface tension sigma(nu) as the cube grows; the
-estimate extrapolates a T-schedule with a conservative error bar.
+estimate extrapolates a T-schedule with a conservative error bar.  The
+solver, the orbit check and the CLI take every cell of a schedule from
+`schedule_levels`, which raises each refusal before any solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import permutations, product
 from typing import Optional
 
@@ -42,6 +45,7 @@ __all__ = [
     "minimize_cell",
     "estimate_g",
     "check_schedule",
+    "schedule_levels",
     "estimate_sigma",
     "orbit_representatives",
     "SOLVE_CSV_COLUMNS",
@@ -78,8 +82,8 @@ class CellGrid:
         half, per = self.T / 2.0, self.tangential == "periodic"
         box = BoxGrid((-half,) * self.dim, (half,) * self.dim, self.h, (per,) * (self.dim - 1) + (False,))
         object.__setattr__(self, "box", box)
-        if self.n < 8:
-            raise ValueError("grid needs at least 8 nodes per axis")
+        if box.shape[-1] < 8:
+            raise ValueError("grid needs at least 8 nodes along the normal")
         if self.rotation is None:
             object.__setattr__(self, "rotation", RationalRotation.identity(self.dim))
         if self.rotation.dim != self.dim:
@@ -87,11 +91,6 @@ class CellGrid:
         if self.tangential not in ("periodic", "dirichlet"):
             raise ValueError("tangential policy must be 'periodic' or 'dirichlet'")
         object.__setattr__(self, "rotation_matrix", self.rotation.as_float())
-
-    @property
-    def n(self) -> int:
-        """Nodes along the normal axis."""
-        return self.box.shape[-1]
 
     @property
     def area(self) -> float:
@@ -292,21 +291,6 @@ PROBE_MESH_MAX = 1.0 / 4
 PROBE_TIE_FRACTION = 1e-2
 
 
-def _mesh_levels(fine: CellGrid) -> list:
-    """The meshes h, 2h, 4h, ... of one cell, finest first.
-
-    h and 2h always belong; the chain goes coarser only while the next
-    mesh is at most PROBE_MESH_MAX and divides the edge into a grid of
-    at least 8 nodes per axis.
-    """
-    levels = [fine, replace(fine, h=2 * fine.h)]
-    cells = levels[-1].n - 1
-    while 2 * levels[-1].h <= PROBE_MESH_MAX and cells % 2 == 0 and cells // 2 + 1 >= 8:
-        cells //= 2
-        levels.append(replace(fine, h=2 * levels[-1].h))
-    return levels
-
-
 def estimate_g(
     rotation: RationalRotation,
     T: float,
@@ -318,7 +302,7 @@ def estimate_g(
 ) -> GRefinement:
     """Solve by nested iteration down to h; report the fine g and the (2h, h) mesh difference.
 
-    The coarsest mesh of `_mesh_levels` is solved once per phase offset
+    The coarsest of T's `schedule_levels` is solved once per phase offset
     (the infimum is over all admissible fields, and a transition layer
     centered on a weight crest is a symmetric saddle descent cannot
     leave).  When the weight at that mesh's cell centres does not vary
@@ -330,7 +314,7 @@ def estimate_g(
     down to h.  The probe mesh's weight, evaluated once for the offset
     rule, serves every probe.  The rotation gives the cell's dimension.
     """
-    levels = _mesh_levels(CellGrid(rotation.dim, T, h, rotation, tangential))
+    (levels,) = schedule_levels(rotation, [T], h, tangential)
     probe_grid = levels[-1]
     weight = _cell_weight(probe_grid, pot)
     offsets = PHASE_OFFSETS[:1] if (weight == weight[..., :1]).all() else PHASE_OFFSETS
@@ -372,11 +356,13 @@ class SigmaEstimate:
 
 
 def check_schedule(schedule, rotation: Optional[RationalRotation] = None, lattice_aligned: bool = False) -> list:
-    """The T-schedule as floats; raises ValueError unless it is non-empty, strictly
+    """The T-schedule as floats; raises ValueError unless it is non-empty, finite, strictly
     increasing and, on a lattice-aligned run, made of multiples of the rotation's period."""
     schedule = [float(T) for T in schedule]
     if not schedule:
         raise ValueError("schedule must contain at least one cube edge")
+    if not np.isfinite(schedule).all():
+        raise ValueError(f"cube edges must be finite; got {schedule}")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
     if lattice_aligned:
@@ -387,6 +373,27 @@ def check_schedule(schedule, rotation: Optional[RationalRotation] = None, lattic
                     f"lattice-aligned run requires cube edges that are multiples of the period {period}; got T={T:g}"
                 )
     return schedule
+
+
+def schedule_levels(
+    rotation: RationalRotation, schedule, h: float, tangential: str = "periodic", lattice_aligned: bool = False
+) -> list:
+    """For each cube edge of the T-schedule, the grids `estimate_g` solves: meshes h, 2h, 4h, ..., finest first.
+
+    The schedule must pass `check_schedule`.  h and 2h always belong; the chain goes coarser only while the next
+    mesh is at most PROBE_MESH_MAX and halves every axis of the box into at least 8 nodes (an axis of an even
+    number c of cells keeps (n + 1) // 2 of its n nodes, periodic or not).  Every refusal comes before any solve.
+    """
+    levels = []
+    for T in check_schedule(schedule, rotation, lattice_aligned):
+        grids = [CellGrid(rotation.dim, T, h, rotation, tangential)]
+        grids.append(replace(grids[0], h=2 * h))
+        while 2 * grids[-1].h <= PROBE_MESH_MAX and all(
+            c % 2 == 0 and (n + 1) // 2 >= 8 for c, n in zip(grids[-1].box.cells, grids[-1].box.shape)
+        ):
+            grids.append(replace(grids[0], h=2 * grids[-1].h))
+        levels.append(grids)
+    return levels
 
 
 def estimate_sigma(
@@ -403,14 +410,14 @@ def estimate_sigma(
     """Run the T-schedule; the estimate extrapolates it with a conservative error bar.
 
     No rotation means the identity of dimension `dim`; a rotation of
-    another dimension raises ValueError.  The schedule must pass
-    `check_schedule`.
+    another dimension raises ValueError.  Every cell is built, and every
+    refusal raised, by `schedule_levels` before the first solve.
     """
     rotation = RationalRotation.identity(dim) if rotation is None else rotation
     if rotation.dim != dim:
         raise ValueError("rotation dimension mismatch")
-    schedule = check_schedule(schedule, rotation, lattice_aligned)
-    return SigmaEstimate([estimate_g(rotation, T, pot, profile, h, opts, tangential) for T in schedule])
+    levels = schedule_levels(rotation, schedule, h, tangential, lattice_aligned)
+    return SigmaEstimate([estimate_g(rotation, grids[0].T, pot, profile, h, opts, tangential) for grids in levels])
 
 
 # Smooth weights of two cells that are images of each other agree to rounding.
@@ -426,26 +433,20 @@ def _image_weights(weight: np.ndarray, image) -> np.ndarray:
     return np.transpose(flipped, np.argsort([axis for axis, _ in image]))
 
 
-def orbit_representatives(
-    rotations,
-    schedule,
-    pot: Potential,
-    h: float,
-    tangential: str = "periodic",
-) -> list:
-    """For each rotation, the index of the representative whose `estimate_sigma` it shares.
+def orbit_representatives(cells, pot: Potential) -> list:
+    """For each direction's cells, its `schedule_levels`, the index of the representative whose `estimate_sigma`
+    it shares; every direction's cells come from the same schedule, mesh and tangential policy.
 
-    A rotation joins the first earlier representative for which some
+    A direction joins the first earlier representative for which some
     signed permutation D of the tangential axes maps the representative's
     weight at the cell centres onto its own on every mesh solved (bitwise
     for piecewise weights, IMAGE_WEIGHT_RTOL relative otherwise).  D fixes
     e_N, so x -> D x maps the centred cube, its grid, the boundary data
     and the phase-offset starts onto themselves: the discrete cell
-    problems are the representative's, carried over by D.  A rotation
+    problems are the representative's, carried over by D.  A direction
     that joins none represents itself.  Mixed dimensions raise ValueError.
     """
-    schedule = check_schedule(schedule)
-    dims = {rotation.dim for rotation in rotations}
+    dims = {levels[0][0].dim for levels in cells}
     if len(dims) > 1:
         raise ValueError(f"rotations of mixed dimensions {sorted(dims)}")
     images = [  # the D, as rows (axis, sign), with D e_N = e_N
@@ -454,22 +455,18 @@ def orbit_representatives(
         for perm in permutations(range(dim - 1))
         for signs in product((1, -1), repeat=dim - 1)
     ]
-    weights = {}
 
+    @cache
     def weights_of(k):
         """The weight (`_cell_weight`) of every mesh `estimate_sigma` solves."""
-        if k not in weights:
-            R = rotations[k]
-            grids = [g for T in schedule for g in _mesh_levels(CellGrid(R.dim, T, h, R, tangential))]
-            weights[k] = [_cell_weight(g, pot) for g in grids]
-        return weights[k]
+        return [_cell_weight(grid, pot) for grids in cells[k] for grid in grids]
 
     def is_image(k, rep, image):
         pairs = zip(weights_of(k), weights_of(rep))
         return not any(pot.differs(w, _image_weights(w_rep, image), IMAGE_WEIGHT_RTOL).any() for w, w_rep in pairs)
 
     reps = []
-    for k in range(len(rotations)):
+    for k in range(len(cells)):
         candidates = (r for r in range(k) if reps[r] == r)
         match = (r for r in candidates if any(is_image(k, r, D) for D in images))
         reps.append(next(match, k))

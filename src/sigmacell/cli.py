@@ -17,7 +17,9 @@ Subcommands:
     tile      tiling subadditivity check; emits CSV
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
-4 validation failure; a config error writes nothing, not even the output
+4 validation failure.  A config error comes before any solve (`sigma`
+and `gamma` build every cell of the schedule first, by
+`cell.schedule_levels`) and writes nothing, not even the output
 directory.  Outputs are byte-deterministic for a fixed config and seed
 at a fixed BLAS thread count, whatever the worker count (`--workers`
 splits the representatives' solves); every file is listed in the run
@@ -48,11 +50,12 @@ from .cell import (
     estimate_sigma,
     minimize_cell,
     orbit_representatives,
+    schedule_levels,
     solve_csv_row,
 )
 from .config import DIM, Config, ConfigError, _section, parse_config
 from .gamma import GAP_CSV_COLUMNS, DomainSpec, check_recovery_layer, default_gamma_mesh, gamma_gap
-from .lattice import check_periodicity, rotation_from_direction
+from .lattice import RationalRotation, check_periodicity, rotation_from_direction
 from .potential import validate_hypotheses
 from .profile import TransitionProfile
 from .surface import SigmaTable, convexity_check
@@ -139,17 +142,6 @@ def _profile(cfg: Config) -> TransitionProfile:
     return TransitionProfile(cfg.potential.wells, cfg.mollifier, dim=DIM)
 
 
-def _check_refinements(cfg: Config, rotations) -> None:
-    """Build the coarse cell of every T's (2h, h) refinement and, on a lattice-aligned run, check T
-    against the period of each rotation solved; a refusal is a [schedule] error."""
-    with _section("schedule"):
-        if cfg.lattice_aligned:
-            for rotation in rotations:
-                check_schedule(cfg.T_schedule, rotation, lattice_aligned=True)
-        for T in cfg.T_schedule:
-            CellGrid(DIM, T, 2 * cfg.h, tangential=cfg.tangential)
-
-
 def _sigma_task(args):
     cfg, rotation, profile = args
     return estimate_sigma(
@@ -170,8 +162,9 @@ def run_sigma(cfg: Config, run: _Run) -> int:
     if repeated:
         raise ConfigError(f"[directions]: direction {repeated[0]} is given more than once")
     rotations = [rotation_from_direction(nu) for nu in cfg.directions]
-    _check_refinements(cfg, rotations)
-    reps = orbit_representatives(rotations, cfg.T_schedule, cfg.potential, cfg.h, cfg.tangential)
+    with _section("schedule"):
+        cells = [schedule_levels(R, cfg.T_schedule, cfg.h, cfg.tangential, cfg.lattice_aligned) for R in rotations]
+    reps = orbit_representatives(cells, cfg.potential)
     solved = sorted(set(reps))
     profile = _profile(cfg)
     tasks = [(cfg, rotations[k], profile) for k in solved]
@@ -225,8 +218,8 @@ def run_polar(cfg: Config, run: _Run) -> int:
 
 def run_gamma(cfg: Config, run: _Run) -> int:
     domain = DomainSpec.flat_strip(dim=DIM)
-    _check_refinements(cfg, ())  # solved at e2, whose period 1 parse_config checked
     with _section("schedule"):
+        schedule_levels(RationalRotation.identity(DIM), cfg.T_schedule, cfg.h, cfg.tangential, cfg.lattice_aligned)
         cell_grid = CellGrid(DIM, cfg.T_cell, cfg.h, None, cfg.tangential)
         for eps in cfg.eps_schedule:
             domain.grid(default_gamma_mesh(eps))

@@ -17,6 +17,7 @@ from sigmacell.cell import (
     minimize_cell,
     orbit_representatives,
     pinned_objective,
+    schedule_levels,
     _prolong,
 )
 from sigmacell.lattice import (
@@ -315,6 +316,62 @@ def test_estimate_g_rejects_small_cubes(prof):
         estimate_g(I2, 0.5, QUARTIC, prof, 1 / 16)
 
 
+@pytest.mark.parametrize("schedule", [[2.0, float("nan"), 4.0], [2.0, float("inf")], [-float("inf"), 2.0]])
+def test_check_schedule_refuses_non_finite_edges(schedule):
+    with pytest.raises(ValueError, match="finite"):
+        cell.check_schedule(schedule)
+
+
+@pytest.mark.parametrize(
+    "schedule, match",
+    [
+        ([4.0, 8.0, 8.0625], "mesh 0.125 does not divide extent 8.0625"),  # the last edge's 2h grid
+        ([2.0, float("inf")], "finite"),
+    ],
+)
+def test_estimate_sigma_refuses_before_any_solve(monkeypatch, prof, schedule, match):
+    solves = []
+
+    def recording(grid, *args, **kwargs):
+        solves.append(grid.h)
+        return minimize_cell(grid, *args, **kwargs)
+
+    monkeypatch.setattr(cell, "minimize_cell", recording)
+    with pytest.raises(ValueError, match=match):
+        estimate_sigma(None, schedule, striped(0.5), prof, h=1 / 16)
+    assert solves == []
+
+
+@pytest.mark.parametrize("tangential", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("dim, T, h", [(2, 1.75, 1 / 32), (2, 2.0, 1 / 32), (2, 4.0, 1 / 8), (3, 1.75, 1 / 16)])
+def test_schedule_levels_are_the_grids_estimate_g_solves(monkeypatch, tangential, dim, T, h):
+    pot = striped(0.5, axis=dim - 1)  # varies along the normal: four probes on the coarsest grid
+    seen = []
+
+    def recording(grid, *args, **kwargs):
+        seen.append(grid)
+        return minimize_cell(grid, *args, **kwargs)
+
+    monkeypatch.setattr(cell, "minimize_cell", recording)
+    rotation = RationalRotation.identity(dim)
+    (levels,) = schedule_levels(rotation, [T], h, tangential)
+    estimate_g(rotation, T, pot, TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=dim), h, tangential=tangential)
+    assert seen == [levels[-1]] * 4 + levels[-2::-1]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_coarse_levels_keep_8_nodes_on_every_axis(dim):
+    # T = 7/4 at mesh 1/4 has 7 cells: 8 nodes on the pinned normal axis, 7 on a periodic tangential one
+    rotation = RationalRotation.identity(dim)
+    levels = schedule_levels(rotation, [1.75, 2.0], 1 / 32) + schedule_levels(rotation, [1.75], 1 / 32, "dirichlet")
+    assert [[grid.h for grid in grids] for grids in levels] == [
+        [1 / 32, 1 / 16, 1 / 8],
+        [1 / 32, 1 / 16, 1 / 8, 1 / 4],
+        [1 / 32, 1 / 16, 1 / 8, 1 / 4],
+    ]
+    assert min(min(grid.box.shape) for grids in levels for grid in grids) == 8
+
+
 def test_estimate_sigma_quartic_small_schedule(prof):
     est = estimate_sigma(None, [2.0, 4.0], QUARTIC, prof, h=1 / 16)
     assert est.converged
@@ -417,7 +474,6 @@ def test_grid_builds_its_box_once():
     assert grid.rotation_matrix is grid.rotation_matrix
     coarse = replace(grid, h=2 * grid.h)
     assert coarse.box.shape == (32, 33)
-    assert coarse.n == 33
     assert coarse == CellGrid(2, 4.0, 1 / 8, grid.rotation)
 
 
@@ -446,7 +502,7 @@ def test_orbit_members_solve_their_representatives_problem_3d():
     rotations = [rotation_from_direction(RationalUnitVector(tuple(F(c, 3) for c in v))) for v in dirs]
     for pot, want in ((striped(0.5), [0, 0, 0, 3, 4]), (QUARTIC, [0, 0, 0, 0, 0])):
         prof3 = TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=3)
-        reps = orbit_representatives(rotations, [4.0], pot, 1 / 4)
+        reps = orbit_representatives([schedule_levels(R, [4.0], 1 / 4) for R in rotations], pot)
         assert reps == want
         estimates = [estimate_sigma(R, [4.0], pot, prof3, 1 / 4, dim=3) for R in rotations]
         for est, rep in zip(estimates, reps):
@@ -472,14 +528,14 @@ def test_ring_orbits(pot, want):
     # the directions of a config's `uniform = 16` at `rational_tol = 1e-2`
     thetas = 2 * np.pi * np.arange(16) / 16
     rotations = [rotation_from_direction(rationalize_direction(np.array([np.cos(t), np.sin(t)]), 1e-2)) for t in thetas]
-    assert orbit_representatives(rotations, [2.0, 4.0], pot, 1 / 8) == want
+    assert orbit_representatives([schedule_levels(R, [2.0, 4.0], 1 / 8) for R in rotations], pot) == want
 
 
 def test_orbit_representatives_take_the_dimension_from_the_rotations():
-    assert orbit_representatives([], [2.0], QUARTIC, 1 / 8) == []
+    assert orbit_representatives([], QUARTIC) == []
     rotations = [rotation_from_direction(RationalUnitVector((F(0), F(1)))), RationalRotation.identity(3)]
     with pytest.raises(ValueError, match="mixed dimensions"):
-        orbit_representatives(rotations, [2.0], QUARTIC, 1 / 8)
+        orbit_representatives([schedule_levels(R, [2.0], 1 / 8) for R in rotations], QUARTIC)
 
 
 @pytest.mark.parametrize("stop", list(STOPS))

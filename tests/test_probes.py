@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sigmacell import cell
-from sigmacell.cell import CellGrid, CellState, SolverOptions, estimate_g, initial_state, minimize_cell, _prolong
+from sigmacell.cell import CellState, SolverOptions, estimate_g, initial_state, minimize_cell, _prolong
 from sigmacell.lattice import RationalRotation, RationalUnitVector, rotation_from_direction
 from sigmacell.potential import WellPair, checkerboard, homogeneous_quartic, piecewise_cells, smooth_modulated, striped
 from sigmacell.profile import Mollifier, TransitionProfile
@@ -56,7 +56,7 @@ def profile_for(pot, dim, mollifier=Mollifier("bump", 0.5)):
 def four_probe_reference(rotation, T, pot, profile, h, dim, tangential):
     """Every phase offset probed on the coarsest mesh, the tie rule, then nested iteration down to h."""
     opts = SolverOptions()
-    levels = cell._mesh_levels(CellGrid(dim, T, h, rotation, tangential))
+    (levels,) = cell.schedule_levels(rotation, [T], h, tangential)
     tie = cell.PROBE_TIE_FRACTION * opts.resolved_tolerance(pot)
     best = None
     for off in (0.0, 0.25, 0.5, 0.75):

@@ -82,7 +82,7 @@ def test_competitor_copy_fidelity_bit_exact(u_T, prof):
     plan = plan_tiling(4.0, 16.0, 3, I2)
     s_grid = CellGrid(2, 16.0, 1 / 16, tangential="dirichlet")
     comp = build_competitor(u_T, plan, prof, s_grid)
-    n = u_T.grid.n
+    n = u_T.grid.box.shape[-1]
     for corner in plan.corner_nodes(s_grid):
         assert np.array_equal(comp.u[tuple(slice(i, i + n) for i in corner)], u_T.u)
 
@@ -105,7 +105,7 @@ def _full_grid_competitor(u_T, plan, prof, s_grid) -> np.ndarray:
     u = ambient.copy()
     half_in, half_out = plan.T / 2.0, (plan.T + plan.shell_width) / 2.0
     for c, corner in zip(plan.reference_centers, plan.corner_nodes(s_grid)):
-        u[tuple(slice(i, i + u_T.grid.n) for i in corner)] = u_T.u
+        u[tuple(slice(i, i + u_T.grid.box.shape[-1]) for i in corner)] = u_T.u
         dist = np.max(np.abs(pts - c), axis=-1)
         shell = (dist > half_in) & (dist <= half_out + 1e-15)
         w = np.ones_like(dist)
