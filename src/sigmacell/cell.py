@@ -9,16 +9,20 @@ with mollified-step boundary data is computed on the axis-aligned
 reference cube via y = R x: gradients are rotation invariant, so the
 rotation enters only through the potential's spatial argument.  The
 tangential frame is the rotation's own (rational) column frame, so all
-face normals are rational.  The normalized minimum g = E / T^(N-1)
-converges to the surface tension sigma(nu) as the cube grows; the
+face normals are rational.  The normalized minimum g = E / area, the
+area being the product of the cell's tangential widths, converges to
+the surface tension sigma(nu) as the normal extent T grows; the
 estimate extrapolates a T-schedule with a conservative error bar.  The
 solver, the orbit check and the CLI take every cell of a schedule from
-`schedule_levels`, which raises each refusal before any solve.
+`schedule_levels`, which narrows periodic cells to whole weight periods
+that leave g unchanged and raises each refusal before any solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 from typing import Optional
@@ -61,9 +65,12 @@ class CellGrid:
     are periodic by default (for lattice-aligned edges this matches the
     potential's exact periodicity along the rotated tangents and removes
     the O(1/T) lateral boundary layer); `tangential="dirichlet"` instead
-    pins the mollified-step data on every face.  No rotation means the
-    identity.  The node grid `box` (which checks the mesh) and the float
-    `rotation_matrix` are built once; `dataclasses.replace` builds them anew.
+    pins the mollified-step data on every face.  T is the normal extent;
+    `widths` are the tangential extents, one per tangential axis, and
+    default to T, the cube (pinned faces need the cube).  No rotation
+    means the identity.  The node grid `box` (which checks the mesh) and
+    the float `rotation_matrix` are built once; `dataclasses.replace`
+    builds them anew.
     """
 
     dim: int
@@ -71,6 +78,7 @@ class CellGrid:
     h: float
     rotation: Optional[RationalRotation] = None
     tangential: str = "periodic"
+    widths: Optional[tuple] = None
     box: BoxGrid = field(init=False, compare=False, repr=False)
     rotation_matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -79,8 +87,14 @@ class CellGrid:
             raise ValueError("cell problems support dimensions 2 and 3")
         if self.T < 1.0:
             raise ValueError("cube edge must be at least the unit transition layer")
-        half, per = self.T / 2.0, self.tangential == "periodic"
-        box = BoxGrid((-half,) * self.dim, (half,) * self.dim, self.h, (per,) * (self.dim - 1) + (False,))
+        widths = (self.T,) * (self.dim - 1) if self.widths is None else tuple(float(w) for w in self.widths)
+        if len(widths) != self.dim - 1:
+            raise ValueError(f"a {self.dim}D cell has {self.dim - 1} tangential widths; got {len(widths)}")
+        if self.tangential == "dirichlet" and widths != (self.T,) * (self.dim - 1):
+            raise ValueError("a cell with pinned tangential faces is the T-cube")
+        object.__setattr__(self, "widths", widths)
+        extents, per = widths + (self.T,), (self.tangential == "periodic",) * (self.dim - 1) + (False,)
+        box = BoxGrid([-e / 2.0 for e in extents], [e / 2.0 for e in extents], self.h, per)
         object.__setattr__(self, "box", box)
         if box.shape[-1] < 8:
             raise ValueError("grid needs at least 8 nodes along the normal")
@@ -94,8 +108,8 @@ class CellGrid:
 
     @property
     def area(self) -> float:
-        """The interface area T^(N-1) that g = E / area normalizes by."""
-        return self.T ** (self.dim - 1)
+        """The interface area, the product of the tangential widths, that g = E / area normalizes by."""
+        return math.prod(self.widths)
 
     @property
     def nu(self) -> np.ndarray:
@@ -113,6 +127,8 @@ class CellState:
 
 @dataclass
 class CellResult:
+    """One cell solve; g and its two energy parts are per unit interface area (`CellGrid.area`)."""
+
     g: float
     iterations: int
     residual: float
@@ -237,8 +253,8 @@ def minimize_cell(
         g=parts.total / grid.area,
         iterations=res.iterations,
         residual=res.grad_sup,
-        potential_part=parts.potential,
-        gradient_part=parts.gradient,
+        potential_part=parts.potential / grid.area,
+        gradient_part=parts.gradient / grid.area,
         converged=res.converged,
         backtracks=res.backtracks,
         trace=res.trace,
@@ -314,7 +330,7 @@ def estimate_g(
     down to h.  The probe mesh's weight, evaluated once for the offset
     rule, serves every probe.  The rotation gives the cell's dimension.
     """
-    (levels,) = schedule_levels(rotation, [T], h, tangential)
+    (levels,) = schedule_levels(rotation, [T], h, pot, tangential)
     probe_grid = levels[-1]
     weight = _cell_weight(probe_grid, pot)
     offsets = PHASE_OFFSETS[:1] if (weight == weight[..., :1]).all() else PHASE_OFFSETS
@@ -376,13 +392,21 @@ def check_schedule(schedule, rotation: Optional[RationalRotation] = None, lattic
 
 
 def schedule_levels(
-    rotation: RationalRotation, schedule, h: float, tangential: str = "periodic", lattice_aligned: bool = False
+    rotation: RationalRotation,
+    schedule,
+    h: float,
+    pot: Potential,
+    tangential: str = "periodic",
+    lattice_aligned: bool = False,
 ) -> list:
     """For each cube edge of the T-schedule, the grids `estimate_g` solves: meshes h, 2h, 4h, ..., finest first.
 
     The schedule must pass `check_schedule`.  h and 2h always belong; the chain goes coarser only while the next
-    mesh is at most PROBE_MESH_MAX and halves every axis of the box into at least 8 nodes (an axis of an even
-    number c of cells keeps (n + 1) // 2 of its n nodes, periodic or not).  Every refusal comes before any solve.
+    mesh is at most PROBE_MESH_MAX and halves every axis of the T-cube into at least 8 nodes (an axis of an even
+    number c of cells keeps (n + 1) // 2 of its n nodes, periodic or not).  With periodic tangential faces every
+    level then narrows each tangential axis to its `_period_width`.  The cube repeats that cell, and descent from
+    the tangentially constant start keeps every iterate periodic with it, so the cell has the cube's g on fewer
+    nodes.  Pinned faces keep the cube.  Every refusal comes before any solve.
     """
     levels = []
     for T in check_schedule(schedule, rotation, lattice_aligned):
@@ -392,8 +416,32 @@ def schedule_levels(
             c % 2 == 0 and (n + 1) // 2 >= 8 for c, n in zip(grids[-1].box.cells, grids[-1].box.shape)
         ):
             grids.append(replace(grids[0], h=2 * grids[-1].h))
+        if tangential == "periodic":
+            axes = pot.varying_axes(rotation.dim)
+            tangents = list(zip(*rotation.matrix))[:-1]  # t_i = R e_i, exact
+            widths = tuple(_period_width(T, grids[-1].h, [t[k] for k in axes]) for t in tangents)
+            if widths != grids[0].widths:
+                grids = [replace(grid, widths=widths) for grid in grids]
         levels.append(grids)
     return levels
+
+
+def _period_width(T: float, probe_mesh: float, components) -> float:
+    """The narrowest width W = T / m (m = 1, 2, ...) with W >= 2, a whole number of at least 8 cells of the probe
+    mesh, and W t_k an integer for each given tangent component t_k; T when no m > 1 qualifies.
+
+    The tangent's components are those along the axes the weight varies along, so the weight has period W along
+    the tangent.  Each finer mesh h 2^-j then divides W into 2^j times as many cells, so the cell keeps the cube's
+    mesh chain.
+    """
+    for m in range(int(T // 2), 1, -1):
+        W = Fraction(T) / m
+        cells = T / m / probe_mesh
+        if round(cells) >= 8 and abs(cells - round(cells)) <= 1e-9 * cells and all(
+            (W * t).denominator == 1 for t in components
+        ):
+            return T / m
+    return T
 
 
 def estimate_sigma(
@@ -416,7 +464,7 @@ def estimate_sigma(
     rotation = RationalRotation.identity(dim) if rotation is None else rotation
     if rotation.dim != dim:
         raise ValueError("rotation dimension mismatch")
-    levels = schedule_levels(rotation, schedule, h, tangential, lattice_aligned)
+    levels = schedule_levels(rotation, schedule, h, pot, tangential, lattice_aligned)
     return SigmaEstimate([estimate_g(rotation, grids[0].T, pot, profile, h, opts, tangential) for grids in levels])
 
 
@@ -462,8 +510,11 @@ def orbit_representatives(cells, pot: Potential) -> list:
         return [_cell_weight(grid, pot) for grids in cells[k] for grid in grids]
 
     def is_image(k, rep, image):
-        pairs = zip(weights_of(k), weights_of(rep))
-        return not any(pot.differs(w, _image_weights(w_rep, image), IMAGE_WEIGHT_RTOL).any() for w, w_rep in pairs)
+        for w, w_rep in zip(weights_of(k), weights_of(rep)):
+            mapped = _image_weights(w_rep, image)
+            if mapped.shape != w.shape or pot.differs(w, mapped, IMAGE_WEIGHT_RTOL).any():
+                return False
+        return True
 
     reps = []
     for k in range(len(cells)):

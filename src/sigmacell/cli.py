@@ -163,7 +163,10 @@ def run_sigma(cfg: Config, run: _Run) -> int:
         raise ConfigError(f"[directions]: direction {repeated[0]} is given more than once")
     rotations = [rotation_from_direction(nu) for nu in cfg.directions]
     with _section("schedule"):
-        cells = [schedule_levels(R, cfg.T_schedule, cfg.h, cfg.tangential, cfg.lattice_aligned) for R in rotations]
+        cells = [
+            schedule_levels(R, cfg.T_schedule, cfg.h, cfg.potential, cfg.tangential, cfg.lattice_aligned)
+            for R in rotations
+        ]
     reps = orbit_representatives(cells, cfg.potential)
     solved = sorted(set(reps))
     profile = _profile(cfg)
@@ -219,7 +222,9 @@ def run_polar(cfg: Config, run: _Run) -> int:
 def run_gamma(cfg: Config, run: _Run) -> int:
     domain = DomainSpec.flat_strip(dim=DIM)
     with _section("schedule"):
-        schedule_levels(RationalRotation.identity(DIM), cfg.T_schedule, cfg.h, cfg.tangential, cfg.lattice_aligned)
+        schedule_levels(
+            RationalRotation.identity(DIM), cfg.T_schedule, cfg.h, cfg.potential, cfg.tangential, cfg.lattice_aligned
+        )
         cell_grid = CellGrid(DIM, cfg.T_cell, cfg.h, None, cfg.tangential)
         for eps in cfg.eps_schedule:
             domain.grid(default_gamma_mesh(eps))

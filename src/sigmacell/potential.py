@@ -144,6 +144,7 @@ class ConstantWeight:
 
     min_value = property(lambda self: self.value)
     piecewise = True  # constant is trivially exact under shifts
+    varying_axes = ()  # the axes of y the weight varies along
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,7 @@ class StripeWeight:
     def min_value(self) -> float:
         return 1.0 - self.alpha
 
+    varying_axes = property(lambda self: (self.axis,))
     piecewise = False
 
 
@@ -271,6 +273,10 @@ class Potential:
     @property
     def piecewise(self) -> bool:
         return bool(getattr(self.weight, "piecewise", False))
+
+    def varying_axes(self, dim: int) -> tuple:
+        """The axes of y the weight varies along: those it states, or all `dim` of them if it states none."""
+        return tuple(getattr(self.weight, "varying_axes", range(dim)))
 
     def spatial_factor(self, y: np.ndarray) -> np.ndarray:
         return self.weight(np.asarray(y, dtype=float))

@@ -354,7 +354,7 @@ def test_schedule_levels_are_the_grids_estimate_g_solves(monkeypatch, tangential
 
     monkeypatch.setattr(cell, "minimize_cell", recording)
     rotation = RationalRotation.identity(dim)
-    (levels,) = schedule_levels(rotation, [T], h, tangential)
+    (levels,) = schedule_levels(rotation, [T], h, pot, tangential)
     estimate_g(rotation, T, pot, TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=dim), h, tangential=tangential)
     assert seen == [levels[-1]] * 4 + levels[-2::-1]
 
@@ -363,13 +363,85 @@ def test_schedule_levels_are_the_grids_estimate_g_solves(monkeypatch, tangential
 def test_coarse_levels_keep_8_nodes_on_every_axis(dim):
     # T = 7/4 at mesh 1/4 has 7 cells: 8 nodes on the pinned normal axis, 7 on a periodic tangential one
     rotation = RationalRotation.identity(dim)
-    levels = schedule_levels(rotation, [1.75, 2.0], 1 / 32) + schedule_levels(rotation, [1.75], 1 / 32, "dirichlet")
+    levels = schedule_levels(rotation, [1.75, 2.0], 1 / 32, QUARTIC)
+    levels += schedule_levels(rotation, [1.75], 1 / 32, QUARTIC, "dirichlet")
     assert [[grid.h for grid in grids] for grids in levels] == [
         [1 / 32, 1 / 16, 1 / 8],
         [1 / 32, 1 / 16, 1 / 8, 1 / 4],
         [1 / 32, 1 / 16, 1 / 8, 1 / 4],
     ]
     assert min(min(grid.box.shape) for grids in levels for grid in grids) == 8
+
+
+def keep_the_cube(monkeypatch):
+    """Make `schedule_levels` keep the T-cube on periodic faces too."""
+    monkeypatch.setattr(cell, "_period_width", lambda T, *args: T)
+
+
+def rotation_to(*nu):
+    return rotation_from_direction(RationalUnitVector(tuple(F(c) for c in nu)))
+
+
+CELLS_3X3 = piecewise_cells(np.random.default_rng(0).uniform(0.5, 2.0, (3, 3)))
+
+
+@pytest.mark.parametrize(
+    "pot, rotation, T, widths",
+    [
+        pytest.param(QUARTIC, rotation_to("3/5", "4/5"), 8.0, (2.0,), id="quartic-2d"),
+        pytest.param(QUARTIC, rotation_to("1/3", "2/3", "2/3"), 4.0, (2.0, 2.0), id="quartic-3d"),
+        pytest.param(striped(0.5), rotation_to(1, 0), 8.0, (2.0,), id="striped-axis0-e1"),
+        pytest.param(striped(0.5), I2, 8.0, (2.0,), id="striped-axis0-e2"),
+        pytest.param(striped(0.5, axis=1), rotation_to(1, 0), 8.0, (2.0,), id="striped-axis1-e1"),
+        pytest.param(striped(0.5, axis=1), I2, 8.0, (2.0,), id="striped-axis1-e2"),
+        pytest.param(striped(0.5), RationalRotation.identity(3), 4.0, (2.0, 2.0), id="striped-3d-e3"),
+        pytest.param(checkerboard(2.0), I2, 8.0, (2.0,), id="checkerboard-e2"),
+        pytest.param(smooth_modulated(0.5), I2, 8.0, (2.0,), id="smooth-e2"),
+        pytest.param(CELLS_3X3, I2, 8.0, (2.0,), id="cells-3x3-e2"),
+    ],
+)
+def test_width_cells_give_the_cubes_g(monkeypatch, pot, rotation, T, widths):
+    profile = TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=rotation.dim)
+    narrow = estimate_g(rotation, T, pot, profile, 1 / 16)
+    keep_the_cube(monkeypatch)
+    cube = estimate_g(rotation, T, pot, profile, 1 / 16)
+    assert narrow.state.grid.widths == widths and cube.state.grid.widths == (T,) * len(widths)
+    for a, b in ((narrow.fine, cube.fine), (narrow.coarse, cube.coarse)):
+        assert a.g == pytest.approx(b.g, rel=1e-12, abs=0)
+        assert a.iterations == b.iterations
+    assert narrow.phase_offset == cube.phase_offset
+
+
+@pytest.mark.parametrize(
+    "pot, rotation, T, h, widths",
+    [
+        (QUARTIC, rotation_to("3/5", "4/5"), 8.0, 1 / 16, (2.0,)),
+        (QUARTIC, I2, 8.0, 1 / 4, (4.0,)),  # the probe mesh 1/2 needs 8 cells
+        (QUARTIC, I2, 3.0, 1 / 16, (3.0,)),  # 3/2 is narrower than 2
+        (QUARTIC, I2, 1.75, 1 / 32, (1.75,)),
+        (striped(0.5), rotation_to("3/5", "4/5"), 4.0, 1 / 8, (4.0,)),  # a whole period along t is 5/4 long
+        (striped(0.5), rotation_to("3/5", "4/5"), 8.0, 1 / 8, (8.0,)),
+        (striped(0.5), rotation_to("3/5", "4/5"), 5.0, 1 / 8, (2.5,)),
+        (striped(0.5, axis=1), rotation_to(0, "3/5", "4/5"), 10.0, 1 / 8, (2.0, 2.5)),
+        (striped(0.5), rotation_to("1/3", "2/3", "2/3"), 6.0, 1 / 8, (3.0, 3.0)),
+        (checkerboard(2.0), rotation_to("3/5", "4/5"), 10.0, 1 / 8, (5.0,)),
+    ],
+)
+def test_schedule_levels_narrow_to_whole_weight_periods(monkeypatch, pot, rotation, T, h, widths):
+    (levels,) = schedule_levels(rotation, [T], h, pot)
+    (pinned,) = schedule_levels(rotation, [T], h, pot, "dirichlet")
+    keep_the_cube(monkeypatch)
+    (cube,) = schedule_levels(rotation, [T], h, pot)
+    assert [grid.widths for grid in levels] == [widths] * len(levels)
+    assert [grid.widths for grid in pinned] == [(T,) * (rotation.dim - 1)] * len(pinned)
+    assert [grid.h for grid in levels] == [grid.h for grid in cube]  # the cube's mesh chain
+    assert [grid.box.shape[-1] for grid in levels] == [grid.box.shape[-1] for grid in cube]
+    assert min(levels[-1].box.shape) >= 8
+    for i, W in enumerate(widths):
+        assert T / W == round(T / W)
+        if W < T:  # a whole weight period along t_i = R e_i on every axis the weight varies along
+            assert W >= 2
+            assert all((F(W) * rotation.matrix[k][i]).denominator == 1 for k in pot.varying_axes(rotation.dim))
 
 
 def test_estimate_sigma_quartic_small_schedule(prof):
@@ -477,6 +549,21 @@ def test_grid_builds_its_box_once():
     assert coarse == CellGrid(2, 4.0, 1 / 8, grid.rotation)
 
 
+def test_grid_tangential_widths():
+    grid = CellGrid(3, 4.0, 1 / 8, widths=(2.0, 4.0))
+    assert grid.box.shape == (16, 32, 33) and grid.area == 8.0
+    assert grid.box.lo == (-1.0, -2.0, -2.0) and grid.box.hi == (1.0, 2.0, 2.0)
+    cube = CellGrid(2, 4.0, 1 / 8)
+    assert cube.widths == (4.0,) and cube.area == 4.0 and cube == CellGrid(2, 4.0, 1 / 8, widths=(4,))
+    assert replace(grid, h=1 / 4).widths == (2.0, 4.0)
+    with pytest.raises(ValueError, match="2 tangential widths"):
+        CellGrid(3, 4.0, 1 / 8, widths=(2.0,))
+    with pytest.raises(ValueError, match="T-cube"):
+        CellGrid(2, 4.0, 1 / 8, tangential="dirichlet", widths=(2.0,))
+    with pytest.raises(ValueError, match="does not divide"):
+        CellGrid(2, 4.0, 1 / 8, widths=(2.1,))
+
+
 def test_nonconvergence_is_reported_not_raised(prof):
     res, state = minimize_cell(
         CellGrid(2, 2.0, 1 / 16), QUARTIC, prof, SolverOptions(tolerance=1e-14, max_iterations=3)
@@ -502,7 +589,7 @@ def test_orbit_members_solve_their_representatives_problem_3d():
     rotations = [rotation_from_direction(RationalUnitVector(tuple(F(c, 3) for c in v))) for v in dirs]
     for pot, want in ((striped(0.5), [0, 0, 0, 3, 4]), (QUARTIC, [0, 0, 0, 0, 0])):
         prof3 = TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=3)
-        reps = orbit_representatives([schedule_levels(R, [4.0], 1 / 4) for R in rotations], pot)
+        reps = orbit_representatives([schedule_levels(R, [4.0], 1 / 4, pot) for R in rotations], pot)
         assert reps == want
         estimates = [estimate_sigma(R, [4.0], pot, prof3, 1 / 4, dim=3) for R in rotations]
         for est, rep in zip(estimates, reps):
@@ -528,14 +615,44 @@ def test_ring_orbits(pot, want):
     # the directions of a config's `uniform = 16` at `rational_tol = 1e-2`
     thetas = 2 * np.pi * np.arange(16) / 16
     rotations = [rotation_from_direction(rationalize_direction(np.array([np.cos(t), np.sin(t)]), 1e-2)) for t in thetas]
-    assert orbit_representatives([schedule_levels(R, [2.0, 4.0], 1 / 8) for R in rotations], pot) == want
+    assert orbit_representatives([schedule_levels(R, [2.0, 4.0], 1 / 8, pot) for R in rotations], pot) == want
+
+
+def _ring_rotations(tol=1e-2):
+    """The directions of a config's `uniform = 16` at `rational_tol`."""
+    thetas = 2 * np.pi * np.arange(16) / 16
+    return [rotation_from_direction(rationalize_direction(np.array([np.cos(t), np.sin(t)]), tol)) for t in thetas]
+
+
+def test_ring_orbits_with_mixed_widths():
+    # the polar ring: e1, e2 and their mirrors narrow to width 2, the oblique directions keep the cube
+    pot = striped(0.5)
+    cells = [schedule_levels(R, [4.0, 8.0], 1 / 8, pot) for R in _ring_rotations()]
+    assert {tuple(grids[0].widths for grids in levels) for levels in cells} == {((2.0,), (2.0,)), ((4.0,), (8.0,))}
+    assert orbit_representatives(cells, pot) == [0, 1, 2, 3, 4, 3, 6, 1, 0, 1, 6, 3, 4, 3, 2, 1]
+
+
+def test_orbits_with_unequal_widths_3d():
+    # stripes along y2: at (0, 3, 4)/5 and its mirrors the tangent -e1 crosses no stripe (width 2) and the other
+    # tangent crosses them at 4/5 (the cube's 4); an image that swaps the two tangential axes does not fit
+    pot = striped(0.5, axis=1)
+    dirs = [(0, 3, 4), (0, -3, 4), (0, 4, 3), (3, 0, 4), (0, 3, -4)]
+    rotations = [rotation_from_direction(RationalUnitVector(tuple(F(c, 5) for c in v))) for v in dirs]
+    cells = [schedule_levels(R, [4.0], 1 / 8, pot) for R in rotations]
+    assert [levels[0][0].widths for levels in cells] == [(2.0, 4.0)] * 3 + [(2.0, 2.0), (2.0, 4.0)]
+    reps = orbit_representatives(cells, pot)
+    assert reps == [0, 0, 2, 3, 0]
+    prof3 = TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=3)
+    estimates = [estimate_sigma(R, [4.0], pot, prof3, 1 / 8, dim=3) for R in rotations]
+    for est, rep in zip(estimates, reps):
+        assert est.sigma_hat == pytest.approx(estimates[rep].sigma_hat, rel=1e-12, abs=0)
 
 
 def test_orbit_representatives_take_the_dimension_from_the_rotations():
     assert orbit_representatives([], QUARTIC) == []
     rotations = [rotation_from_direction(RationalUnitVector((F(0), F(1)))), RationalRotation.identity(3)]
     with pytest.raises(ValueError, match="mixed dimensions"):
-        orbit_representatives([schedule_levels(R, [2.0], 1 / 8) for R in rotations], QUARTIC)
+        orbit_representatives([schedule_levels(R, [2.0], 1 / 8, QUARTIC) for R in rotations], QUARTIC)
 
 
 @pytest.mark.parametrize("stop", list(STOPS))
@@ -547,7 +664,11 @@ def test_reported_parts_are_the_energy_at_the_returned_state(monkeypatch, prof, 
     res, state = minimize_cell(grid, QUARTIC, prof, opts, init=initial_state(grid, prof, 0.25))
     check_stop(stop, res, state.u.ravel(), seen["x"], opts.resolved_max_iterations(grid.box.shape))
     parts = cell_model(grid, QUARTIC).energy_parts(state.u)
-    assert (res.potential_part, res.gradient_part, res.g) == (parts.potential, parts.gradient, parts.total / grid.area)
+    assert (res.potential_part, res.gradient_part, res.g) == (
+        parts.potential / grid.area,
+        parts.gradient / grid.area,
+        parts.total / grid.area,
+    )
     assert res.evaluations == 1 + res.iterations + res.backtracks
 
 

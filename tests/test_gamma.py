@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sigmacell import descent, gamma
-from sigmacell.cell import CellGrid, CellState, SolverOptions, cell_model, initial_state, minimize_cell
+from sigmacell import cell, descent, gamma
+from sigmacell.cell import CellGrid, CellState, SolverOptions, cell_model, estimate_g, initial_state, minimize_cell
 from sigmacell.gamma import (
     DomainSpec,
     _multilinear,
@@ -15,7 +15,7 @@ from sigmacell.gamma import (
     minimize_diffuse,
 )
 from sigmacell.grids import BoxGrid, EnergyModel, EnergyParts, closed_nodes, node_quadrature_weights
-from sigmacell.lattice import RationalUnitVector, rotation_from_direction
+from sigmacell.lattice import RationalRotation, RationalUnitVector, rotation_from_direction
 from sigmacell.potential import WellPair, homogeneous_quartic, striped
 from sigmacell.profile import Mollifier, TransitionProfile, step_field
 
@@ -234,6 +234,19 @@ def test_recovery_is_the_full_grid_formula_bit_for_bit_3d(tangential):
     strip3 = DomainSpec.flat_strip(3)
     rec = build_recovery(state, 1 / 5, strip3, 1 / 40, pot)
     assert rec.u.tobytes() == _full_grid_recovery(state, 1 / 5, strip3, 1 / 40, pot).tobytes()
+
+
+def test_recovery_reads_a_narrow_cell_as_its_cube(monkeypatch, prof, strip):
+    # the quartic's estimate_g cell at T = 4 is 2 wide; its recovery is that of the cube it stands for
+    identity = RationalRotation.identity(2)
+    narrow = estimate_g(identity, 4.0, QUARTIC, prof, 1 / 16).state
+    monkeypatch.setattr(cell, "_period_width", lambda T, *args: T)
+    cube = estimate_g(identity, 4.0, QUARTIC, prof, 1 / 16).state
+    assert narrow.grid.widths == (2.0,) and cube.grid.widths == (4.0,)
+    for eps, h in ((1 / 4, 1 / 16), (1 / 8, 1 / 32), (1 / 5, 1 / 64)):
+        rec_narrow, rec_cube = (build_recovery(s, eps, strip, h, QUARTIC).u for s in (narrow, cube))
+        assert len(np.unique(rec_cube)) > 2  # the layer holds cell values
+        assert np.abs(rec_narrow - rec_cube).max() <= 1e-12
 
 
 def test_recovery_refuses_a_cell_off_the_strip_normal(prof, strip):

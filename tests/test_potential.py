@@ -56,6 +56,14 @@ def test_piecewise_cells_refuses_a_non_positive_or_non_finite_factor(bad):
         piecewise_cells(np.array([[1.0, 2.0], [bad, 4.0]]))
 
 
+def test_weights_state_the_axes_they_vary_along():
+    assert homogeneous_quartic().varying_axes(2) == ()
+    assert striped(0.5).lower_envelope().varying_axes(3) == ()
+    assert striped(0.5, axis=1).varying_axes(3) == (1,)
+    for pot in (checkerboard(2.0), smooth_modulated(0.5), piecewise_cells(np.ones((2, 2, 2)))):
+        assert pot.varying_axes(3) == (0, 1, 2)
+
+
 def test_dp_analytic_value():
     pot = homogeneous_quartic()
     assert pot.dp([0.0, 0.0], [0.5])[0] == pytest.approx(-1.5)

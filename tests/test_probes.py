@@ -56,7 +56,7 @@ def profile_for(pot, dim, mollifier=Mollifier("bump", 0.5)):
 def four_probe_reference(rotation, T, pot, profile, h, dim, tangential):
     """Every phase offset probed on the coarsest mesh, the tie rule, then nested iteration down to h."""
     opts = SolverOptions()
-    (levels,) = cell.schedule_levels(rotation, [T], h, tangential)
+    (levels,) = cell.schedule_levels(rotation, [T], h, pot, tangential)
     tie = cell.PROBE_TIE_FRACTION * opts.resolved_tolerance(pot)
     best = None
     for off in (0.0, 0.25, 0.5, 0.75):
