@@ -410,25 +410,27 @@ def schedule_levels(
     """
     levels = []
     for T in check_schedule(schedule, rotation, lattice_aligned):
-        grids = [CellGrid(rotation.dim, T, h, rotation, tangential)]
-        grids.append(replace(grids[0], h=2 * h))
-        while 2 * grids[-1].h <= PROBE_MESH_MAX and all(
-            c % 2 == 0 and (n + 1) // 2 >= 8 for c, n in zip(grids[-1].box.cells, grids[-1].box.shape)
-        ):
-            grids.append(replace(grids[0], h=2 * grids[-1].h))
+        cube = CellGrid(rotation.dim, T, h, rotation, tangential)
+        # the cube's chain, read from its cell counts: the level at mesh 2^k h has c / 2^k cells per axis
+        cells, meshes = cube.box.cells, [h, 2 * h]
+        while 2 * meshes[-1] <= PROBE_MESH_MAX:
+            cells = tuple(c // 2 for c in cells)  # the last level's
+            if not all(c % 2 == 0 and (c + (not per) + 1) // 2 >= 8 for c, per in zip(cells, cube.box.periodic)):
+                break
+            meshes.append(2 * meshes[-1])
+        widths = cube.widths
         if tangential == "periodic":
             axes = pot.varying_axes(rotation.dim)
             tangents = list(zip(*rotation.matrix))[:-1]  # t_i = R e_i, exact
-            widths = tuple(_period_width(T, grids[-1].h, [t[k] for k in axes]) for t in tangents)
-            if widths != grids[0].widths:
-                grids = [replace(grid, widths=widths) for grid in grids]
-        levels.append(grids)
+            widths = tuple(_period_width(T, meshes[-1], [t[k] for k in axes]) for t in tangents)
+        first = cube if widths == cube.widths else replace(cube, widths=widths)
+        levels.append([first] + [replace(first, h=mesh) for mesh in meshes[1:]])
     return levels
 
 
-def _period_width(T: float, probe_mesh: float, components) -> float:
-    """The narrowest width W = T / m (m = 1, 2, ...) with W >= 2, a whole number of at least 8 cells of the probe
-    mesh, and W t_k an integer for each given tangent component t_k; T when no m > 1 qualifies.
+def _period_widths(T: float, probe_mesh: float, components):
+    """Every width W = T / m (m = 2, 3, ...), narrowest first, with W >= 2, a whole number of at least 8 cells of
+    the probe mesh, and W t_k an integer for each given tangent component t_k.
 
     The tangent's components are those along the axes the weight varies along, so the weight has period W along
     the tangent.  Each finer mesh h 2^-j then divides W into 2^j times as many cells, so the cell keeps the cube's
@@ -440,8 +442,12 @@ def _period_width(T: float, probe_mesh: float, components) -> float:
         if round(cells) >= 8 and abs(cells - round(cells)) <= 1e-9 * cells and all(
             (W * t).denominator == 1 for t in components
         ):
-            return T / m
-    return T
+            yield T / m
+
+
+def _period_width(T: float, probe_mesh: float, components) -> float:
+    """The narrowest of the `_period_widths`; T when none qualifies."""
+    return next(_period_widths(T, probe_mesh, components), T)
 
 
 def estimate_sigma(

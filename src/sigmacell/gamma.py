@@ -6,7 +6,8 @@ The scaled functional
 
 on the flat strip is, in y = x/eps, the unit-weight cell energy divided
 by the area eps^(1-N), so `minimize_diffuse` solves the cell energy on
-the strip's own nodes in y units.  Minimizers converge, as eps shrinks,
+the strip's own nodes in y units, on the narrowest lateral unit that the
+weight and the start repeat.  Minimizers converge, as eps shrinks,
 to the surface tension times the interface area; the recovery
 construction tiles a rescaled cell minimizer along the interface plane
 through the origin and provides both a warm start and an upper bound
@@ -18,12 +19,13 @@ numpy multilinear lookup in the steps of scipy's linear
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .cell import CellState, SolverOptions, pinned_objective
+from .cell import CellState, SolverOptions, _period_widths, pinned_objective
 from .descent import lbfgs_descent
 from .grids import BoxGrid, EnergyModel, EnergyParts, closed_nodes, node_quadrature_weights
 from .lattice import RationalRotation
@@ -103,6 +105,14 @@ def minimize_diffuse(
     and gradient norms come back divided by area.  The two normal faces
     are pinned to the wells; the default start is profile(y_N).
 
+    The descent runs on the strip's `_repeating_unit`, the narrowest
+    lateral widths over which the weight and the start repeat: descent
+    keeps every iterate periodic with them, so the unit has the strip's
+    minimizer on fewer nodes.  Its energies and mass are the strip's
+    divided by the number of copies; the per-node gradient, and with it
+    the stopping rule and the default iteration cap, are the strip's.
+    The returned field, and the result's x, f and trace, are the strip's.
+
     The mass constraint is handled by projection along the well segment:
     search directions and gradients are projected onto the constraint
     tangent, and the iterate's quadrature integral is restored exactly
@@ -113,25 +123,29 @@ def minimize_diffuse(
     if eps <= 0:
         raise ValueError("eps must be positive")
     x_grid = domain.grid(h)
-    grid = BoxGrid(np.divide(x_grid.lo, eps), np.divide(x_grid.hi, eps), h / eps, x_grid.periodic)
-    model = EnergyModel(grid, pot, pot.cell_weight(grid.cells, grid.cell_centers))
+    strip = BoxGrid(np.divide(x_grid.lo, eps), np.divide(x_grid.hi, eps), h / eps, x_grid.periodic)
     area = eps ** (1 - domain.dim)
-    d, shape = pot.d, grid.shape + (pot.d,)
+    d, shape = pot.d, strip.shape + (pot.d,)
     if init is None:
-        x0 = np.broadcast_to(profile(grid.node_axes()[-1]), shape).copy()
+        start = np.broadcast_to(profile(strip.node_axes()[-1]), shape)
     else:
-        x0, init = np.array(init, dtype=float), None  # the copy is the only start the solve holds
-        if x0.shape != shape:
+        start, init = np.asarray(init, dtype=float), None
+        if start.shape != shape:
             raise ValueError("init does not match the grid")
+    grid = _repeating_unit(strip, pot, start[..., 1:-1, :])  # the rows between the faces the wells pin
+    x0, start = np.array(start[tuple(map(slice, grid.shape))]), None  # the unit's copy is the only start held
     x0[..., 0, :] = pot.wells.a
     x0[..., -1, :] = pot.wells.b
     x0 = x0.ravel()
+    reps = tuple(n // k for n, k in zip(strip.shape, grid.shape)) + (1,)
+    copies = math.prod(reps)
+    model = EnergyModel(grid, pot, pot.cell_weight(grid.cells, grid.cell_centers))
     energy_gradient = pinned_objective(model)
 
     if mass_target is not None:
         target = np.asarray(mass_target, dtype=float).reshape(d)
         _mass_target_valid(domain, pot, target)
-        target = eps ** -domain.dim * target  # the integral over the strip in y units
+        target = eps ** -domain.dim * target / copies  # the integral over the unit in y units
         wq = node_quadrature_weights(grid).reshape(-1)
         seg = pot.wells.b - pot.wells.a
         e_hat = seg / np.linalg.norm(seg)
@@ -162,20 +176,46 @@ def minimize_diffuse(
         f_g,
         x0,
         sup_tol=opts.resolved_tolerance(pot) * area,
-        max_iterations=opts.resolved_max_iterations(grid.shape),
+        max_iterations=opts.resolved_max_iterations(strip.shape),
         memory=opts.memory,
         precondition=model.precondition,
     )
-    p = res.info  # back to strip units
+
+    def tiled(x):
+        """The unit's node vector x repeated over the strip, as the strip's node vector."""
+        return x if copies == 1 else np.tile(x.reshape(grid.shape + (d,)), reps).ravel()
+
+    x = tiled(res.x)
+    x_final = tiled(restore(res.x)) if restore is not None else x
+    unit_area, p = area / copies, res.info  # back to strip units
     res = replace(
         res,
-        f=res.f / area,
+        x=x,
+        f=res.f / unit_area,
         grad_sup=res.grad_sup / area,
-        info=EnergyParts(p.total / area, p.potential / area, p.gradient / area),
-        trace=[f / area for f in res.trace],
+        info=EnergyParts(p.total / unit_area, p.potential / unit_area, p.gradient / unit_area),
+        trace=[f / unit_area for f in res.trace],
     )
-    x_final = restore(res.x) if restore is not None else res.x
     return PhaseField(x_final.reshape(shape)), res.info, res
+
+
+def _repeating_unit(strip: BoxGrid, pot: Potential, start: np.ndarray) -> BoxGrid:
+    """The strip cut, along each lateral axis i, to the narrowest of `cell._period_widths` for the tangent e_i with
+    which `start` (the strip's node values, any rows along the normal) repeats bit for bit; the strip itself where
+    no width qualifies.
+
+    Such a width holds whole weight periods along e_i, and the strip repeats the unit it cuts.
+    """
+    bits = start.view(np.int64)
+    axes = pot.varying_axes(strip.dim)
+    hi = list(strip.hi)
+    for i in range(strip.dim - 1):
+        for W in _period_widths(strip.hi[i] - strip.lo[i], strip.h, (1,) if i in axes else ()):
+            blocks = bits.reshape(bits.shape[:i] + (-1, round(W / strip.h)) + bits.shape[i + 1 :])
+            if (blocks == blocks[(slice(None),) * i + (slice(0, 1),)]).all():
+                hi[i] = strip.lo[i] + W
+                break
+    return strip if tuple(hi) == strip.hi else replace(strip, hi=tuple(hi))
 
 
 def check_recovery_layer(eps: float, T: float) -> None:

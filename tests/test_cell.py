@@ -373,6 +373,19 @@ def test_coarse_levels_keep_8_nodes_on_every_axis(dim):
     assert min(min(grid.box.shape) for grids in levels for grid in grids) == 8
 
 
+@pytest.mark.parametrize("tangential", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("dim, schedule, h", [(2, [2.0, 4.0, 8.0], 1 / 32), (3, [2.0, 4.0], 1 / 16)])
+def test_schedule_levels_builds_each_level_once(monkeypatch, tangential, dim, schedule, h):
+    # one T-cube at h to read the chain from, then each level; a level that keeps the cube is that cube
+    real, built = CellGrid.__post_init__, []
+    monkeypatch.setattr(CellGrid, "__post_init__", lambda grid: built.append(grid) or real(grid))
+    levels = schedule_levels(RationalRotation.identity(dim), schedule, h, QUARTIC, tangential)
+    narrowed = [grids[0].widths != (grids[0].T,) * (dim - 1) for grids in levels]
+    assert narrowed == [tangential == "periodic" and T > 2 for T in schedule]
+    assert len(built) == sum(len(grids) + n for grids, n in zip(levels, narrowed))
+    assert all(any(b is g for b in built) for grids in levels for g in grids)
+
+
 def keep_the_cube(monkeypatch):
     """Make `schedule_levels` keep the T-cube on periodic faces too."""
     monkeypatch.setattr(cell, "_period_width", lambda T, *args: T)

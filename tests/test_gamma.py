@@ -113,9 +113,23 @@ def test_strip_energies_decrease_toward_sigma(prof, strip):
     assert gaps[2] < gaps[0]
 
 
-def test_mass_constraint_exact(prof, strip):
+def _descents(monkeypatch):
+    """Make `gamma.lbfgs_descent` record the size of its start and its keyword arguments in the returned list."""
+    calls, real = [], gamma.lbfgs_descent
+
+    def recorded(f_g, x0, **kwargs):
+        calls.append((x0.size, kwargs))
+        return real(f_g, x0, **kwargs)
+
+    monkeypatch.setattr(gamma, "lbfgs_descent", recorded)
+    return calls
+
+
+def test_mass_constraint_exact(monkeypatch, prof, strip):
     target = np.array([0.0])  # midpoint mass
+    calls = _descents(monkeypatch)
     fieldv, parts, res = minimize_diffuse(strip, QUARTIC, 0.25, 1 / 32, prof, mass_target=target)
+    assert calls[0][0] * 2 == fieldv.u.size  # 2-wide units of a 1/eps = 4 strip
     wq = node_quadrature_weights(strip.grid(1 / 32))
     mass = (wq[..., None] * fieldv.u).sum(axis=(0, 1))
     assert res.converged
@@ -316,18 +330,31 @@ def _mass_target(domain, fraction=0.4):
     return domain.volume * (wells.a + fraction * (wells.b - wells.a))
 
 
-@pytest.mark.parametrize("mass", [False, True])
-@pytest.mark.parametrize("stop", list(STOPS))
-def test_reported_parts_are_the_energy_at_the_returned_field(monkeypatch, prof, strip, stop, mass):
+def _check_reported_parts(monkeypatch, prof, strip, stop, mass, eps, h):
     opts, backtracks = STOPS[stop]
     monkeypatch.setattr(descent, "MAX_BACKTRACKS", backtracks)
     seen = record_last_point(monkeypatch, gamma)
-    eps, h = 1 / 2, 1 / 8
     target = _mass_target(strip) if mass else None
     field, parts, res = minimize_diffuse(strip, QUARTIC, eps, h, prof, mass_target=target, opts=opts)
-    check_stop(stop, res, res.x, seen["x"], opts.resolved_max_iterations(strip.grid(h).shape))
+    shape = strip.grid(h).shape + (1,)
+    last = seen["x"].reshape((-1,) + shape[1:])  # the unit the descent ran on
+    last = np.tile(last, (shape[0] // len(last), 1, 1))
+    check_stop(stop, res, res.x, last, opts.resolved_max_iterations(shape[:-1]))
     assert parts == _strip_energy(strip, QUARTIC, eps, h, field.u)
     assert res.evaluations == 1 + res.iterations + res.backtracks
+    return len(seen["x"]) < field.u.size  # whether the strip was narrowed
+
+
+@pytest.mark.parametrize("mass", [False, True])
+@pytest.mark.parametrize("stop", list(STOPS))
+def test_reported_parts_are_the_energy_at_the_returned_field(monkeypatch, prof, strip, stop, mass):
+    assert not _check_reported_parts(monkeypatch, prof, strip, stop, mass, 1 / 2, 1 / 8)
+
+
+@pytest.mark.parametrize("mass", [False, True])
+@pytest.mark.parametrize("stop", list(STOPS))
+def test_reported_parts_are_the_energy_at_the_returned_field_of_a_narrowed_strip(monkeypatch, prof, strip, stop, mass):
+    assert _check_reported_parts(monkeypatch, prof, strip, stop, mass, 1 / 4, 1 / 32)
 
 
 @pytest.mark.parametrize("mass", [False, True])
@@ -394,3 +421,95 @@ def test_strip_weight_is_the_weight_at_the_cell_centres(monkeypatch, prof, strip
     assert (built == []) == (pot.kind != "striped")  # a constant weight is filled in without the centres
     want = np.asarray(pot.spatial_factor(real(model.grid)), dtype=float)
     assert model._factor.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim,eps,h", [(2, 1 / 4, 1 / 16), (3, 1 / 8, 1 / 32)])
+@pytest.mark.parametrize("axis", [None, 0, -1], ids=["quartic", "striped-lateral", "striped-normal"])
+def test_narrowed_strip_is_the_full_width_cell(monkeypatch, dim, eps, h, axis):
+    # the strip is solved on 2-wide lateral units, the cell on the whole T = 1/eps cube
+    pot = QUARTIC if axis is None else striped(0.5, axis=axis % dim)
+    profile = TransitionProfile(QUARTIC.wells, Mollifier("bump", 0.5), dim=dim)
+    strip, area = DomainSpec.flat_strip(dim), eps ** (1 - dim)
+    cube = CellGrid(dim, 1 / eps, h / eps)
+    cell, _ = minimize_cell(cube, pot, profile)
+    calls = _descents(monkeypatch)
+    same_stop = SolverOptions(tolerance=SolverOptions().resolved_tolerance(pot) / area)
+    field, parts, res = minimize_diffuse(strip, pot, eps, h, profile, opts=same_stop)
+    (size, kwargs), nodes = calls[0], int(np.prod(cube.box.shape))
+    assert size == (2 * eps) ** (dim - 1) * nodes
+    assert kwargs["max_iterations"] == 20 * nodes  # the full strip's default cap
+    assert kwargs["sup_tol"] == pytest.approx(SolverOptions().resolved_tolerance(pot), rel=1e-15)
+    assert cell.converged and res.converged
+    assert (res.iterations, res.backtracks) == (cell.iterations, cell.backtracks)
+    assert parts.total == pytest.approx(cell.g, rel=1e-12)
+    assert res.f == parts.total and res.trace[-1] == parts.total
+    assert res.x.shape == (nodes,) and field.u.shape == cube.box.shape + (1,)
+    assert np.shares_memory(res.x, field.u)
+
+
+@pytest.mark.parametrize(
+    "pot,eps,h,start",
+    [
+        pytest.param(QUARTIC, 1 / 4, 1 / 16, "random", id="random-init"),
+        pytest.param(striped(0.5), 1 / 5, 1 / 40, None, id="non-dyadic-striped"),  # 5 / m is no whole width >= 2
+        pytest.param(QUARTIC, 1 / 3, 1 / 12, None, id="non-dyadic-quartic"),  # 3 / m < 2 for m > 1
+    ],
+)
+@pytest.mark.parametrize("mass", [False, True])
+def test_strip_without_a_repeating_unit_keeps_the_full_width(monkeypatch, prof, strip, pot, eps, h, start, mass):
+    shape = strip.grid(h).shape + (1,)
+    init = np.random.default_rng(2).uniform(-1.0, 1.0, shape) if start == "random" else None
+    target = _mass_target(strip) if mass else None
+    calls = _descents(monkeypatch)
+    field, parts, res = minimize_diffuse(strip, pot, eps, h, prof, init=init, mass_target=target)
+    monkeypatch.setattr(gamma, "_period_widths", lambda *args: iter(()))
+    want_field, want_parts, want_res = minimize_diffuse(strip, pot, eps, h, prof, init=init, mass_target=target)
+    assert [size for size, _ in calls] == [field.u.size] * 2
+    assert res.iterations > 0
+    assert field.u.tobytes() == want_field.u.tobytes() and res.x.tobytes() == want_res.x.tobytes()
+    assert parts == want_parts and res.trace == want_res.trace and res.grad_sup == want_res.grad_sup
+
+
+def test_mass_constraint_exact_3d(monkeypatch):
+    eps, h = 1 / 8, 1 / 32
+    profile, domain = TransitionProfile(QUARTIC.wells, Mollifier("bump", 0.5), dim=3), DomainSpec.flat_strip(3)
+    target = _mass_target(domain, 0.35)
+    calls = _descents(monkeypatch)
+    field, _, res = minimize_diffuse(domain, QUARTIC, eps, h, profile, mass_target=target)
+    assert calls[0][0] * 16 == field.u.size  # 2 x 2 units of a 1/eps = 8 strip
+    wq = node_quadrature_weights(domain.grid(h))
+    mass = (wq[..., None] * field.u).sum(axis=(0, 1, 2))
+    assert res.converged
+    assert abs(mass - target).max() <= 1e-10
+
+
+def test_narrowed_solve_holds_no_full_width_array_through_the_descent(monkeypatch, prof, strip):
+    eps, h = 1 / 8, 1 / 32
+    shape = strip.grid(h).shape + (1,)
+    unit = np.random.default_rng(6).uniform(-1.0, 1.0, (8,) + shape[1:])
+    start = np.tile(unit, (4, 1, 1))  # repeats with period 2 in y
+    held = []
+
+    def spy(*args, **kwargs):
+        frame = sys._getframe(1)
+        assert frame.f_code is minimize_diffuse.__code__
+        held.append([name for name, v in frame.f_locals.items() if isinstance(v, np.ndarray) and v.size >= start.size])
+        return descent.lbfgs_descent(*args, **kwargs)
+
+    monkeypatch.setattr(gamma, "lbfgs_descent", spy)
+    for mass in (None, _mass_target(strip)):
+        field, _, res = minimize_diffuse(strip, QUARTIC, eps, h, prof, init=start, mass_target=mass)
+        assert res.iterations > 0 and field.u.shape == shape
+    assert held == [[], []]
+
+
+def test_gamma_gap_rows_solve_one_cell_width(monkeypatch, prof, strip, cell_state):
+    # the recovery repeats with the cell's width T = 4 in y, 4 / (h / eps) nodes, so each row's unit divides it
+    calls = _descents(monkeypatch)
+    eps_schedule = [1 / 8, 1 / 16, 1 / 32]
+    gamma_gap(strip, eps_schedule, QUARTIC, prof, 8.0 / 3.0, cell_state)
+    assert len(calls) == len(eps_schedule)
+    for (size, _), eps in zip(calls, eps_schedule):
+        shape = strip.grid(default_gamma_mesh(eps)).shape
+        across, cell_nodes = size // shape[-1], round(4.0 * shape[0] * eps)
+        assert across * shape[-1] == size and cell_nodes % across == 0 and across < shape[0]
