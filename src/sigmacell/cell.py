@@ -147,7 +147,6 @@ class SolverOptions:
 
     tolerance: Optional[float] = None
     max_iterations: Optional[int] = None
-    memory: int = 10
 
     def resolved_tolerance(self, pot: Potential) -> float:
         if self.tolerance is not None:
@@ -245,7 +244,6 @@ def minimize_cell(
         u0.ravel(),
         sup_tol=opts.resolved_tolerance(pot),
         max_iterations=opts.resolved_max_iterations(grid.box.shape),
-        memory=opts.memory,
         precondition=model.precondition,
     )
     parts = res.info

@@ -23,13 +23,9 @@ from .lattice import RATIONAL_TOL_MIN, RationalUnitVector, rationalize_direction
 from .potential import POTENTIAL_KINDS, GrowthCertificate, Potential, WellPair
 from .profile import Mollifier
 
-__all__ = ["ConfigError", "Config", "parse_config", "DIM", "MEMORY_MAX"]
+__all__ = ["ConfigError", "Config", "parse_config", "DIM"]
 
 DIM = 2  # the front end solves two-dimensional cells
-# The descent holds (memory + 1)^2 entries in each of two small matrices beside
-# memory + 1 secant pairs of the grid's size; probe iteration counts were the
-# same at memory 5 and 40, so a longer history buys nothing but memory.
-MEMORY_MAX = 1000
 
 
 class ConfigError(Exception):
@@ -107,7 +103,7 @@ _SECTIONS = {
     "mollifier": {"shape", "radius"},
     "directions": None,  # dir<i> entries plus rational_tol / uniform
     "schedule": {"t", "eps", "h", "lattice_aligned", "t_cell", "s", "m", "tangential"},
-    "solver": {"tolerance", "max_iterations", "memory", "workers", "seed", "samples"},
+    "solver": {"tolerance", "max_iterations", "workers", "seed", "samples"},
     "output": {"dir", "formats", "sigma_table"},
 }
 
@@ -140,15 +136,12 @@ class Config:
         # checked here, not in parse_config, so the CLI overrides applied with dataclasses.replace meet them too
         for key, value, low in (
             ("max_iterations", self.solver.max_iterations, 1),
-            ("memory", self.solver.memory, 1),
             ("workers", self.workers, 1),
             ("seed", self.seed, 0),
             ("samples", self.samples, 1),
         ):
             if value is not None and value < low:
                 raise ConfigError(f"[solver] {key}: must be at least {low}")
-        if self.solver.memory is not None and self.solver.memory > MEMORY_MAX:
-            raise ConfigError(f"[solver] memory: must be at most {MEMORY_MAX}, got {self.solver.memory}")
         if self.solver.tolerance is not None and not self.solver.tolerance > 0:
             raise ConfigError("[solver] tolerance: must be positive")
 
@@ -287,7 +280,6 @@ def parse_config(path) -> Config:
     solver = SolverOptions(
         _number(osec["tolerance"], "[solver] tolerance") if "tolerance" in osec else None,
         _integer(osec["max_iterations"], "[solver] max_iterations") if "max_iterations" in osec else None,
-        _integer(osec.get("memory", "10"), "[solver] memory"),
     )
 
     usec = parser["output"] if "output" in parser else {}

@@ -177,7 +177,6 @@ def minimize_diffuse(
         x0,
         sup_tol=opts.resolved_tolerance(pot) * area,
         max_iterations=opts.resolved_max_iterations(strip.shape),
-        memory=opts.memory,
         precondition=model.precondition,
     )
 
@@ -224,27 +223,27 @@ def check_recovery_layer(eps: float, T: float) -> None:
         raise ValueError("recovery layer exceeds the domain along the normal")
 
 
-def _multilinear(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Multilinear lookup of `values` (grid shape + trailing axes) on the grid `axes` at `pts` (..., ndim).
+def _multilinear(axes, values: np.ndarray, coords) -> np.ndarray:
+    """Multilinear lookup of `values` (grid shape + trailing axes) on the grid `axes` at the points whose coordinate
+    along axis k is `coords[k]`, arrays that broadcast together (scattered points, or a sparse meshgrid).
 
     The axes are uniform.  Per axis the interval has x[i] <= p < x[i+1], clipped to the end intervals (outside
     points extrapolate); the corners are summed from 0 in `itertools.product` order, weighted by products of `1 - y`
     or `y`.
     """
-    flat = pts.reshape(-1, len(axes))
     lower, frac = [], []
-    for x, p in zip(axes, flat.T):
+    for x, p in zip(axes, coords):
         i = _interval(x, p)
         lower.append(i)
         frac.append((p - x[i]) / (x[i + 1] - x[i]))
-    trailing = (slice(None),) + (None,) * (values.ndim - len(axes))
+    trailing = (...,) + (None,) * (values.ndim - len(axes))
     out = 0.0
     for corner in itertools.product((0, 1), repeat=len(axes)):
         weight = 1.0
         for c, y in zip(corner, frac):
             weight = weight * (y if c else 1 - y)
         out = out + values[tuple(i + c for i, c in zip(lower, corner))] * weight[trailing]
-    return out.reshape(pts.shape[:-1] + values.shape[len(axes) :])
+    return out
 
 
 def build_recovery(cell_state: CellState, eps: float, domain: DomainSpec, h: float, pot: Potential) -> PhaseField:
@@ -272,10 +271,9 @@ def build_recovery(cell_state: CellState, eps: float, domain: DomainSpec, h: flo
     layer = np.abs(y[-1]) <= cg.box.hi[-1]
     # the tangential coordinates wrapped into the cell, [lo, hi) per axis
     axes = [np.mod(t - lo, hi - lo) + lo for t, lo, hi in zip(y[:-1], cg.box.lo, cg.box.hi)] + [y[-1][layer]]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
     step = step_field((1.0,), y[-1][:, None], pot.wells)  # the step across e_N, one value per normal row
     u = np.broadcast_to(step, grid.shape + (pot.d,)).copy()
-    u[..., layer, :] = _multilinear(cell_axes, u_cell, pts)
+    u[..., layer, :] = _multilinear(cell_axes, u_cell, np.meshgrid(*axes, indexing="ij", sparse=True))
     return PhaseField(u)
 
 

@@ -50,7 +50,7 @@ def test_parse_minimal(tmp_path):
     assert cfg.T_schedule == [2.0]
     assert cfg.h == pytest.approx(1 / 16)
     assert cfg.seed == 7
-    assert cfg.solver == SolverOptions(None, None, 10)
+    assert cfg.solver == SolverOptions(None, None)
 
 
 def test_unknown_section_named(tmp_path):
@@ -107,11 +107,12 @@ def test_uniform_directions(tmp_path):
     assert len(cfg.directions) == 8
 
 
-@pytest.mark.parametrize("memory", ["0", "-1"])
-def test_solver_memory_must_be_positive(tmp_path, memory):
-    path = write(tmp_path, MINIMAL.replace("seed = 7", f"seed = 7\nmemory = {memory}"))
-    with pytest.raises(ConfigError, match="memory: must be at least 1"):
-        parse_config(path)
+def test_solver_memory_is_an_unknown_key(tmp_path, capsys):
+    # the descent keeps a fixed history (`descent.MEMORY`), so a config that sets one is refused
+    path = write(tmp_path, MINIMAL.replace("seed = 7", "seed = 7\nmemory = 10"))
+    assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "config error: [solver]: unknown key 'memory'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_code_on_config_error(tmp_path):

@@ -120,9 +120,10 @@ def double_well(x):
     return f, g
 
 
-def assert_matches_reference(f_g, x0, iterations, memory, rtol, h0=IDENTITY):
+def assert_matches_reference(monkeypatch, f_g, x0, iterations, memory, rtol, h0=IDENTITY):
     x_ref, trace_ref, rejected = two_loop_descent(f_g, x0, 0.0, iterations, h0, memory=memory)
-    res = lbfgs_descent(with_info(f_g), x0, sup_tol=0.0, max_iterations=iterations, precondition=h0, memory=memory)
+    monkeypatch.setattr(descent, "MEMORY", memory)
+    res = lbfgs_descent(with_info(f_g), x0, sup_tol=0.0, max_iterations=iterations, precondition=h0)
     assert res.iterations == len(trace_ref) - 1 == iterations
     np.testing.assert_allclose(res.trace, trace_ref, rtol=rtol, atol=0.0)
     np.testing.assert_allclose(res.x, x_ref, rtol=rtol, atol=rtol * float(np.abs(x_ref).max()))
@@ -130,46 +131,40 @@ def assert_matches_reference(f_g, x0, iterations, memory, rtol, h0=IDENTITY):
 
 
 @pytest.mark.parametrize("memory", [1, 3, 5, 10])
-def test_matches_two_loop_on_spd_quadratic(memory):
+def test_matches_two_loop_on_spd_quadratic(monkeypatch, memory):
     # eigenvalues 1 to 1e3: 40 iterations wrap the history several times
     f_g, x0 = spd_quadratic(200, seed=memory)
-    assert_matches_reference(f_g, x0, 40, memory, rtol=1e-8)
+    assert_matches_reference(monkeypatch, f_g, x0, 40, memory, rtol=1e-8)
 
 
-def test_matches_two_loop_on_rosenbrock():
+def test_matches_two_loop_on_rosenbrock(monkeypatch):
     x0 = np.tile([-1.2, 1.0], 10)
-    assert_matches_reference(rosenbrock, x0, 60, 5, rtol=1e-6)
+    assert_matches_reference(monkeypatch, rosenbrock, x0, 60, 5, rtol=1e-6)
 
 
 @pytest.mark.parametrize("memory", [2, 10])
-def test_matches_two_loop_when_curvature_rule_rejects_pairs(memory):
+def test_matches_two_loop_when_curvature_rule_rejects_pairs(monkeypatch, memory):
     # from this start with H0 = I/2 the rule rejects 3 pairs at memory 2 and 4 at memory 10
     # (with H0 = I and x0 = 0.05 sin, none at memory 10)
     x0 = 0.2 * np.sin(np.arange(30.0))
-    rejected = assert_matches_reference(double_well, x0, 15, memory, rtol=1e-8, h0=scaled_identity(0.5))
+    rejected = assert_matches_reference(monkeypatch, double_well, x0, 15, memory, rtol=1e-8, h0=scaled_identity(0.5))
     assert rejected >= 1
 
 
 @pytest.mark.parametrize("memory", [1, 3, 10])
-def test_preconditioned_matches_two_loop_with_the_same_h0(memory):
+def test_preconditioned_matches_two_loop_with_the_same_h0(monkeypatch, memory):
     # H0 the inverse of the Hessian's diagonal: a rough preconditioner, so 40 iterations still wrap the history
     f_g, x0 = spd_quadratic(200, seed=memory)
     diag = np.diag([f_g(e)[1] for e in np.eye(200)]) - f_g(np.zeros(200))[1]  # A e_i = g(e_i) - g(0)
-    assert_matches_reference(f_g, x0, 40, memory, rtol=1e-8, h0=lambda v: v / diag)
+    assert_matches_reference(monkeypatch, f_g, x0, 40, memory, rtol=1e-8, h0=lambda v: v / diag)
 
 
-def test_memory_must_be_positive():
-    f_g, x0 = spd_quadratic(5, seed=0)
-    for memory in (0, -1):
-        with pytest.raises(ValueError, match="memory"):
-            lbfgs_descent(with_info(f_g), x0, sup_tol=1e-8, max_iterations=5, precondition=IDENTITY, memory=memory)
-
-
-def test_buffers_do_not_leak():
+def test_buffers_do_not_leak(monkeypatch):
+    monkeypatch.setattr(descent, "MEMORY", 3)
     f_g, x0 = spd_quadratic(50, seed=7)
     before = x0.copy()
-    a = lbfgs_descent(with_info(f_g), x0, sup_tol=1e-10, max_iterations=30, precondition=IDENTITY, memory=3)
-    b = lbfgs_descent(with_info(f_g), x0, sup_tol=1e-10, max_iterations=30, precondition=IDENTITY, memory=3)
+    a = lbfgs_descent(with_info(f_g), x0, sup_tol=1e-10, max_iterations=30, precondition=IDENTITY)
+    b = lbfgs_descent(with_info(f_g), x0, sup_tol=1e-10, max_iterations=30, precondition=IDENTITY)
     assert x0.tobytes() == before.tobytes()
     assert not np.shares_memory(a.x, x0)
     assert not np.shares_memory(a.x, b.x)
@@ -178,7 +173,8 @@ def test_buffers_do_not_leak():
 
 
 @pytest.mark.parametrize("memory", [1, 3])
-def test_descent_keeps_one_earlier_preconditioned_gradient(memory):
+def test_descent_keeps_one_earlier_preconditioned_gradient(monkeypatch, memory):
+    monkeypatch.setattr(descent, "MEMORY", memory)
     f_g, x0 = spd_quadratic(50, seed=11)
     results, alive = [], []
 
@@ -188,7 +184,7 @@ def test_descent_keeps_one_earlier_preconditioned_gradient(memory):
         results.append(weakref.ref(out))
         return out
 
-    res = lbfgs_descent(with_info(f_g), x0, sup_tol=1e-10, max_iterations=30, precondition=precondition, memory=memory)
+    res = lbfgs_descent(with_info(f_g), x0, sup_tol=1e-10, max_iterations=30, precondition=precondition)
     assert res.iterations >= 5
     assert alive[0] == 0
     assert max(alive) == 1

@@ -211,7 +211,7 @@ def _full_grid_recovery(cell_state, eps, strip, h, pot) -> np.ndarray:
     zt = zeta.copy()
     zt[..., :-1] = np.mod(zeta[..., :-1] + T / 2.0, T) - T / 2.0
     inside = np.abs(zeta[..., -1]) <= T / 2.0
-    vals = _multilinear(cell_axes, u_cell, np.clip(zt, -T / 2.0, T / 2.0))
+    vals = _multilinear(cell_axes, u_cell, tuple(np.moveaxis(np.clip(zt, -T / 2.0, T / 2.0), -1, 0)))
     return np.where(inside[..., None], vals, step_field(cg.nu, y, pot.wells))
 
 
@@ -289,7 +289,7 @@ def test_multilinear_lookup_equals_scipy(dim, d):
         tuple(axes), values, method="linear", bounds_error=False, fill_value=None
     )
     for pts in (nodes, inside, lines, faces, outside.reshape(10, 100, dim)):
-        got, want = _multilinear(axes, values, pts), scipy_lookup(pts)
+        got, want = _multilinear(axes, values, tuple(np.moveaxis(pts, -1, 0))), scipy_lookup(pts)
         assert got.shape == want.shape == pts.shape[:-1] + (d,)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
