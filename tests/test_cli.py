@@ -115,6 +115,14 @@ def test_solver_memory_is_an_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("memory", ["0", "-1"])
+def test_solver_memory_must_be_positive(tmp_path, memory):
+    # a non-positive history is still refused, now as the unknown key it is
+    path = write(tmp_path, MINIMAL.replace("seed = 7", f"seed = 7\nmemory = {memory}"))
+    with pytest.raises(ConfigError, match="unknown key 'memory'"):
+        parse_config(path)
+
+
 def test_cli_exit_code_on_config_error(tmp_path):
     path = write(tmp_path, MINIMAL.replace("[potential]", "[potental]"))
     assert main(["sigma", "--config", path]) == 2
