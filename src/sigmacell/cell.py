@@ -14,8 +14,9 @@ area being the product of the cell's tangential widths, converges to
 the surface tension sigma(nu) as the normal extent T grows; the
 estimate extrapolates a T-schedule with a conservative error bar.  The
 solver, the orbit check and the CLI take every cell of a schedule from
-`schedule_levels`, which narrows periodic cells to whole weight periods
-that leave g unchanged and raises each refusal before any solve.
+`schedule_levels`, which narrows periodic cells to whole weight periods,
+or one mesh cell along a tangent the weight is constant along, that
+leave g unchanged and raises each refusal before any solve.
 """
 
 from __future__ import annotations
@@ -402,9 +403,10 @@ def schedule_levels(
     The schedule must pass `check_schedule`.  h and 2h always belong; the chain goes coarser only while the next
     mesh is at most PROBE_MESH_MAX and halves every axis of the T-cube into at least 8 nodes (an axis of an even
     number c of cells keeps (n + 1) // 2 of its n nodes, periodic or not).  With periodic tangential faces every
-    level then narrows each tangential axis to its `_period_width`.  The cube repeats that cell, and descent from
-    the tangentially constant start keeps every iterate periodic with it, so the cell has the cube's g on fewer
-    nodes.  Pinned faces keep the cube.  Every refusal comes before any solve.
+    level then narrows each tangential axis to its `_period_width`: one cell of the coarsest mesh along a tangent
+    the weight does not vary along, else whole weight periods.  The cube repeats that cell, and descent from the
+    tangentially constant start keeps every iterate periodic with it, so the cell has the cube's g on fewer nodes.
+    Pinned faces keep the cube.  Every refusal comes before any solve.
     """
     levels = []
     for T in check_schedule(schedule, rotation, lattice_aligned):
@@ -444,7 +446,11 @@ def _period_widths(T: float, probe_mesh: float, components):
 
 
 def _period_width(T: float, probe_mesh: float, components) -> float:
-    """The narrowest of the `_period_widths`; T when none qualifies."""
+    """The probe mesh itself when every given tangent component is zero: the weight is then constant along the
+    tangent, so one probe-mesh cell, 2^j cells of the j-th finer mesh, repeats along it.  Otherwise the narrowest
+    of the `_period_widths`; T when none qualifies."""
+    if not any(components):
+        return probe_mesh
     return next(_period_widths(T, probe_mesh, components), T)
 
 

@@ -361,16 +361,21 @@ def test_schedule_levels_are_the_grids_estimate_g_solves(monkeypatch, tangential
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_coarse_levels_keep_8_nodes_on_every_axis(dim):
-    # T = 7/4 at mesh 1/4 has 7 cells: 8 nodes on the pinned normal axis, 7 on a periodic tangential one
+    # T = 7/4 at mesh 1/4 has 7 cells: 8 nodes on the pinned normal axis, 7 on a periodic tangential one;
+    # the checkerboard varies along every axis, so its periodic cells keep whole periods of at least 8 nodes
     rotation = RationalRotation.identity(dim)
-    levels = schedule_levels(rotation, [1.75, 2.0], 1 / 32, QUARTIC)
-    levels += schedule_levels(rotation, [1.75], 1 / 32, QUARTIC, "dirichlet")
-    assert [[grid.h for grid in grids] for grids in levels] == [
-        [1 / 32, 1 / 16, 1 / 8],
-        [1 / 32, 1 / 16, 1 / 8, 1 / 4],
-        [1 / 32, 1 / 16, 1 / 8, 1 / 4],
-    ]
-    assert min(min(grid.box.shape) for grids in levels for grid in grids) == 8
+    chains = [[1 / 32, 1 / 16, 1 / 8], [1 / 32, 1 / 16, 1 / 8, 1 / 4], [1 / 32, 1 / 16, 1 / 8, 1 / 4]]
+    for pot in (checkerboard(2.0), QUARTIC):
+        levels = schedule_levels(rotation, [1.75, 2.0], 1 / 32, pot)
+        levels += schedule_levels(rotation, [1.75], 1 / 32, pot, "dirichlet")
+        assert [[grid.h for grid in grids] for grids in levels] == chains
+        assert min(grid.box.shape[-1] for grids in levels for grid in grids) == 8
+        if pot is QUARTIC:  # constant along every tangent: one cell of each periodic chain's probe mesh
+            for grids in levels[:2]:
+                assert [grid.widths for grid in grids] == [(grids[-1].h,) * (dim - 1)] * len(grids)
+                assert grids[-1].box.shape[:-1] == (1,) * (dim - 1)
+        else:
+            assert min(min(grid.box.shape) for grids in levels for grid in grids) == 8
 
 
 @pytest.mark.parametrize("tangential", ["periodic", "dirichlet"])
@@ -381,7 +386,7 @@ def test_schedule_levels_builds_each_level_once(monkeypatch, tangential, dim, sc
     monkeypatch.setattr(CellGrid, "__post_init__", lambda grid: built.append(grid) or real(grid))
     levels = schedule_levels(RationalRotation.identity(dim), schedule, h, QUARTIC, tangential)
     narrowed = [grids[0].widths != (grids[0].T,) * (dim - 1) for grids in levels]
-    assert narrowed == [tangential == "periodic" and T > 2 for T in schedule]
+    assert narrowed == [tangential == "periodic"] * len(schedule)  # the quartic narrows at every T, 2 too
     assert len(built) == sum(len(grids) + n for grids, n in zip(levels, narrowed))
     assert all(any(b is g for b in built) for grids in levels for g in grids)
 
@@ -401,13 +406,13 @@ CELLS_3X3 = piecewise_cells(np.random.default_rng(0).uniform(0.5, 2.0, (3, 3)))
 @pytest.mark.parametrize(
     "pot, rotation, T, widths",
     [
-        pytest.param(QUARTIC, rotation_to("3/5", "4/5"), 8.0, (2.0,), id="quartic-2d"),
-        pytest.param(QUARTIC, rotation_to("1/3", "2/3", "2/3"), 4.0, (2.0, 2.0), id="quartic-3d"),
-        pytest.param(striped(0.5), rotation_to(1, 0), 8.0, (2.0,), id="striped-axis0-e1"),
+        pytest.param(QUARTIC, rotation_to("3/5", "4/5"), 8.0, (0.25,), id="quartic-2d"),
+        pytest.param(QUARTIC, rotation_to("1/3", "2/3", "2/3"), 4.0, (0.25, 0.25), id="quartic-3d"),
+        pytest.param(striped(0.5), rotation_to(1, 0), 8.0, (0.25,), id="striped-axis0-e1"),
         pytest.param(striped(0.5), I2, 8.0, (2.0,), id="striped-axis0-e2"),
         pytest.param(striped(0.5, axis=1), rotation_to(1, 0), 8.0, (2.0,), id="striped-axis1-e1"),
-        pytest.param(striped(0.5, axis=1), I2, 8.0, (2.0,), id="striped-axis1-e2"),
-        pytest.param(striped(0.5), RationalRotation.identity(3), 4.0, (2.0, 2.0), id="striped-3d-e3"),
+        pytest.param(striped(0.5, axis=1), I2, 8.0, (0.25,), id="striped-axis1-e2"),
+        pytest.param(striped(0.5), RationalRotation.identity(3), 4.0, (2.0, 0.25), id="striped-3d-e3"),
         pytest.param(checkerboard(2.0), I2, 8.0, (2.0,), id="checkerboard-e2"),
         pytest.param(smooth_modulated(0.5), I2, 8.0, (2.0,), id="smooth-e2"),
         pytest.param(CELLS_3X3, I2, 8.0, (2.0,), id="cells-3x3-e2"),
@@ -428,16 +433,17 @@ def test_width_cells_give_the_cubes_g(monkeypatch, pot, rotation, T, widths):
 @pytest.mark.parametrize(
     "pot, rotation, T, h, widths",
     [
-        (QUARTIC, rotation_to("3/5", "4/5"), 8.0, 1 / 16, (2.0,)),
-        (QUARTIC, I2, 8.0, 1 / 4, (4.0,)),  # the probe mesh 1/2 needs 8 cells
-        (QUARTIC, I2, 3.0, 1 / 16, (3.0,)),  # 3/2 is narrower than 2
-        (QUARTIC, I2, 1.75, 1 / 32, (1.75,)),
+        (QUARTIC, rotation_to("3/5", "4/5"), 8.0, 1 / 16, (0.25,)),  # one cell of the probe mesh 1/4
+        (QUARTIC, I2, 8.0, 1 / 4, (0.5,)),  # the probe mesh is 1/2
+        (QUARTIC, I2, 3.0, 1 / 16, (0.25,)),  # whatever T / m is whole
+        (QUARTIC, I2, 1.75, 1 / 32, (0.125,)),  # the probe mesh is 1/8
         (striped(0.5), rotation_to("3/5", "4/5"), 4.0, 1 / 8, (4.0,)),  # a whole period along t is 5/4 long
         (striped(0.5), rotation_to("3/5", "4/5"), 8.0, 1 / 8, (8.0,)),
         (striped(0.5), rotation_to("3/5", "4/5"), 5.0, 1 / 8, (2.5,)),
-        (striped(0.5, axis=1), rotation_to(0, "3/5", "4/5"), 10.0, 1 / 8, (2.0, 2.5)),
+        (striped(0.5, axis=1), rotation_to(0, "3/5", "4/5"), 10.0, 1 / 8, (0.25, 2.5)),  # t_1 = -e1 crosses none
         (striped(0.5), rotation_to("1/3", "2/3", "2/3"), 6.0, 1 / 8, (3.0, 3.0)),
         (checkerboard(2.0), rotation_to("3/5", "4/5"), 10.0, 1 / 8, (5.0,)),
+        (striped(0.5), RationalRotation.identity(3), 4.0, 1 / 16, (2.0, 0.25)),  # t_2 = e2 crosses no stripe
     ],
 )
 def test_schedule_levels_narrow_to_whole_weight_periods(monkeypatch, pot, rotation, T, h, widths):
@@ -449,12 +455,54 @@ def test_schedule_levels_narrow_to_whole_weight_periods(monkeypatch, pot, rotati
     assert [grid.widths for grid in pinned] == [(T,) * (rotation.dim - 1)] * len(pinned)
     assert [grid.h for grid in levels] == [grid.h for grid in cube]  # the cube's mesh chain
     assert [grid.box.shape[-1] for grid in levels] == [grid.box.shape[-1] for grid in cube]
-    assert min(levels[-1].box.shape) >= 8
+    assert levels[-1].box.shape[-1] >= 8
     for i, W in enumerate(widths):
-        assert T / W == round(T / W)
-        if W < T:  # a whole weight period along t_i = R e_i on every axis the weight varies along
+        components = [rotation.matrix[k][i] for k in pot.varying_axes(rotation.dim)]
+        if not any(components):  # the weight is constant along t_i = R e_i: one cell of the probe mesh
+            assert W == levels[-1].h and levels[-1].box.shape[i] == 1
+            continue
+        assert T / W == round(T / W) and levels[-1].box.shape[i] >= 8
+        if W < T:  # a whole weight period along t_i on every axis the weight varies along
             assert W >= 2
-            assert all((F(W) * rotation.matrix[k][i]).denominator == 1 for k in pot.varying_axes(rotation.dim))
+            assert all((F(W) * c).denominator == 1 for c in components)
+
+
+def whole_period_width(T, probe_mesh, components):
+    """The width rule without the one-cell case: the narrowest whole weight period, else T."""
+    return next(cell._period_widths(T, probe_mesh, components), T)
+
+
+@pytest.mark.parametrize(
+    "pot, rotation, schedule, h",
+    [
+        pytest.param(QUARTIC, rotation_to("3/5", "4/5"), [1.75, 2.0, 3.0, 4.0, 8.0], 1 / 32, id="quartic-2d"),
+        pytest.param(QUARTIC, rotation_to("1/3", "2/3", "2/3"), [1.75, 2.0, 3.0, 4.0], 1 / 16, id="quartic-3d"),
+        pytest.param(striped(0.5), rotation_to(1, 0), [2.0, 3.0, 4.0, 8.0], 1 / 16, id="striped-axis0-e1"),
+        pytest.param(striped(0.5, axis=1), I2, [2.0, 4.0, 5.0], 1 / 8, id="striped-axis1-e2"),
+        pytest.param(striped(0.5), RationalRotation.identity(3), [2.0, 4.0, 6.0], 1 / 16, id="striped-3d-e3"),
+        pytest.param(striped(0.5, axis=1), rotation_to(0, "3/5", "4/5"), [5.0, 10.0], 1 / 8, id="striped-3d-oblique"),
+    ],
+)
+def test_constant_tangents_take_one_cell_of_the_probe_mesh(monkeypatch, pot, rotation, schedule, h):
+    # along a tangent the weight does not vary along, every level is one cell of the probe mesh wide, so level k
+    # above the probe mesh has 2^k cells there; the other axes keep their whole weight periods
+    levels = schedule_levels(rotation, schedule, h, pot)
+    monkeypatch.setattr(cell, "_period_width", whole_period_width)
+    periods = schedule_levels(rotation, schedule, h, pot)
+    keep_the_cube(monkeypatch)
+    cubes = schedule_levels(rotation, schedule, h, pot)
+    constant = [not any(t[k] for k in pot.varying_axes(rotation.dim)) for t in list(zip(*rotation.matrix))[:-1]]
+    assert any(constant)
+    for grids, period, cube in zip(levels, periods, cubes):
+        assert [grid.h for grid in grids] == [grid.h for grid in cube]  # the cube's mesh chain
+        assert [grid.box.shape[-1] for grid in grids] == [grid.box.shape[-1] for grid in cube]
+        probe = grids[-1]
+        for i, one_cell in enumerate(constant):
+            if one_cell:
+                assert [grid.widths[i] for grid in grids] == [probe.h] * len(grids)
+                assert [grid.box.shape[i] for grid in grids] == [2**k for k in reversed(range(len(grids)))]
+            else:
+                assert [grid.widths[i] for grid in grids] == [grid.widths[i] for grid in period]
 
 
 def test_estimate_sigma_quartic_small_schedule(prof):
@@ -638,21 +686,24 @@ def _ring_rotations(tol=1e-2):
 
 
 def test_ring_orbits_with_mixed_widths():
-    # the polar ring: e1, e2 and their mirrors narrow to width 2, the oblique directions keep the cube
+    # the polar ring: +-e1, whose tangent runs along the stripes, narrow to one cell of the probe mesh 1/4, +-e2 to
+    # width 2, the oblique directions keep the cube
     pot = striped(0.5)
     cells = [schedule_levels(R, [4.0, 8.0], 1 / 8, pot) for R in _ring_rotations()]
-    assert {tuple(grids[0].widths for grids in levels) for levels in cells} == {((2.0,), (2.0,)), ((4.0,), (8.0,))}
+    widths = {tuple(grids[0].widths for grids in levels) for levels in cells}
+    assert widths == {((0.25,), (0.25,)), ((2.0,), (2.0,)), ((4.0,), (8.0,))}
     assert orbit_representatives(cells, pot) == [0, 1, 2, 3, 4, 3, 6, 1, 0, 1, 6, 3, 4, 3, 2, 1]
 
 
 def test_orbits_with_unequal_widths_3d():
-    # stripes along y2: at (0, 3, 4)/5 and its mirrors the tangent -e1 crosses no stripe (width 2) and the other
-    # tangent crosses them at 4/5 (the cube's 4); an image that swaps the two tangential axes does not fit
+    # stripes along y2: at (0, 3, 4)/5 and its mirrors the tangent -e1 crosses no stripe (one cell of the probe mesh
+    # 1/4) and the other tangent crosses them at 4/5 (the cube's 4); an image that swaps the two tangential axes
+    # does not fit
     pot = striped(0.5, axis=1)
     dirs = [(0, 3, 4), (0, -3, 4), (0, 4, 3), (3, 0, 4), (0, 3, -4)]
     rotations = [rotation_from_direction(RationalUnitVector(tuple(F(c, 5) for c in v))) for v in dirs]
     cells = [schedule_levels(R, [4.0], 1 / 8, pot) for R in rotations]
-    assert [levels[0][0].widths for levels in cells] == [(2.0, 4.0)] * 3 + [(2.0, 2.0), (2.0, 4.0)]
+    assert [levels[0][0].widths for levels in cells] == [(0.25, 4.0)] * 3 + [(0.25, 2.0), (0.25, 4.0)]
     reps = orbit_representatives(cells, pot)
     assert reps == [0, 0, 2, 3, 0]
     prof3 = TransitionProfile(pot.wells, Mollifier("bump", 0.5), dim=3)

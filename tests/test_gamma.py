@@ -251,12 +251,13 @@ def test_recovery_is_the_full_grid_formula_bit_for_bit_3d(tangential):
 
 
 def test_recovery_reads_a_narrow_cell_as_its_cube(monkeypatch, prof, strip):
-    # the quartic's estimate_g cell at T = 4 is 2 wide; its recovery is that of the cube it stands for
+    # the quartic's estimate_g cell at T = 4 is one cell of the probe mesh 1/4 wide; its recovery is that of the cube
+    # it stands for
     identity = RationalRotation.identity(2)
     narrow = estimate_g(identity, 4.0, QUARTIC, prof, 1 / 16).state
     monkeypatch.setattr(cell, "_period_width", lambda T, *args: T)
     cube = estimate_g(identity, 4.0, QUARTIC, prof, 1 / 16).state
-    assert narrow.grid.widths == (2.0,) and cube.grid.widths == (4.0,)
+    assert narrow.grid.widths == (0.25,) and cube.grid.widths == (4.0,)
     for eps, h in ((1 / 4, 1 / 16), (1 / 8, 1 / 32), (1 / 5, 1 / 64)):
         rec_narrow, rec_cube = (build_recovery(s, eps, strip, h, QUARTIC).u for s in (narrow, cube))
         assert len(np.unique(rec_cube)) > 2  # the layer holds cell values

@@ -239,6 +239,9 @@ for lo, hi, h, periodic in [
     ((0.0, 0.0, -2.0), (4.0, 4.0, 2.0), 1 / 16, (True, True, False)),  # 64 x 64 x 65
     ((0.0, -8.0), (16.0, 8.0), 1 / 16, (True, False)),  # 256 x 257: FFT
     ((0.0, 0.0, -16.0), (0.25, 0.25, 16.0), 1 / 16, (True, True, False)),  # 4 x 4 x 513: FFT
+    ((0.0, 0.0, -2.0), (0.25, 0.25, 2.0), 1 / 16, (True, True, False)),  # 4 x 4 x 65: a one-cell-wide 3D quartic
+    ((0.0, -4.0), (0.25, 4.0), 1 / 32, (True, False)),  # 8 x 257: a one-cell-wide 2D quartic at h = 1/32
+    ((0.0, -4.0), (0.25, 4.0), 1 / 64, (True, False)),  # 16 x 513: the same at h = 1/64, FFT
 ]:
     grid, pot = BoxGrid(lo, hi, h, periodic), striped(0.5)
     model = EnergyModel(grid, pot, pot.spatial_factor(grid.cell_centers()))
@@ -256,7 +259,8 @@ def test_well_inverse_bytes_do_not_depend_on_blas_threads():
         run = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         digests.append(run.stdout.split("\n"))
-    assert [line.split()[0] for line in digests[0][:5]] == ["_DenseWellInverse"] * 3 + ["_WellInverse"] * 2
+    dense, fft = "_DenseWellInverse", "_WellInverse"
+    assert [line.split()[0] for line in digests[0][:8]] == [dense] * 3 + [fft] * 2 + [dense] * 2 + [fft]
     assert digests[0] == digests[1]
 
 
