@@ -53,8 +53,6 @@ __all__ = [
     "schedule_levels",
     "estimate_sigma",
     "orbit_representatives",
-    "SOLVE_CSV_COLUMNS",
-    "solve_csv_row",
 ]
 
 
@@ -533,18 +531,3 @@ def orbit_representatives(cells, pot: Potential) -> list:
         reps.append(next(match, k))
     return reps
 
-
-SOLVE_CSV_COLUMNS = ("T", "h", "g", "potential_part", "gradient_part", "iterations", "residual")
-
-
-def solve_csv_row(nu: np.ndarray, T: float, h: float, result: CellResult) -> list:
-    """One per-solve record: nu components, then the solve columns."""
-    return [float(c) for c in nu] + [
-        T,
-        h,
-        result.g,
-        result.potential_part,
-        result.gradient_part,
-        result.iterations,
-        result.residual,
-    ]

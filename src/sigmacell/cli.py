@@ -16,6 +16,10 @@ Subcommands:
               present, convexity) reports
     tile      tiling subadditivity check; emits CSV
 
+The columns of each CSV are declared once, here (`SOLVE_COLUMNS`,
+`GAP_COLUMNS`, `TILE_COLUMNS`), and each row is read off its library
+record by those names; the library returns records only.
+
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 4 validation failure.  A config error comes before any solve (`sigma`
 and `gamma` build every cell of the schedule first, by
@@ -43,18 +47,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .cell import (
-    SOLVE_CSV_COLUMNS,
-    CellGrid,
-    check_schedule,
-    estimate_sigma,
-    minimize_cell,
-    orbit_representatives,
-    schedule_levels,
-    solve_csv_row,
-)
+from .cell import CellGrid, check_schedule, estimate_sigma, minimize_cell, orbit_representatives, schedule_levels
 from .config import DIM, Config, ConfigError, _section, parse_config
-from .gamma import GAP_CSV_COLUMNS, DomainSpec, check_recovery_layer, default_gamma_mesh, gamma_gap
+from .gamma import DomainSpec, check_recovery_layer, default_gamma_mesh, gamma_gap
 from .lattice import RationalRotation, check_periodicity, rotation_from_direction
 from .potential import validate_hypotheses
 from .profile import TransitionProfile
@@ -66,6 +61,19 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
 EXIT_VALIDATION = 4
+
+# The columns of each CSV artifact, read off its records by name: the nu components, T and the mesh, then
+# `CellResult` fields; `GapRow` fields; `SubadditivityReport` fields.
+SOLVE_COLUMNS = tuple(f"nu{i + 1}" for i in range(DIM)) + (
+    "T", "h", "g", "potential_part", "gradient_part", "iterations", "residual"
+)
+GAP_COLUMNS = ("eps", "min_energy", "recovery_energy", "sigma_target", "gap_min", "gap_recovery")
+TILE_COLUMNS = ("T", "S", "m", "e_S", "g_S", "remainder")
+
+
+def _row(record, columns, **given) -> list:
+    """The record's attribute of each column's name; `given` holds the columns the record does not carry."""
+    return [given[c] if c in given else getattr(record, c) for c in columns]
 
 
 def _fmt(x) -> str:
@@ -93,10 +101,10 @@ class _Run:
         self.outputs.append({"path": name, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()})
         return self._write(name, text)
 
-    def write_csv(self, name: str, header, rows) -> str:
+    def write_csv(self, name: str, columns, rows) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
         return self.write_text(name, buf.getvalue())
@@ -150,7 +158,6 @@ def _sigma_task(args):
         cfg.potential,
         profile,
         cfg.h,
-        dim=DIM,
         opts=cfg.solver,
         lattice_aligned=cfg.lattice_aligned,
         tangential=cfg.tangential,
@@ -182,14 +189,13 @@ def run_sigma(cfg: Config, run: _Run) -> int:
     estimates = [(rotation.as_float()[:, -1], by_rep[rep]) for rotation, rep in zip(rotations, reps)]
 
     rows = [
-        solve_csv_row(nu, ref.T, h, result)
+        _row(result, SOLVE_COLUMNS, **dict(zip(SOLVE_COLUMNS, map(float, nu))), T=ref.T, h=h)  # nu leads
         for nu, est in estimates
         for ref in est.refinements
         for result, h in ((ref.coarse, 2 * ref.h), (ref.fine, ref.h))
     ]
-    header = [f"nu{i + 1}" for i in range(DIM)] + list(SOLVE_CSV_COLUMNS)
     if "csv" in cfg.formats:
-        run.write_csv("solves.csv", header, rows)
+        run.write_csv("solves.csv", SOLVE_COLUMNS, rows)
 
     table = SigmaTable(
         [(nu, est.sigma_hat, est.error_bar) for nu, est in estimates],
@@ -237,11 +243,7 @@ def run_gamma(cfg: Config, run: _Run) -> int:
     cell_res, cell_state = minimize_cell(cell_grid, cfg.potential, profile, cfg.solver)
     rows = gamma_gap(domain, cfg.eps_schedule, cfg.potential, profile, est.sigma_hat, cell_state, cfg.solver)
     if "csv" in cfg.formats:
-        run.write_csv(
-            "gamma_gaps.csv",
-            GAP_CSV_COLUMNS,
-            [[r.eps, r.min_energy, r.recovery_energy, r.sigma_target, r.gap_min, r.gap_recovery] for r in rows],
-        )
+        run.write_csv("gamma_gaps.csv", GAP_COLUMNS, [_row(r, GAP_COLUMNS) for r in rows])
     ok = cell_res.converged and all(r.converged for r in rows)
     run.outcomes.append(
         {"kind": "gamma", "sigma_hat": est.sigma_hat, "eps": [r.eps for r in rows], "converged": ok}
@@ -287,8 +289,9 @@ def run_tile(cfg: Config, run: _Run) -> int:
     tiled = [T for T in cfg.T_schedule if tiles(T, cfg.tile_S, DIM)]
     with _section("schedule"):
         check_schedule(cfg.T_schedule, rotation, cfg.lattice_aligned)
-        for T in tiled:
+        if tiled:  # the S-cell, refused only when some T is tiled
             s_grid = CellGrid(DIM, cfg.tile_S, cfg.h, rotation, "dirichlet")
+        for T in tiled:
             plan_tiling(T, cfg.tile_S, cfg.tile_m, rotation).corner_nodes(s_grid)
     profile = _profile(cfg)
     rows = []
@@ -300,9 +303,9 @@ def run_tile(cfg: Config, run: _Run) -> int:
         if T in tiled:
             rep = subadditivity_gap(state, T, cfg.tile_S, cfg.tile_m, cfg.potential, profile, cfg.solver)
             ok &= rep.solver_converged
-            rows.append([rep.T, rep.S, rep.m, rep.e_S, rep.g_S, rep.remainder])
+            rows.append(_row(rep, TILE_COLUMNS))
     if "csv" in cfg.formats:
-        run.write_csv("tiling.csv", ("T", "S", "m", "e_S", "g_S", "remainder"), rows)
+        run.write_csv("tiling.csv", TILE_COLUMNS, rows)
     run.outcomes.append({"kind": "tile", "rows": len(rows), "converged": ok})
     return EXIT_OK if ok else EXIT_NONCONVERGED
 

@@ -40,7 +40,6 @@ __all__ = [
     "build_recovery",
     "gamma_gap",
     "GapRow",
-    "GAP_CSV_COLUMNS",
 ]
 
 
@@ -288,9 +287,6 @@ class GapRow:
 
     gap_min = property(lambda self: abs(self.min_energy - self.sigma_target))
     gap_recovery = property(lambda self: abs(self.recovery_energy - self.sigma_target))
-
-
-GAP_CSV_COLUMNS = ("eps", "min_energy", "recovery_energy", "sigma_target", "gap_min", "gap_recovery")
 
 
 def default_gamma_mesh(eps: float) -> float:

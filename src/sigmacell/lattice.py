@@ -57,9 +57,6 @@ class RationalUnitVector:
     def as_float(self) -> np.ndarray:
         return np.array([float(c) for c in self.components])
 
-    def __iter__(self):
-        return iter(self.components)
-
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 

@@ -113,7 +113,10 @@ class QuarticBase:
         return sa * sb
 
     def dp(self, p: np.ndarray) -> np.ndarray:
-        return self.value_and_dp(p)[1]
+        """grad W0(p): the half gradient doubled, which is exact."""
+        _, half = self.value_and_half_dp(p)
+        half *= 2.0
+        return half
 
     def value_and_half_dp(self, p: np.ndarray):
         """(W0(p), grad W0(p) / 2) from one pass over p."""
@@ -122,12 +125,6 @@ class QuarticBase:
         db *= sa[..., None]
         da += db
         return sa * sb, da
-
-    def value_and_dp(self, p: np.ndarray):
-        """(W0(p), grad W0(p)) from one pass over p; equal to __call__ and dp bit for bit (doubling is exact)."""
-        w0, half = self.value_and_half_dp(p)
-        half *= 2.0
-        return w0, half
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from sigmacell import cli
 from sigmacell.cell import SolverOptions, estimate_sigma
 from sigmacell.cli import main, run_command
 from sigmacell.config import _KIND_KEYS, ConfigError, parse_config
-from sigmacell.lattice import rotation_from_direction
-from sigmacell.potential import POTENTIAL_KINDS
+from sigmacell.lattice import PeriodicityReport, rotation_from_direction
+from sigmacell.potential import POTENTIAL_KINDS, HypothesisCheck, HypothesisReport
 from sigmacell.profile import TransitionProfile
 from sigmacell.surface import SigmaTable
 
@@ -452,6 +452,29 @@ def test_validate_command_passes(tmp_path, capsys):
     assert "period 5" in text
 
 
+def test_validate_reports_a_failed_hypothesis(tmp_path, monkeypatch, capsys):
+    failing = HypothesisReport([HypothesisCheck("H2", "zero-set", False, "W vanishes off the wells")])
+    monkeypatch.setattr(cli, "validate_hypotheses", lambda *args: failing)
+    path = write(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", path, "--out", str(out)]) == 4
+    lines = (out / "validate.txt").read_text().splitlines()
+    assert lines[0] == "H2 zero-set: FAIL (W vanishes off the wells)"
+    assert capsys.readouterr().out.splitlines() == lines
+    assert json.loads((out / "manifest.json").read_text())["outcomes"] == [{"kind": "validate", "passed": False}]
+
+
+def test_validate_reports_a_failed_periodicity_check(tmp_path, monkeypatch):
+    failing = PeriodicityReport(False, np.zeros((2, 2)), [0])
+    monkeypatch.setattr(cli, "check_periodicity", lambda *args: failing)
+    path = write(tmp_path, MINIMAL.replace("dir1 = 0, 1", "dir1 = 3/5, 4/5"))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", path, "--out", str(out)]) == 4
+    lines = (out / "validate.txt").read_text().splitlines()
+    assert "periodicity (3/5, 4/5): FAIL" in lines
+    assert all(line.endswith("pass") for line in lines if line.startswith("H"))
+
+
 def test_validate_detects_convexity_violation(tmp_path):
     path = write(tmp_path, MINIMAL)
     out = tmp_path / "out"
@@ -495,6 +518,15 @@ def test_tile_command(tmp_path):
         row = fh.readline().strip().split(",")
     assert header == ["T", "S", "m", "e_S", "g_S", "remainder"]
     assert float(row[4]) <= float(row[3])  # g_S <= e_S
+
+
+def test_tile_with_no_tiled_edge_checks_no_s_cell(tmp_path):
+    # S = 5.01 tiles no T and is no multiple of h; with nothing to tile, its cell is never built
+    text = MINIMAL.replace("t = 2", "t = 2\ns = 5.01\nm = 3")
+    path = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["tile", "--config", path, "--out", str(out)]) == 0
+    assert (out / "tiling.csv").read_text() == "T,S,m,e_S,g_S,remainder\n"
 
 
 def test_tile_requires_plan_keys(tmp_path):
