@@ -296,14 +296,12 @@ def run_tile(cfg: Config, run: _Run) -> int:
     profile = _profile(cfg)
     rows = []
     ok = True
-    for T in cfg.T_schedule:
+    for T in tiled:
         grid = CellGrid(DIM, T, cfg.h, rotation, "dirichlet")
         res, state = minimize_cell(grid, cfg.potential, profile, cfg.solver)
-        ok &= res.converged
-        if T in tiled:
-            rep = subadditivity_gap(state, T, cfg.tile_S, cfg.tile_m, cfg.potential, profile, cfg.solver)
-            ok &= rep.solver_converged
-            rows.append(_row(rep, TILE_COLUMNS))
+        rep = subadditivity_gap(state, T, cfg.tile_S, cfg.tile_m, cfg.potential, profile, cfg.solver)
+        ok &= res.converged and rep.solver_converged
+        rows.append(_row(rep, TILE_COLUMNS))
     if "csv" in cfg.formats:
         run.write_csv("tiling.csv", TILE_COLUMNS, rows)
     run.outcomes.append({"kind": "tile", "rows": len(rows), "converged": ok})

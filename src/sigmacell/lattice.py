@@ -267,10 +267,11 @@ class PeriodicityReport:
 
 
 def check_periodicity(pot, rotation: RationalRotation, samples: int, seed: int) -> PeriodicityReport:
-    """Verify W(x + period * R e_i, p) = W(x, p) on random samples.
+    """Verify W(z, p) = W(z - period * R e_i, p) at z = x + period * R e_i on random samples.
 
-    For piecewise-constant spatial weights the comparison is bit-exact;
-    smooth weights are compared to 1e-12 relative.
+    For an integer shift both points reduce to one point of the unit cube,
+    however x + shift rounds.  Piecewise weights compare bit-exactly,
+    smooth ones to 1e-12 relative.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -280,10 +281,9 @@ def check_periodicity(pot, rotation: RationalRotation, samples: int, seed: int) 
     shifts = rotation.lattice_vectors()
     x = rng.uniform(0.0, 1.0, size=(samples, n))
     p = rng.uniform(-2.0, 2.0, size=(samples, d))
-    w0 = pot(x, p)
     failures = []
     for i in range(n):
-        bad = pot.shift_defects(x, p, w0, shifts[i], 1e-12)
+        bad = pot.shift_defects(x, p, shifts[i], 1e-12)
         if bad.any():
             j = int(np.argmax(bad))
             failures.append((x[j].copy(), p[j].copy(), i))

@@ -304,9 +304,11 @@ class Potential:
             return a != b
         return np.abs(a - b) > rtol * np.maximum(1.0, np.abs(b))
 
-    def shift_defects(self, y: np.ndarray, p: np.ndarray, w: np.ndarray, shift, rtol: float) -> np.ndarray:
-        """Mask of the samples where W(y + shift, p) differs from w = W(y, p), by `differs`."""
-        return self.differs(self(y + shift, p), w, rtol)
+    def shift_defects(self, y: np.ndarray, p: np.ndarray, shift, rtol: float) -> np.ndarray:
+        """Mask of the samples where W(z, p) differs from W(z - shift, p), z = y + shift, by `differs`;
+        for an integer shift both points reduce to one point of the unit cube, however y + shift rounds."""
+        z = y + shift
+        return self.differs(self(z, p), self(z - shift, p), rtol)
 
     def describe(self) -> dict:
         """JSON-ready description (kind, parameters, wells, growth)."""
@@ -404,8 +406,8 @@ def validate_hypotheses(
 ) -> HypothesisReport:
     """Sample-based checks of the structural hypotheses on a potential.
 
-    H0: exact periodicity under unit shifts (bit-exact for piecewise
-        weights, 1e-14 relative for smooth ones);
+    H0: W(z, p) = W(z - e_i, p) at z = y + e_i for each unit shift e_i
+        (bit-exact for piecewise weights, 1e-14 relative for smooth ones);
     H2: the zero set is exactly the two wells (W vanishes at the wells;
         no spurious zero on a deterministic phase grid plus random
         samples);
@@ -424,16 +426,14 @@ def validate_hypotheses(
     checks = []
 
     # H0: periodicity under each unit shift.
-    ok = True
     detail = ""
     for i in range(dim):
-        bad = pot.shift_defects(y, p, w, np.eye(dim)[i], 1e-14)
+        bad = pot.shift_defects(y, p, np.eye(dim)[i], 1e-14)
         if bad.any():
-            ok = False
             j = int(np.argmax(bad))
             detail = f"shift e_{i + 1} at y={y[j]}, p={p[j]}"
             break
-    checks.append(HypothesisCheck("H0", "periodicity", ok, detail))
+    checks.append(HypothesisCheck("H0", "periodicity", not detail, detail))
 
     # H1 is structural for the built-in kinds (continuous in p, measurable
     # in y); record it as checked via the evaluations above.

@@ -1,12 +1,13 @@
 """Sharp-interface energies on polyhedral interfaces.
 
 A polyhedral interface is a list of facets (exact rational unit normal,
-positive measure) that closes up: it satisfies the divergence identity
-sum_i measure_i * normal_i = 0.  The anisotropic energy weighs each facet
-by the surface tension at its normal, looked up in a direction table with
-piecewise-linear interpolation in angle (2D).  Curved interfaces are
-approximated by polygons with rationalized normals, restoring closure by
-a least-squares adjustment of the edge lengths.
+positive measure) that closes up: sum_i measure_i * normal_i = 0.  The
+anisotropic energy weighs each facet by the surface tension at its
+normal, interpolated linearly in angle in a 2D direction table.  The
+table's convexity is checked exactly, each entry against the chord
+through its neighbours in angle.  Curved interfaces are approximated by
+polygons with rationalized normals, restoring closure by a least-squares
+adjustment of the edge lengths.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ class SigmaTable:
         order = np.argsort(angles)
         self.entries = [recs[i] for i in order]
         self.angles = angles[order]  # of the entries, ascending
-        if len(set(np.round(self.angles, 12))) != len(recs):
-            raise ValueError("table directions must be distinct")
         gaps = np.diff(np.concatenate([self.angles, [self.angles[0] + 2 * np.pi]]))
+        if gaps.min() <= 1e-12:
+            raise ValueError("table directions must be distinct")
         self.angular_mesh = float(np.median(gaps)) if len(recs) > 1 else 2 * np.pi
 
     def _locate(self, nu):
@@ -127,10 +128,6 @@ class SigmaTable:
     def sigma_at(self, nu) -> float:
         i, j, t = self._locate(nu)
         return (1 - t) * self.entries[i].sigma + t * self.entries[j].sigma
-
-    def err_at(self, nu) -> float:
-        i, j, t = self._locate(nu)
-        return (1 - t) * self.entries[i].err + t * self.entries[j].err
 
     def to_json(self) -> str:
         doc = {
@@ -162,12 +159,13 @@ def interface_energy(interface: PolyInterface, table: SigmaTable) -> float:
     return float(sum(table.sigma_at(f.normal.as_float()) * f.measure for f in interface.facets))
 
 
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _cross(u, v) -> float:
+    return float(u[0] * v[1] - u[1] * v[0])
 
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+
+def _segments_intersect(p1, p2, q1, q2) -> bool:
+    d1, d2 = _cross(q2 - q1, p1 - q1), _cross(q2 - q1, p2 - q1)
+    d3, d4 = _cross(p2 - p1, q1 - p1), _cross(p2 - p1, q2 - p1)
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
@@ -225,39 +223,34 @@ def polygonal_approximation(vertices: np.ndarray, tol: float) -> PolyInterface:
 
 @dataclass
 class ConvexityViolation:
-    nu1: np.ndarray
-    nu2: np.ndarray
+    nu: np.ndarray
     lhs: float
     rhs: float
     slack: float
 
 
 def convexity_check(table: SigmaTable) -> list:
-    """One-homogeneous subadditivity on all direction pairs of the table.
+    """Entries above the chord through their two neighbours in angle.
 
-    For each pair (v1, v2) with v0 = v1 + v2 normalizable and within the
-    table's reach, checks |v0| sigma(v0/|v0|) <= sigma(v1) + sigma(v2) up
-    to the summed error bars; returns the violating pairs.
+    Each entry (cyclically) is written nu_i = a nu_(i-1) + b nu_(i+1) and
+    flagged when sigma_i > a sigma_(i-1) + b sigma_(i+1) beyond the bars
+    a err_(i-1) + err_i + b err_(i+1).  An entry whose neighbours are pi or
+    more apart has no chord below it and is skipped.  With zero bars no
+    entry is flagged exactly when the table extends to a convex
+    one-homogeneous function.
     """
-    if len(table.entries) < 3:
+    recs = table.entries
+    if len(recs) < 3:
         raise ValueError("convexity check needs at least 3 directions")
     violations = []
-    recs = table.entries
-    for i in range(len(recs)):
-        for j in range(i + 1, len(recs)):
-            v0 = recs[i].nu + recs[j].nu
-            norm = float(np.linalg.norm(v0))
-            if norm < 1e-9:
-                continue  # antipodal pair
-            hat = v0 / norm
-            try:
-                s0 = table.sigma_at(hat)
-                e0 = table.err_at(hat)
-            except KeyError:
-                continue  # outside interpolation reach
-            lhs = norm * s0
-            rhs = recs[i].sigma + recs[j].sigma
-            slack = recs[i].err + recs[j].err + e0
-            if lhs > rhs + slack:
-                violations.append(ConvexityViolation(recs[i].nu, recs[j].nu, lhs, rhs, slack))
+    for i, mid in enumerate(recs):
+        lo, hi = recs[i - 1], recs[(i + 1) % len(recs)]
+        det = _cross(lo.nu, hi.nu)
+        if det <= 0:
+            continue  # neighbours pi or more apart
+        a, b = _cross(mid.nu, hi.nu) / det, _cross(lo.nu, mid.nu) / det
+        rhs = a * lo.sigma + b * hi.sigma
+        slack = a * lo.err + mid.err + b * hi.err
+        if mid.sigma > rhs + slack:
+            violations.append(ConvexityViolation(mid.nu, mid.sigma, rhs, slack))
     return violations

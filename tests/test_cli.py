@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sigmacell import cli
-from sigmacell.cell import SolverOptions, estimate_sigma
+from sigmacell.cell import SolverOptions, estimate_sigma, minimize_cell
 from sigmacell.cli import main, run_command
 from sigmacell.config import _KIND_KEYS, ConfigError, parse_config
 from sigmacell.lattice import PeriodicityReport, rotation_from_direction
@@ -529,6 +529,22 @@ def test_tile_with_no_tiled_edge_checks_no_s_cell(tmp_path):
     assert (out / "tiling.csv").read_text() == "T,S,m,e_S,g_S,remainder\n"
 
 
+def test_tile_solves_only_the_tiled_t_cells(tmp_path, monkeypatch):
+    # S = 12 tiles T = 4 but not T = 8
+    solved = []
+
+    def counted(grid, *args):
+        solved.append(grid.T)
+        return minimize_cell(grid, *args)
+
+    monkeypatch.setattr(cli, "minimize_cell", counted)
+    text = MINIMAL.replace("t = 2", "t = 4, 8\ns = 12\nm = 3").replace("h = 1/16", "h = 1/8")
+    out = tmp_path / "out"
+    assert main(["tile", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    assert solved == [4]
+    assert [row.split(",")[0] for row in (out / "tiling.csv").read_text().splitlines()[1:]] == ["4.0"]
+
+
 def test_tile_requires_plan_keys(tmp_path):
     path = write(tmp_path, MINIMAL)
     assert main(["tile", "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -574,6 +590,21 @@ def test_readme_config_example_parses(tmp_path):
     assert cfg.potential.params == {"alpha": 0.5, "axis": 0}
     assert [str(nu) for nu in cfg.directions] == ["(3/5, 4/5)", "(696/985, 697/985)"]
     assert (cfg.tile_S, cfg.tile_m) == (16.0, 3)
+
+
+def test_readme_ring_validates(tmp_path):
+    # the README's 16-direction ring: periods up to 16501, and a table with a convexity verdict
+    text = _readme_config()
+    assert "\n; uniform = 16\n" in text
+    text = re.sub(r"^dir\d+ = .*\n", "", text, flags=re.M).replace("\n; uniform = 16\n", "\nuniform = 16\n")
+    path = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["sigma", "--config", path, "--out", str(out)]) == 0
+    assert main(["validate", "--config", path, "--out", str(out)]) == 0
+    lines = (out / "validate.txt").read_text().splitlines()
+    assert sum(line.startswith("periodicity ") for line in lines) == 16
+    assert not [line for line in lines if "FAIL" in line]
+    assert "convexity: 0 violation(s) beyond the error bars" in lines
 
 
 def test_kind_keys_match_factory_keywords():

@@ -15,7 +15,7 @@ from sigmacell.lattice import (
     rationalize_direction,
     rotation_from_direction,
 )
-from sigmacell.potential import checkerboard, homogeneous_quartic
+from sigmacell.potential import checkerboard, homogeneous_quartic, piecewise_cells, smooth_modulated, striped
 
 F = Fraction
 
@@ -233,6 +233,20 @@ def test_check_periodicity_fake_rotation_fails():
     report = check_periodicity(pot, FakeRot(), 500, seed=2)
     assert not report.passed
     assert report.failures
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [homogeneous_quartic(), striped(0.5), checkerboard(2.0), piecewise_cells(np.array([[1.0, 2.0], [2.0, 4.0]])),
+     smooth_modulated(0.5)],
+    ids=lambda pot: pot.kind,
+)
+def test_check_periodicity_passes_on_a_uniform_ring(pot):
+    # periods up to 16501: x + shift rounds away low bits of x, which the comparison at z - shift does not see
+    for k in range(16):
+        theta = 2 * np.pi * k / 16
+        R = rotation_from_direction(rationalize_direction(np.array([np.cos(theta), np.sin(theta)]), 1e-3))
+        assert check_periodicity(pot, R, 1000, seed=0).passed, (k, R.period)
 
 
 def test_check_periodicity_homogeneous_any_rotation():

@@ -96,8 +96,43 @@ def test_convexity_flags_corrupted_table():
     violations = convexity_check(table)
     assert len(violations) == 1
     v = violations[0]
-    assert v.lhs == pytest.approx(2.02)
-    assert v.rhs == pytest.approx(2.0)
+    assert v.lhs == pytest.approx(1.01 * np.sqrt(2))
+    assert v.rhs == pytest.approx(np.sqrt(2))
+
+
+def _ring_with(degrees, factor):
+    """Eight isotropic directions (sigma = 1) plus one at `degrees`, `factor` times the chord of its neighbours."""
+    t = np.radians(degrees)
+    chord = (np.sin(np.pi / 4 - t) + np.sin(t)) / np.sin(np.pi / 4)
+    entries = [((np.cos(a), np.sin(a)), 1.0, 0.0) for a in np.arange(8) * np.pi / 4]
+    nu = (np.cos(t), np.sin(t))
+    return SigmaTable(entries + [(nu, factor * chord, 0.0)]), np.array(nu), chord
+
+
+@pytest.mark.parametrize("degrees", [10, 5])
+def test_convexity_flags_an_entry_above_its_neighbours_chord(degrees):
+    table, nu, chord = _ring_with(degrees, 1.01)
+    violations = convexity_check(table)
+    assert len(violations) == 1
+    v = violations[0]
+    assert np.allclose(v.nu, nu)
+    assert v.lhs == 1.01 * chord
+    assert v.rhs == pytest.approx(chord, rel=1e-12)
+    if degrees == 10:
+        assert v.rhs == pytest.approx(1.05674, abs=5e-6)
+
+
+def test_convexity_passes_a_cusp_below_the_chord():
+    table, _, _ = _ring_with(10, 0.99)
+    assert convexity_check(table) == []
+
+
+def test_convexity_checks_only_entries_with_a_chord_below():
+    # in a half-plane only the middle entry has neighbours less than pi apart
+    s = np.sqrt(0.5)
+    assert convexity_check(SigmaTable([((1, 0), 100.0, 0.0), ((s, s), 1.0, 0.0), ((0, 1), 100.0, 0.0)])) == []
+    violations = convexity_check(SigmaTable([((1, 0), 1.0, 0.0), ((s, s), 100.0, 0.0), ((0, 1), 1.0, 0.0)]))
+    assert [tuple(v.nu) for v in violations] == [(s, s)]
 
 
 def test_convexity_respects_error_bars():
@@ -109,6 +144,12 @@ def test_convexity_respects_error_bars():
 def test_convexity_needs_three_directions():
     with pytest.raises(ValueError):
         convexity_check(SigmaTable([((1, 0), 1.0, 0.0), ((0, 1), 1.0, 0.0)]))
+
+
+def test_table_refuses_a_direction_repeated_across_the_angle_cut():
+    entries = [((-1, 0.0), 1, 0), ((-1, -0.0), 2, 0), ((0, 1), 1, 0), ((1, 0), 1, 0)]
+    with pytest.raises(ValueError, match="table directions must be distinct"):
+        SigmaTable(entries)
 
 
 def test_interpolation_reach_guard():
